@@ -116,9 +116,9 @@ func run() int {
 		}
 	}
 
-	// Front-load the shared caches (benchmark corpora, DRX kernel
-	// timings) so concurrent experiments don't race to duplicate that
-	// work. Only worth it when more than one experiment runs.
+	// Front-load the shared benchmark corpora so concurrent experiments
+	// don't race to duplicate that work. Only worth it when more than
+	// one experiment runs.
 	if len(selected) > 1 {
 		start := time.Now()
 		if err := experiments.Warm(); err != nil {

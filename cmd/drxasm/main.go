@@ -26,7 +26,6 @@ import (
 	"dmx/internal/drxc"
 	"dmx/internal/isa"
 	"dmx/internal/restructure"
-	"dmx/internal/tensor"
 )
 
 func main() {
@@ -173,15 +172,7 @@ func compile(args []string, simulate bool) error {
 		}
 		return nil
 	}
-	m, err := drx.New(cfg)
-	if err != nil {
-		return err
-	}
-	inputs := make(map[string]*tensor.Tensor)
-	for _, p := range k.Inputs() {
-		inputs[p.Name] = tensor.New(p.DType, p.Shape...)
-	}
-	_, res, err := drxc.Execute(c, m, inputs)
+	res, err := drxc.Time(c)
 	if err != nil {
 		return err
 	}

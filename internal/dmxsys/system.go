@@ -13,8 +13,6 @@ import (
 	"dmx/internal/pcie"
 	"dmx/internal/restructure"
 	"dmx/internal/sim"
-	"dmx/internal/sweep"
-	"dmx/internal/tensor"
 )
 
 // System is one assembled server: fabric, host resources, per-device
@@ -668,22 +666,17 @@ type drxTimeKey struct {
 }
 
 // drxTime resolves one kernel's DRX duration at plan time: the plan's
-// own map first, then the process-wide cache, then compile + simulate.
+// own map first, then the process-wide cache (drxTimeOf), recording the
+// result in the plan map that serves the per-request lookups.
 func (p *Plan) drxTime(k *restructure.Kernel) (sim.Duration, error) {
 	if d, ok := p.drxTimes[k.Signature()]; ok {
 		return d, nil
 	}
-	key := drxTimeKey{sig: k.Signature(), cfg: p.cfg.DRX}
-	if d, ok := drxTimeCache.Load(key); ok {
-		p.drxTimes[k.Signature()] = d.(sim.Duration)
-		return d.(sim.Duration), nil
-	}
-	d, err := drxTimeFor(p.cfg.DRX, k)
+	d, err := drxTimeOf(p.cfg.DRX, k)
 	if err != nil {
 		return 0, err
 	}
 	p.drxTimes[k.Signature()] = d
-	drxTimeCache.Store(key, d)
 	return d, nil
 }
 
@@ -721,7 +714,7 @@ func (p *Plan) FusionCandidates() []FusionCandidate {
 			if err != nil {
 				continue
 			}
-			ft, err := drxTimeShared(p.cfg.DRX, fused)
+			ft, err := drxTimeOf(p.cfg.DRX, fused)
 			if err != nil {
 				continue
 			}
@@ -736,10 +729,11 @@ func (p *Plan) FusionCandidates() []FusionCandidate {
 	return out
 }
 
-// drxTimeShared resolves a kernel's DRX duration through the
-// process-wide cache only, never touching plan-local state — the
-// post-NewPlan-safe path (plan maps are shared read-only by replicas).
-func drxTimeShared(dcfg drx.Config, k *restructure.Kernel) (sim.Duration, error) {
+// drxTimeOf resolves a kernel's DRX duration through the process-wide
+// cache, timing it on a miss. It never touches plan-local state, so it
+// is safe after NewPlan (plan maps are shared read-only by replicas) and
+// under parallel sweep workers.
+func drxTimeOf(dcfg drx.Config, k *restructure.Kernel) (sim.Duration, error) {
 	key := drxTimeKey{sig: k.Signature(), cfg: dcfg}
 	if d, ok := drxTimeCache.Load(key); ok {
 		return d.(sim.Duration), nil
@@ -752,82 +746,36 @@ func drxTimeShared(dcfg drx.Config, k *restructure.Kernel) (sim.Duration, error)
 	return d, nil
 }
 
-// drxTimeFor compiles and simulates a restructuring kernel on a DRX
-// configuration. DRX execution is data-independent, so zero-filled
-// inputs time identically to real data. The compile goes through drxc's
-// process-wide program cache (shared with dmxrt's enqueue path and
-// populated by warm-up), and the machine run is entirely local state, so
+// drxTimeFor compiles a restructuring kernel for a DRX configuration
+// and times it without moving data. DRX cycle accounting depends only on
+// the program — element counts, strides, dtypes, lanes — never on the
+// bytes it moves, so drxc.Time walks the compiled program instead of
+// executing it over materialized inputs. That is the paper's own method:
+// its end-to-end emulation is driven by measured cycle latencies. The
+// compile goes through drxc's process-wide program cache (shared with
+// dmxrt's enqueue path), and the walk is entirely local state, so
 // concurrent calls (for distinct or even equal kernels) are race-free.
 func drxTimeFor(dcfg drx.Config, k *restructure.Kernel) (sim.Duration, error) {
 	c, err := drxc.CompileCached(k, dcfg)
 	if err != nil {
 		return 0, fmt.Errorf("dmxsys: compiling %s for DRX: %w", k.Name, err)
 	}
-	m, err := drx.New(dcfg)
-	if err != nil {
-		return 0, err
-	}
-	inputs := make(map[string]*tensor.Tensor)
-	for _, p := range k.Inputs() {
-		inputs[p.Name] = tensor.New(p.DType, p.Shape...)
-	}
-	_, res, err := drxc.Execute(c, m, inputs)
+	res, err := drxc.Time(c)
 	if err != nil {
 		return 0, fmt.Errorf("dmxsys: timing %s on DRX: %w", k.Name, err)
 	}
 	return sim.FromSeconds(res.Seconds(dcfg.ClockHz)), nil
 }
 
-// WarmDRXTimes pre-computes the process-wide DRX timing cache for every
-// distinct kernel of the given pipelines under one DRX configuration,
-// compiling kernels concurrently on the sweep worker pool. Call it once
-// before a parallel sweep so workers hit a warm cache instead of
-// serializing on (or duplicating) the compile/simulate step.
-func WarmDRXTimes(dcfg drx.Config, pipelines []*Pipeline) error {
-	var kernels []*restructure.Kernel
-	seen := make(map[drxTimeKey]struct{})
-	for _, p := range pipelines {
-		for _, h := range p.Hops {
-			key := drxTimeKey{sig: h.Kernel.Signature(), cfg: dcfg}
-			if _, ok := seen[key]; ok {
-				continue
-			}
-			if _, ok := drxTimeCache.Load(key); ok {
-				continue
-			}
-			seen[key] = struct{}{}
-			kernels = append(kernels, h.Kernel)
-		}
-	}
-	return sweep.Each(len(kernels), func(i int) error {
-		k := kernels[i]
-		d, err := drxTimeFor(dcfg, k)
-		if err != nil {
-			return err
-		}
-		drxTimeCache.Store(drxTimeKey{sig: k.Signature(), cfg: dcfg}, d)
-		return nil
-	})
-}
-
 // drxServiceTime resolves a kernel's DRX duration at run time. The
-// plan's warmed map covers every pipeline kernel; the global-cache and
-// compute paths remain for ad-hoc kernels (reports, tests). The plan
-// map is never written here, so replicas share it race-free.
+// plan's warmed map covers every pipeline kernel; the process-wide path
+// remains for ad-hoc kernels (collectives, reports, tests). The plan map
+// is never written here, so replicas share it race-free.
 func (s *System) drxServiceTime(k *restructure.Kernel) (sim.Duration, error) {
 	if d, ok := s.plan.drxTimes[k.Signature()]; ok {
 		return d, nil
 	}
-	key := drxTimeKey{sig: k.Signature(), cfg: s.cfg.DRX}
-	if d, ok := drxTimeCache.Load(key); ok {
-		return d.(sim.Duration), nil
-	}
-	d, err := drxTimeFor(s.cfg.DRX, k)
-	if err != nil {
-		return 0, err
-	}
-	drxTimeCache.Store(key, d)
-	return d, nil
+	return drxTimeOf(s.cfg.DRX, k)
 }
 
 // DRXServiceTime exposes the cached DRX duration for reports and tests.

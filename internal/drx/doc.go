@@ -10,4 +10,9 @@
 // real bytes move between DRAM and the scratchpad and real arithmetic
 // runs on the lanes — while the machine accounts cycles per unit, so the
 // same run yields both a verifiable output buffer and a latency estimate.
+//
+// The accounting never depends on the data, so a program can also be
+// timed without moving any: Machine.Time walks it through the same
+// interpreter as Machine.Run, with the same checks, and skips only the
+// element transfers. It returns the Result Run would.
 package drx

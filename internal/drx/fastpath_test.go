@@ -87,9 +87,16 @@ func scrubNaN(data []byte) {
 
 // runBoth executes prog on a fast-path machine and an element-interpreter
 // machine over identical DRAM images and requires byte- and
-// Result-identical outcomes (errors included).
+// Result-identical outcomes (errors included). It also walks prog with
+// Time on a third machine whose DRAM was never written, which must fail
+// exactly when Run does and otherwise return the same Result.
 func runBoth(t *testing.T, cfg Config, prog *isa.Program, seedBytes int) {
 	t.Helper()
+	tm, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	timed, timeErr := tm.Time(prog)
 	machines := [2]*Machine{}
 	results := [2]Result{}
 	errs := [2]error{}
@@ -106,6 +113,9 @@ func runBoth(t *testing.T, cfg Config, prog *isa.Program, seedBytes int) {
 	if (errs[0] == nil) != (errs[1] == nil) {
 		t.Fatalf("error divergence: fast=%v interp=%v", errs[0], errs[1])
 	}
+	if (timeErr == nil) != (errs[1] == nil) {
+		t.Fatalf("error divergence: time=%v interp=%v", timeErr, errs[1])
+	}
 	if errs[0] != nil {
 		if errs[0].Error() != errs[1].Error() {
 			t.Fatalf("error text divergence:\nfast:   %v\ninterp: %v", errs[0], errs[1])
@@ -114,6 +124,9 @@ func runBoth(t *testing.T, cfg Config, prog *isa.Program, seedBytes int) {
 	}
 	if results[0] != results[1] {
 		t.Fatalf("Result divergence:\nfast:   %+v\ninterp: %+v", results[0], results[1])
+	}
+	if timed != results[1] {
+		t.Fatalf("Result divergence:\ntime:   %+v\ninterp: %+v", timed, results[1])
 	}
 	a, err := machines[0].ReadDRAM(0, cfg.DRAMBytes)
 	if err != nil {

@@ -189,7 +189,18 @@ func (m *Machine) ReadDRAM(addr, n int64) ([]byte, error) {
 // The program must validate and its encoded form must fit the
 // instruction cache. Programs are treated as immutable: per-program
 // metadata (encoded size, loop table) is memoized on first execution.
-func (m *Machine) Run(p *isa.Program) (Result, error) {
+func (m *Machine) Run(p *isa.Program) (Result, error) { return m.run(p, false) }
+
+// Time walks a program exactly as Run does — same control flow, stream
+// and loop state, operand and range checks, and cycle accounting — but
+// moves no element data: DRAM and the scratchpad are neither read nor
+// written. DRX timing is data-independent, so Time returns the Result
+// Run would over any DRAM contents, and fails exactly when Run would
+// (the error text may differ). See timing.go.
+func (m *Machine) Time(p *isa.Program) (Result, error) { return m.run(p, true) }
+
+// run is the one interpreter behind Run and Time.
+func (m *Machine) run(p *isa.Program, timing bool) (Result, error) {
 	meta, err := m.progMetaFor(p)
 	if err != nil {
 		return Result{}, err
@@ -201,6 +212,7 @@ func (m *Machine) Run(p *isa.Program) (Result, error) {
 	var ex execution
 	ex.m = m
 	ex.meta = meta
+	ex.timing = timing
 	if err := ex.block(p.Instrs, 0, len(p.Instrs)); err != nil {
 		return Result{}, fmt.Errorf("drx: %s: %w", p.Name, err)
 	}
@@ -243,8 +255,11 @@ func (m *Machine) progMetaFor(p *isa.Program) (*progMeta, error) {
 // a fixed array (Validate bounds nesting by isa.MaxLoopDepth), so hot
 // loops allocate nothing.
 type execution struct {
-	m      *Machine
-	meta   *progMeta
+	m    *Machine
+	meta *progMeta
+	// timing walks without moving data: operand spans are range-checked
+	// as a whole and element transfers are skipped (Machine.Time).
+	timing bool
 	res    Result
 	halted bool
 	depth  int
@@ -384,14 +399,22 @@ func (ex *execution) load(in isa.Instr, loopIdx []int32) error {
 	}
 	sa, da := src.addr(loopIdx), dst.addr(loopIdx)
 	n := int64(in.N)
-	if !ex.m.loadSpan(src.dtype, sa, src.elemStride, da, dst.elemStride, n) {
+	switch {
+	case ex.timing:
+		if !ex.m.dramSpanOK(src.dtype, sa, src.elemStride, n) {
+			return fmt.Errorf("load: dram span of %d at element %d (%v) out of range", n, sa, src.dtype)
+		}
+		if !ex.m.scratchSpanOK(da, dst.elemStride, n) {
+			return fmt.Errorf("load: scratch span of %d at index %d out of range", n, da)
+		}
+	case !ex.m.loadSpan(src.dtype, sa, src.elemStride, da, dst.elemStride, n):
 		for i := int64(0); i < n; i++ {
 			v, err := ex.m.readElem(src.dtype, sa+i*int64(src.elemStride))
 			if err != nil {
 				return err
 			}
 			si := da + i*int64(dst.elemStride)
-			if si < 0 || si >= int64(len(ex.m.scratch)) {
+			if !ex.m.scratchOK(si) {
 				return fmt.Errorf("load: scratch index %d out of range", si)
 			}
 			ex.m.scratch[si] = v
@@ -418,10 +441,18 @@ func (ex *execution) store(in isa.Instr, loopIdx []int32) error {
 	}
 	sa, da := src.addr(loopIdx), dst.addr(loopIdx)
 	n := int64(in.N)
-	if !ex.m.storeSpan(dst.dtype, da, dst.elemStride, sa, src.elemStride, n) {
+	switch {
+	case ex.timing:
+		if !ex.m.scratchSpanOK(sa, src.elemStride, n) {
+			return fmt.Errorf("store: scratch span of %d at index %d out of range", n, sa)
+		}
+		if !ex.m.dramSpanOK(dst.dtype, da, dst.elemStride, n) {
+			return fmt.Errorf("store: dram span of %d at element %d (%v) out of range", n, da, dst.dtype)
+		}
+	case !ex.m.storeSpan(dst.dtype, da, dst.elemStride, sa, src.elemStride, n):
 		for i := int64(0); i < n; i++ {
 			si := sa + i*int64(src.elemStride)
-			if si < 0 || si >= int64(len(ex.m.scratch)) {
+			if !ex.m.scratchOK(si) {
 				return fmt.Errorf("store: scratch index %d out of range", si)
 			}
 			if err := ex.m.writeElem(dst.dtype, da+i*int64(dst.elemStride), ex.m.scratch[si]); err != nil {
@@ -451,31 +482,33 @@ func (ex *execution) transpose(in isa.Instr, loopIdx []int32) error {
 	rows, cols := int64(in.N), int64(in.M)
 	sa, da := src.addr(loopIdx), dst.addr(loopIdx)
 	total := rows * cols
-	if sa < 0 || sa+total > int64(len(ex.m.scratch)) || da < 0 || da+total > int64(len(ex.m.scratch)) {
+	if !ex.m.scratchSpanOK(sa, 1, total) || !ex.m.scratchSpanOK(da, 1, total) {
 		return fmt.Errorf("trans: tile outside scratchpad")
 	}
-	// Stage through a reusable tile buffer: the engine's banked SRAM in
-	// hardware, and an allocation-free hot loop here.
-	if int64(cap(ex.m.transBuf)) < total {
-		ex.m.transBuf = make([]float32, total)
-	}
-	tmp := ex.m.transBuf[:total]
-	for r := int64(0); r < rows; r++ {
-		row := ex.m.scratch[sa+r*cols : sa+(r+1)*cols]
-		for c, v := range row {
-			tmp[int64(c)*rows+r] = v
+	if !ex.timing {
+		// Stage through a reusable tile buffer: the engine's banked SRAM
+		// in hardware, and an allocation-free hot loop here.
+		if int64(cap(ex.m.transBuf)) < total {
+			ex.m.transBuf = make([]float32, total)
 		}
+		tmp := ex.m.transBuf[:total]
+		for r := int64(0); r < rows; r++ {
+			row := ex.m.scratch[sa+r*cols : sa+(r+1)*cols]
+			for c, v := range row {
+				tmp[int64(c)*rows+r] = v
+			}
+		}
+		copy(ex.m.scratch[da:da+total], tmp)
 	}
-	copy(ex.m.scratch[da:da+total], tmp)
 	ex.res.ComputeCycles += ceilDiv(total, int64(ex.m.cfg.Lanes)) + transFixedCycles
 	return nil
 }
 
 func (m *Machine) readElem(dt isa.DT, elem int64) (float32, error) {
-	off := elem * int64(dt.Size())
-	if off < 0 || off+int64(dt.Size()) > m.cfg.DRAMBytes {
+	if !m.dramElemOK(dt, elem) {
 		return 0, fmt.Errorf("dram read at element %d (%v) out of range", elem, dt)
 	}
+	off := elem * int64(dt.Size())
 	m.ensure(off + int64(dt.Size()))
 	b := m.dram[off:]
 	switch dt {
@@ -496,10 +529,10 @@ func (m *Machine) readElem(dt isa.DT, elem int64) (float32, error) {
 }
 
 func (m *Machine) writeElem(dt isa.DT, elem int64, v float32) error {
-	off := elem * int64(dt.Size())
-	if off < 0 || off+int64(dt.Size()) > m.cfg.DRAMBytes {
+	if !m.dramElemOK(dt, elem) {
 		return fmt.Errorf("dram write at element %d (%v) out of range", elem, dt)
 	}
+	off := elem * int64(dt.Size())
 	m.ensure(off + int64(dt.Size()))
 	m.touch(off + int64(dt.Size()))
 	b := m.dram[off:]

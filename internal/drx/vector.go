@@ -18,7 +18,8 @@ const (
 	// memIssueCycles is the Off-chip Data Access Engine's per-request
 	// cost; the decoupled front-end hides DRAM latency beyond it.
 	memIssueCycles = 4
-	// reduceTreeDepthOf covers the lane-combining tree of VRSum/VRMax.
+	// dramBurstBytes is the DRAM burst size: the most one strided
+	// element access can waste (see memCycles).
 	dramBurstBytes = 64
 )
 
@@ -65,12 +66,42 @@ func (ex *execution) vector(in isa.Instr, loopIdx []int32) error {
 			return fmt.Errorf("%s: src2 must be a scratch stream", in.Op)
 		}
 	}
-	n := int64(in.N)
-	da, sa := dst.addr(loopIdx), src1.addr(loopIdx)
+	ops := vecOperands{n: int64(in.N), dst: dst, src1: src1, src2: src2,
+		da: dst.addr(loopIdx), sa: src1.addr(loopIdx)}
+	if src2 != nil {
+		ops.sb = src2.addr(loopIdx)
+	}
+	if ex.timing {
+		if !m.vectorSpansOK(in.Op, &ops) {
+			return fmt.Errorf("%s: scratch operand span of %d out of range", in.Op, ops.n)
+		}
+	} else if err := m.vectorData(in, &ops); err != nil {
+		return err
+	}
 	lanes := int64(m.cfg.Lanes)
+	ex.res.ComputeCycles += ceilDiv(ops.n, lanes)
+	if in.Op == isa.VRSum || in.Op == isa.VRMax {
+		// The lane-combining tree of a reduction.
+		ex.res.ComputeCycles += log2i(lanes)
+	}
+	return nil
+}
 
-	readS1 := func(i int64) (float32, error) { return m.scratchAt(sa + i*int64(src1.elemStride)) }
-	writeD := func(i int64, v float32) error { return m.scratchSet(da+i*int64(dst.elemStride), v) }
+// vecOperands is one vector instruction's resolved operands: length and
+// stream start addresses under the current loop indices (src2 is nil
+// for unary and immediate forms).
+type vecOperands struct {
+	n               int64
+	dst, src1, src2 *stream
+	da, sa, sb      int64
+}
+
+// vectorData runs a vector instruction's element loop over the
+// scratchpad.
+func (m *Machine) vectorData(in isa.Instr, ops *vecOperands) error {
+	n, da, sa := ops.n, ops.da, ops.sa
+	readS1 := func(i int64) (float32, error) { return m.scratchAt(sa + i*int64(ops.src1.elemStride)) }
+	writeD := func(i int64, v float32) error { return m.scratchSet(da+i*int64(ops.dst.elemStride), v) }
 
 	switch in.Op {
 	case isa.VRSum, isa.VRMax:
@@ -86,13 +117,9 @@ func (ex *execution) vector(in isa.Instr, loopIdx []int32) error {
 				acc = v
 			}
 		}
-		if err := writeD(0, acc); err != nil {
-			return err
-		}
-		ex.res.ComputeCycles += ceilDiv(n, lanes) + log2i(lanes)
-		return nil
+		return writeD(0, acc)
 	case isa.VMacS:
-		scalar, err := m.scratchAt(src2.addr(loopIdx))
+		scalar, err := m.scratchAt(ops.sb)
 		if err != nil {
 			return err
 		}
@@ -101,7 +128,7 @@ func (ex *execution) vector(in isa.Instr, loopIdx []int32) error {
 			if err != nil {
 				return err
 			}
-			old, err := m.scratchAt(da + i*int64(dst.elemStride))
+			old, err := m.scratchAt(da + i*int64(ops.dst.elemStride))
 			if err != nil {
 				return err
 			}
@@ -109,7 +136,6 @@ func (ex *execution) vector(in isa.Instr, loopIdx []int32) error {
 				return err
 			}
 		}
-		ex.res.ComputeCycles += ceilDiv(n, lanes)
 		return nil
 	}
 
@@ -125,8 +151,7 @@ func (ex *execution) vector(in isa.Instr, loopIdx []int32) error {
 		case in.Op.HasImm():
 			out = binOp(immBase(in.Op), a, in.Imm)
 		default:
-			sb := src2.addr(loopIdx) + i*int64(src2.elemStride)
-			b, err := m.scratchAt(sb)
+			b, err := m.scratchAt(ops.sb + i*int64(ops.src2.elemStride))
 			if err != nil {
 				return err
 			}
@@ -136,19 +161,18 @@ func (ex *execution) vector(in isa.Instr, loopIdx []int32) error {
 			return err
 		}
 	}
-	ex.res.ComputeCycles += ceilDiv(n, lanes)
 	return nil
 }
 
 func (m *Machine) scratchAt(i int64) (float32, error) {
-	if i < 0 || i >= int64(len(m.scratch)) {
+	if !m.scratchOK(i) {
 		return 0, fmt.Errorf("scratch read %d out of range (size %d)", i, len(m.scratch))
 	}
 	return m.scratch[i], nil
 }
 
 func (m *Machine) scratchSet(i int64, v float32) error {
-	if i < 0 || i >= int64(len(m.scratch)) {
+	if !m.scratchOK(i) {
 		return fmt.Errorf("scratch write %d out of range (size %d)", i, len(m.scratch))
 	}
 	m.scratch[i] = v

@@ -14,9 +14,9 @@ import (
 // (lowering, schedule selection, program validation), yet the result
 // depends only on the kernel's structure and the hardware configuration:
 // the same kernel enqueued a thousand times compiles to the same program
-// a thousand times. The cache mirrors dmxsys's DRX timing cache
-// (WarmDRXTimes): a sync.Map keyed by (kernel fingerprint, drx.Config),
-// safe under the sweep harness's parallel workers, where a duplicated
+// a thousand times. The cache mirrors dmxsys's DRX timing cache: a
+// sync.Map keyed by (kernel fingerprint, drx.Config), safe under the
+// sweep harness's parallel workers, where a duplicated
 // concurrent compile stores an identical artifact so last-write-wins is
 // harmless.
 //
@@ -65,9 +65,8 @@ func CacheStats() (hits, misses int64) {
 }
 
 // WarmCompiled populates the compile cache for every distinct kernel, in
-// parallel on the sweep worker pool — the compile-side mirror of
-// dmxsys.WarmDRXTimes. Call it before a parallel sweep so workers hit a
-// warm cache instead of duplicating compiles.
+// parallel on the sweep worker pool. Call it before a parallel sweep so
+// workers hit a warm cache instead of duplicating compiles.
 func WarmCompiled(cfg drx.Config, kernels []*restructure.Kernel) error {
 	var todo []*restructure.Kernel
 	seen := make(map[string]struct{})

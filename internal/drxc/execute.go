@@ -13,8 +13,8 @@ import (
 // back as tensors. The machine must have been created with (at least) the
 // configuration the kernel was compiled for.
 func Execute(c *Compiled, m *drx.Machine, inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, drx.Result, error) {
-	if m.Config().ScratchBytes < c.cfg.ScratchBytes {
-		return nil, drx.Result{}, fmt.Errorf("drxc: machine scratchpad smaller than compiled target")
+	if err := checkTarget(c, m.Config()); err != nil {
+		return nil, drx.Result{}, err
 	}
 	k := c.kernel
 	for _, p := range k.Inputs() {
@@ -43,6 +43,43 @@ func Execute(c *Compiled, m *drx.Machine, inputs map[string]*tensor.Tensor) (map
 		outs[p.Name] = t
 	}
 	return outs, res, nil
+}
+
+// Time reports the cycle accounting of a compiled kernel without moving
+// data. DRX timing is data-independent, so rather than executing over
+// materialized inputs it walks the program (drx.Machine.Time) on a fresh
+// machine of the compiled configuration, after Execute's layout checks.
+// The Result is the one Execute returns for any inputs of the kernel's
+// declared shapes and dtypes, and Time fails exactly when such an
+// Execute would.
+func Time(c *Compiled) (drx.Result, error) {
+	if err := checkTarget(c, c.cfg); err != nil {
+		return drx.Result{}, err
+	}
+	m, err := drx.New(c.cfg)
+	if err != nil {
+		return drx.Result{}, err
+	}
+	return m.Time(c.Prog)
+}
+
+// checkTarget makes Execute's layout checks against a machine
+// configuration: its scratchpad holds the compiled tiling, and every
+// input and output span lies inside its DRAM.
+func checkTarget(c *Compiled, cfg drx.Config) error {
+	if cfg.ScratchBytes < c.cfg.ScratchBytes {
+		return fmt.Errorf("drxc: machine scratchpad smaller than compiled target")
+	}
+	for _, p := range c.kernel.Params {
+		if p.Dir == restructure.Temp {
+			continue
+		}
+		addr, n := c.Layout[p.Name], int64(p.SizeBytes())
+		if addr < 0 || addr+n > cfg.DRAMBytes {
+			return fmt.Errorf("drxc: %s %q at [%d,%d) outside DRAM", p.Dir, p.Name, addr, addr+n)
+		}
+	}
+	return nil
 }
 
 // CompileAndRun is a convenience wrapper: compile the kernel for the

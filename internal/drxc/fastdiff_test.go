@@ -14,7 +14,8 @@ import (
 
 // The fast-path differential checker: every library kernel must produce
 // byte-for-byte the same outputs and exactly the same Result accounting
-// with the machine's bulk operand paths on and off. This is the
+// with the machine's bulk operand paths on and off, and Time — which
+// moves no data — must return that same Result. This is the
 // kernel-level complement of the machine-level FuzzFastPathMatchesInterpreter
 // in internal/drx: it covers the address patterns real compiled programs
 // emit (tiled spans, gather panels, transpose staging, barriers).
@@ -32,6 +33,28 @@ func libraryKernels() []*restructure.Kernel {
 		restructure.NERPrep(32, 64, 128),
 		restructure.VecNormalize(8, 64),
 		restructure.SumReduce(8, 300),
+	}
+}
+
+// diffKernels is the library plus the collectives' all-reduce kernel at
+// a gather fan-in of 4 over a 256 KB partial vector.
+func diffKernels() []*restructure.Kernel {
+	return append(libraryKernels(), restructure.SumReduce(4, 64<<10))
+}
+
+// DiffConfigs are the DRX configurations the differentials run at: the
+// default, the rest of the Fig. 18 lane sweep, and a small scratchpad
+// whose tiling yields more, shorter spans.
+func DiffConfigs() map[string]drx.Config {
+	def := drx.DefaultConfig()
+	small := def.WithLanes(32)
+	small.ScratchBytes = 8 << 10
+	return map[string]drx.Config{
+		"default":       def,
+		"lanes32":       def.WithLanes(32),
+		"lanes64":       def.WithLanes(64),
+		"lanes256":      def.WithLanes(256),
+		"scratch8k_l32": small,
 	}
 }
 
@@ -66,12 +89,18 @@ func randKernelInputs(seed int64, k *restructure.Kernel) map[string]*tensor.Tens
 	return inputs
 }
 
-// diffFastVsInterp runs one kernel on two machines — fast paths on and
-// off — and returns an error on any divergence.
-func diffFastVsInterp(k *restructure.Kernel, cfg drx.Config, inputs map[string]*tensor.Tensor) error {
+// DiffFastVsInterp runs one kernel on two machines — fast paths on and
+// off — and times it with Time, returning an error on any divergence.
+// It is exported, like DiffConfigs, to the external workload
+// differential.
+func DiffFastVsInterp(k *restructure.Kernel, cfg drx.Config, inputs map[string]*tensor.Tensor) error {
 	c, err := CompileCached(k, cfg)
 	if err != nil {
 		return fmt.Errorf("%s: compile: %w", k.Name, err)
+	}
+	timed, err := Time(c)
+	if err != nil {
+		return fmt.Errorf("%s: time: %w", k.Name, err)
 	}
 	outs := [2]map[string]*tensor.Tensor{}
 	ress := [2]drx.Result{}
@@ -88,6 +117,9 @@ func diffFastVsInterp(k *restructure.Kernel, cfg drx.Config, inputs map[string]*
 	if ress[0] != ress[1] {
 		return fmt.Errorf("%s: Result divergence:\nfast:   %+v\ninterp: %+v", k.Name, ress[0], ress[1])
 	}
+	if timed != ress[1] {
+		return fmt.Errorf("%s: Result divergence:\ntime:   %+v\ninterp: %+v", k.Name, timed, ress[1])
+	}
 	for name, a := range outs[0] {
 		b, ok := outs[1][name]
 		if !ok {
@@ -101,14 +133,14 @@ func diffFastVsInterp(k *restructure.Kernel, cfg drx.Config, inputs map[string]*
 }
 
 func TestFastPathLibraryBitIdentical(t *testing.T) {
-	kernels := libraryKernels()
+	kernels := diffKernels()
 	cfg := drx.DefaultConfig()
 	if err := WarmCompiled(cfg, kernels); err != nil {
 		t.Fatal(err)
 	}
 	// One differential per kernel, in parallel on the sweep pool.
 	err := sweep.Each(len(kernels), func(i int) error {
-		return diffFastVsInterp(kernels[i], cfg, randKernelInputs(1000+int64(i), kernels[i]))
+		return DiffFastVsInterp(kernels[i], cfg, randKernelInputs(1000+int64(i), kernels[i]))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,13 +151,50 @@ func TestFastPathLibraryBitIdenticalSmallScratch(t *testing.T) {
 	// A small scratchpad changes the compiler's tiling — more, shorter
 	// spans — and a small lane count changes transfer chunking. The
 	// invariant must hold there too.
-	cfg := drx.DefaultConfig().WithLanes(32)
-	cfg.ScratchBytes = 8 << 10
-	kernels := libraryKernels()
+	cfg := DiffConfigs()["scratch8k_l32"]
+	kernels := diffKernels()
 	err := sweep.Each(len(kernels), func(i int) error {
-		return diffFastVsInterp(kernels[i], cfg, randKernelInputs(2000+int64(i), kernels[i]))
+		return DiffFastVsInterp(kernels[i], cfg, randKernelInputs(2000+int64(i), kernels[i]))
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTimeMatchesExecuteAcrossLanes extends the differential to the
+// remaining Fig. 18 lane counts, where transfer chunking and reduction
+// trees change.
+func TestTimeMatchesExecuteAcrossLanes(t *testing.T) {
+	kernels := diffKernels()
+	for _, name := range []string{"lanes32", "lanes64", "lanes256"} {
+		cfg := DiffConfigs()[name]
+		err := sweep.Each(len(kernels), func(i int) error {
+			return DiffFastVsInterp(kernels[i], cfg, randKernelInputs(4000+int64(i), kernels[i]))
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestTimeChecksLayout keeps Execute's layout checks in Time: a kernel
+// compiled for a DRAM its parameters do not fit in is refused by both.
+func TestTimeChecksLayout(t *testing.T) {
+	cfg := drx.DefaultConfig()
+	c, err := Compile(restructure.RecordFrame(16, 48), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny := *c
+	tiny.cfg.DRAMBytes = c.DRAMBytes - 1
+	if _, err := Time(&tiny); err == nil {
+		t.Fatal("Time accepted a layout outside DRAM")
+	}
+	m, err := drx.New(tiny.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Execute(&tiny, m, randKernelInputs(1, c.Kernel())); err == nil {
+		t.Fatal("Execute accepted a layout outside DRAM")
 	}
 }

@@ -1,12 +1,10 @@
 package drxc_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"dmx/internal/drx"
 	"dmx/internal/drxc"
 	"dmx/internal/restructure"
 	"dmx/internal/sweep"
@@ -16,10 +14,12 @@ import (
 
 // The workload-wide differential checker: every restructuring hop of
 // every benchmark application — the five Table I pipelines plus the
-// GenAI-RAG and PIR+NER chains — must be byte- and Result-identical
-// between the machine's bulk fast paths and the element interpreter.
-// This file is an external test package because workload depends (via
-// dmxsys) on drxc itself.
+// GenAI-RAG and PIR+NER chains — and every fused adjacent-hop kernel
+// (what dmxsys's Plan.FusionCandidates times) must be byte- and
+// Result-identical between the machine's bulk fast paths and the element
+// interpreter, and Time must return that Result, at every DiffConfigs
+// configuration. This file is an external test package because workload
+// depends (via dmxsys) on drxc itself.
 
 type hopCase struct {
 	bench  string
@@ -44,13 +44,23 @@ func allWorkloadHops(t *testing.T) []hopCase {
 		benches = append(benches, pir)
 	}
 	var hops []hopCase
+	fused := 0
 	for _, b := range benches {
-		for i, h := range b.Pipeline.Hops {
+		ph := b.Pipeline.Hops
+		for i, h := range ph {
 			hops = append(hops, hopCase{bench: b.Name, hop: i, kernel: h.Kernel})
+			if i+1 == len(ph) {
+				continue
+			}
+			// Infusible pairs are skipped, as FusionCandidates skips them.
+			if f, err := drxc.FusedKernel(h.Kernel, ph[i+1].Kernel); err == nil {
+				hops = append(hops, hopCase{bench: b.Name + "/fused", hop: i, kernel: f})
+				fused++
+			}
 		}
 	}
-	if len(hops) < 7 {
-		t.Fatalf("expected hops from every benchmark, got %d", len(hops))
+	if len(hops) < 7 || fused == 0 {
+		t.Fatalf("expected hops from every benchmark and some fused pairs, got %d hops (%d fused)", len(hops), fused)
 	}
 	return hops
 }
@@ -84,46 +94,23 @@ func randHopInputs(seed int64, k *restructure.Kernel) map[string]*tensor.Tensor 
 
 func TestFastPathWorkloadHopsBitIdentical(t *testing.T) {
 	hops := allWorkloadHops(t)
-	cfg := drx.DefaultConfig()
 	kernels := make([]*restructure.Kernel, len(hops))
 	for i, h := range hops {
 		kernels[i] = h.kernel
 	}
-	if err := drxc.WarmCompiled(cfg, kernels); err != nil {
-		t.Fatal(err)
-	}
-	err := sweep.Each(len(hops), func(i int) error {
-		h := hops[i]
-		c, err := drxc.CompileCached(h.kernel, cfg)
+	for name, cfg := range drxc.DiffConfigs() {
+		if err := drxc.WarmCompiled(cfg, kernels); err != nil {
+			t.Fatal(err)
+		}
+		err := sweep.Each(len(hops), func(i int) error {
+			h := hops[i]
+			if err := drxc.DiffFastVsInterp(h.kernel, cfg, randHopInputs(3000+int64(i), h.kernel)); err != nil {
+				return fmt.Errorf("%s: %s hop %d: %w", name, h.bench, h.hop, err)
+			}
+			return nil
+		})
 		if err != nil {
-			return fmt.Errorf("%s hop %d (%s): compile: %w", h.bench, h.hop, h.kernel.Name, err)
+			t.Fatal(err)
 		}
-		inputs := randHopInputs(3000+int64(i), h.kernel)
-		outs := [2]map[string]*tensor.Tensor{}
-		ress := [2]drx.Result{}
-		for j := 0; j < 2; j++ {
-			m, err := drx.New(cfg)
-			if err != nil {
-				return err
-			}
-			m.SetFastPath(j == 0)
-			if outs[j], ress[j], err = drxc.Execute(c, m, inputs); err != nil {
-				return fmt.Errorf("%s hop %d (%s, fast=%v): %w", h.bench, h.hop, h.kernel.Name, j == 0, err)
-			}
-		}
-		if ress[0] != ress[1] {
-			return fmt.Errorf("%s hop %d (%s): Result divergence:\nfast:   %+v\ninterp: %+v",
-				h.bench, h.hop, h.kernel.Name, ress[0], ress[1])
-		}
-		for name, a := range outs[0] {
-			if !bytes.Equal(a.Bytes(), outs[1][name].Bytes()) {
-				return fmt.Errorf("%s hop %d (%s): output %q not byte-identical",
-					h.bench, h.hop, h.kernel.Name, name)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -54,28 +54,16 @@ func suite(n int) ([]*workload.Benchmark, error) {
 	return out, nil
 }
 
-// Warm front-loads the two process-wide caches that a parallel sweep
-// would otherwise serialize on (or duplicate work into): the paper-scale
-// benchmark suite — whose corpora generation is itself parallelized
-// inside workload.Suite — and the DRX compile/timing cache for every
-// distinct restructuring kernel, including the Fig. 16 three-kernel
-// extension, compiled concurrently on the sweep worker pool. Calling
-// Warm is optional: every generator computes what it needs on demand.
+// Warm front-loads the process-wide cache a parallel sweep would
+// otherwise serialize on: the paper-scale benchmark suite, whose corpora
+// generation is itself parallelized inside workload.Suite. DRX kernel
+// timings fill on demand: timing walks the compiled program without
+// moving data, so the figures pay a few milliseconds per distinct kernel
+// and configuration. Calling Warm is optional: every generator computes
+// what it needs on demand.
 func Warm() error {
-	benches, err := suite(5)
-	if err != nil {
-		return err
-	}
-	pipes := make([]*dmxsys.Pipeline, 0, len(benches)+1)
-	for _, b := range benches {
-		pipes = append(pipes, b.Pipeline)
-	}
-	pirner, err := workload.PIRWithNER(workload.PaperScale)
-	if err != nil {
-		return err
-	}
-	pipes = append(pipes, pirner.Pipeline)
-	return dmxsys.WarmDRXTimes(dmxsys.DefaultConfig(dmxsys.BumpInTheWire).DRX, pipes)
+	_, err := suite(5)
+	return err
 }
 
 // nbJob is one (concurrency, benchmark) sweep cell — the inner-loop
