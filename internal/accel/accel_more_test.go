@@ -257,3 +257,94 @@ func TestEmbedderMeanPoolingBounds(t *testing.T) {
 		t.Error("embedder not deterministic")
 	}
 }
+
+func decodeRLE(t *testing.T, pixels int, bs []byte) *tensor.Tensor {
+	t.Helper()
+	out, err := NewVideoDecode(pixels).Run(map[string]*tensor.Tensor{"bitstream": tensor.FromBytes(bs, len(bs))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out["yuv"]
+}
+
+func TestEncodeRLENonContiguousViews(t *testing.T) {
+	// Planar [3, pixels] storage transposed to a [pixels, 3] view, and a
+	// row slice of an interleaved frame: neither is contiguous.
+	const pixels = 300
+	planar := tensor.New(tensor.Uint8, 3, pixels)
+	for p := 0; p < pixels; p++ {
+		planar.Set(float64(p/7), 0, p)
+		planar.Set(float64(p/11), 1, p)
+		planar.Set(200, 2, p)
+	}
+	frame := tensor.New(tensor.Uint8, pixels, 4)
+	for p := 0; p < pixels; p++ {
+		for c := 0; c < 4; c++ {
+			frame.Set(float64((p/5+c)%256), p, c)
+		}
+	}
+	for name, view := range map[string]*tensor.Tensor{
+		"transposed":   planar.Transpose(1, 0),
+		"channel-cols": frame.Slice(1, 1, 4),
+		"row-slice":    planar.Transpose(1, 0).Slice(0, 40, 240),
+	} {
+		if view.IsContiguous() {
+			t.Fatalf("%s: view is contiguous; the test needs a strided one", name)
+		}
+		bs := EncodeRLE(view)
+		if got := decodeRLE(t, view.Dim(0), bs); !tensor.Equal(got, view) {
+			t.Errorf("%s: decode(encode(view)) != view", name)
+		}
+	}
+}
+
+func TestEncodeRLESplitsAtCountCap(t *testing.T) {
+	for _, c := range []struct {
+		pixels int
+		counts []int
+	}{
+		{65535, []int{65535}},
+		{65536, []int{65535, 1}},
+		{2*65535 + 7, []int{65535, 65535, 7}},
+	} {
+		yuv := tensor.New(tensor.Uint8, c.pixels, 3)
+		yuv.Fill(9)
+		bs := EncodeRLE(yuv)
+		if len(bs) != 5*len(c.counts) {
+			t.Fatalf("%d pixels: %d bytes, want %d records", c.pixels, len(bs), len(c.counts))
+		}
+		for i, want := range c.counts {
+			rec := bs[5*i:]
+			if got := int(rec[0]) | int(rec[1])<<8; got != want || rec[2] != 9 || rec[3] != 9 || rec[4] != 9 {
+				t.Errorf("%d pixels: record %d = %v, want count %d of (9,9,9)", c.pixels, i, rec[:5], want)
+			}
+		}
+		if !tensor.Equal(decodeRLE(t, c.pixels, bs), yuv) {
+			t.Errorf("%d pixels: round trip differs", c.pixels)
+		}
+	}
+	// A value change right at the cap starts a fresh run, not a split one.
+	yuv := tensor.New(tensor.Uint8, 65536, 3)
+	yuv.Set(1, 65535, 0)
+	if bs := EncodeRLE(yuv); len(bs) != 10 || bs[0] != 0xff || bs[1] != 0xff || bs[5] != 1 || bs[7] != 1 {
+		t.Errorf("run of 65535 then a new pixel: %v", bs)
+	}
+}
+
+func TestEncodeRLERejectsNonUint8(t *testing.T) {
+	for _, x := range []*tensor.Tensor{
+		tensor.New(tensor.Float32, 4, 3),
+		tensor.New(tensor.Int8, 4, 3),
+		tensor.New(tensor.Uint8, 4, 4),
+		tensor.New(tensor.Uint8, 12),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("EncodeRLE(%s %v) did not panic", x.DType(), x.Shape())
+				}
+			}()
+			EncodeRLE(x)
+		}()
+	}
+}

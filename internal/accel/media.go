@@ -58,28 +58,25 @@ func NewVideoDecode(pixels int) *Spec {
 }
 
 // EncodeRLE produces a bitstream NewVideoDecode accepts, for the workload
-// generator: consecutive equal YUV pixels collapse into one record.
+// generator: consecutive equal YUV pixels collapse into one record, and a
+// run longer than 65 535 pixels (the u16 count) splits across records.
+// yuv must be a Uint8 [pixels, 3] tensor, any view layout; EncodeRLE
+// panics on any other dtype or shape, since a decoded frame is always
+// Uint8 and there is no lossless byte for a wider element.
 func EncodeRLE(yuv *tensor.Tensor) []byte {
-	pixels := yuv.Dim(0)
-	var out []byte
-	emit := func(count int, y, u, v byte) {
-		var rec [5]byte
-		binary.LittleEndian.PutUint16(rec[:], uint16(count))
-		rec[2], rec[3], rec[4] = y, u, v
-		out = append(out, rec[:]...)
+	if yuv.DType() != tensor.Uint8 || yuv.Rank() != 2 || yuv.Dim(1) != 3 {
+		panic(fmt.Sprintf("accel: EncodeRLE: want a uint8 [pixels 3] tensor, got %s %v", yuv.DType(), yuv.Shape()))
 	}
-	i := 0
-	for i < pixels {
-		y := byte(yuv.At(i, 0))
-		u := byte(yuv.At(i, 1))
-		v := byte(yuv.At(i, 2))
+	px := yuv.Contiguous().Bytes()
+	var out []byte
+	for i := 0; i < len(px); {
+		y, u, v := px[i], px[i+1], px[i+2]
 		run := 1
-		for i+run < pixels && run < 65535 &&
-			byte(yuv.At(i+run, 0)) == y && byte(yuv.At(i+run, 1)) == u && byte(yuv.At(i+run, 2)) == v {
+		for j := i + 3; j < len(px) && run < 65535 && px[j] == y && px[j+1] == u && px[j+2] == v; j += 3 {
 			run++
 		}
-		emit(run, y, u, v)
-		i += run
+		out = append(out, byte(run), byte(run>>8), y, u, v)
+		i += 3 * run
 	}
 	return out
 }

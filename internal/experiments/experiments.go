@@ -28,9 +28,10 @@ func geomean(xs []float64) float64 {
 	return math.Exp(acc / float64(len(xs)))
 }
 
-// baseSuite caches the paper-scale suite: constructing it generates the
-// full synthetic corpora (compressing 16 MB tables, sealing 10 MB of
-// ciphertext, RLE-encoding frames), which need happen only once.
+// baseSuite caches the paper-scale suite so every figure shares one set
+// of Benchmarks. The expensive part of a build — the corpus probes that
+// size the video bitstream and the hash-join gzip — is memoized inside
+// workload; the cache saves the per-construction accelerator set-up.
 var baseSuite struct {
 	once    sync.Once
 	benches []*workload.Benchmark
@@ -55,12 +56,12 @@ func suite(n int) ([]*workload.Benchmark, error) {
 }
 
 // Warm front-loads the process-wide cache a parallel sweep would
-// otherwise serialize on: the paper-scale benchmark suite, whose corpora
-// generation is itself parallelized inside workload.Suite. DRX kernel
-// timings fill on demand: timing walks the compiled program without
-// moving data, so the figures pay a few milliseconds per distinct kernel
-// and configuration. Calling Warm is optional: every generator computes
-// what it needs on demand.
+// otherwise serialize on: the paper-scale benchmark suite, whose first
+// build pays the corpus probes (about a second, nearly all of it the
+// hash-join gzip). DRX kernel timings fill on demand: timing walks the
+// compiled program without moving data, so the figures pay a few
+// milliseconds per distinct kernel and configuration. Calling Warm is
+// optional: every generator computes what it needs on demand.
 func Warm() error {
 	_, err := suite(5)
 	return err

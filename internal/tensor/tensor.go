@@ -155,7 +155,9 @@ func (t *Tensor) Bytes() []byte {
 	return t.data[t.offset*es : t.offset*es+t.SizeBytes()]
 }
 
-// elemIndex converts a multi-index to an element offset in data.
+// elemIndex converts a multi-index to an element offset in data. idx
+// must not escape — the panic message formats a copy — so the variadic
+// slice of At/Set and the complex pair stays on the caller's stack.
 func (t *Tensor) elemIndex(idx []int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index rank %d != tensor rank %d", len(idx), len(t.shape)))
@@ -163,7 +165,7 @@ func (t *Tensor) elemIndex(idx []int) int {
 	e := t.offset
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", append([]int(nil), idx...), t.shape))
 		}
 		e += x * t.stride[i]
 	}

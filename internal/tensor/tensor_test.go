@@ -284,3 +284,36 @@ func TestStringSmall(t *testing.T) {
 		t.Errorf("String = %q, want %q", got, want)
 	}
 }
+
+// TestElementAccessDoesNotAllocate pins the per-element accessors at
+// zero heap allocations: the variadic index slice must stay on the
+// caller's stack, which holds only while elemIndex's panic path formats
+// a copy of idx rather than idx itself.
+func TestElementAccessDoesNotAllocate(t *testing.T) {
+	x := New(Float32, 4, 5)
+	c := New(Complex64, 4, 5)
+	i, j := 2, 3
+	var sink float64
+	var csink complex128
+	for name, f := range map[string]func(){
+		"At":         func() { sink += x.At(i, j) },
+		"Set":        func() { x.Set(sink, i, j) },
+		"AtComplex":  func() { csink += c.AtComplex(i, j) },
+		"SetComplex": func() { c.SetComplex(csink, i, j) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, n)
+		}
+	}
+}
+
+func TestOutOfRangePanicReportsIndex(t *testing.T) {
+	x := New(Uint8, 2, 3)
+	defer func() {
+		msg, _ := recover().(string)
+		if msg != "tensor: index [2 1] out of range for shape [2 3]" {
+			t.Errorf("panic message %q", msg)
+		}
+	}()
+	x.At(2, 1)
+}

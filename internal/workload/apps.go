@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"dmx/internal/accel"
 	"dmx/internal/dmxsys"
@@ -103,25 +104,23 @@ func VideoSurveillance(sc Scale) (*Benchmark, error) {
 
 	gen := func() (map[string]*tensor.Tensor, error) {
 		rng := rand.New(rand.NewSource(22))
-		yuv := tensor.New(tensor.Uint8, g.pixels, 3)
-		var y, u, v float64 = 16, 128, 128
+		px := make([]byte, 0, g.pixels*3)
+		var y, u, v byte = 16, 128, 128
 		for p := 0; p < g.pixels; p++ {
 			if rng.Intn(64) == 0 { // new "object edge"
-				y, u, v = float64(rng.Intn(236)+16), float64(rng.Intn(225)+16), float64(rng.Intn(225)+16)
+				y, u, v = byte(rng.Intn(236)+16), byte(rng.Intn(225)+16), byte(rng.Intn(225)+16)
 			}
-			yuv.Set(y, p, 0)
-			yuv.Set(u, p, 1)
-			yuv.Set(v, p, 2)
+			px = append(px, y, u, v)
 		}
-		bs := accel.EncodeRLE(yuv)
+		bs := accel.EncodeRLE(tensor.FromBytes(px, g.pixels, 3))
 		return map[string]*tensor.Tensor{"bitstream": tensor.FromBytes(bs, len(bs))}, nil
 	}
-	// Bitstream size is data-dependent; generate once for the latency model.
-	probe, err := gen()
+	// Bitstream size is data-dependent; the latency model reads it off
+	// one generator run per process.
+	bsBytes, err := probeSize("video-surveillance", sc, "bitstream", gen)
 	if err != nil {
 		return nil, err
 	}
-	bsBytes := int64(probe["bitstream"].SizeBytes())
 
 	b := &Benchmark{
 		Name: "video-surveillance",
@@ -326,8 +325,8 @@ func DatabaseHashJoin(sc Scale) (*Benchmark, error) {
 		rng := rand.New(rand.NewSource(55))
 		raw := make([]byte, 0, rowBytes)
 		for r := 0; r < g.nrows; r++ {
-			raw = append(raw, fmt.Sprintf("%0*d", g.keyDigits, rng.Int31n(g.keySpace))...)
-			raw = append(raw, fmt.Sprintf("%0*d", g.amtDigits, rng.Int31n(10_000_000))...)
+			raw = appendPadded(raw, int64(rng.Int31n(g.keySpace)), g.keyDigits)
+			raw = appendPadded(raw, int64(rng.Int31n(10_000_000)), g.amtDigits)
 			for p := 0; p < g.payBytes; p++ {
 				raw = append(raw, byte(rng.Intn(256)))
 			}
@@ -338,11 +337,10 @@ func DatabaseHashJoin(sc Scale) (*Benchmark, error) {
 		}
 		return map[string]*tensor.Tensor{"gz": tensor.FromBytes(blob, len(blob))}, nil
 	}
-	probe, err := gen()
+	gzBytes, err := probeSize("database-hash-join", sc, "gz", gen)
 	if err != nil {
 		return nil, err
 	}
-	gzBytes := int64(probe["gz"].SizeBytes())
 	packedBytes := int64(g.nrows*8) + int64(g.nrows*g.payBytes)
 
 	b := &Benchmark{
@@ -375,6 +373,18 @@ func DatabaseHashJoin(sc Scale) (*Benchmark, error) {
 			passthrough("keys", "keys", "amounts", "amounts", "paycol", "paycol"),
 		})
 	return b, nil
+}
+
+// appendPadded appends the decimal digits of v ≥ 0, left-padded with
+// zeros to width: fmt's "%0*d" for non-negative values, without the
+// formatting machinery.
+func appendPadded(dst []byte, v int64, width int) []byte {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], v, 10)
+	for n := len(digits); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 type ragGeom struct{ nq, seqlen, dim, corpus int }

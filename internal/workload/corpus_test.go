@@ -1,0 +1,169 @@
+package workload
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"dmx/internal/dmxsys"
+	"dmx/internal/sweep"
+	"dmx/internal/tensor"
+)
+
+// TestCorpusDigests pins every input tensor of the two apps whose
+// latency model reads a data-dependent size off its corpus. The sizes
+// and SHA-256 digests were recorded from the generators as they stood
+// when they still went through tensor.Set and fmt.Sprintf; any change
+// to the bytes — and so to the modelled latencies — fails here.
+func TestCorpusDigests(t *testing.T) {
+	for _, c := range []struct {
+		build func(Scale) (*Benchmark, error)
+		sc    Scale
+		input string
+		size  int64
+		sha   string
+	}{
+		{VideoSurveillance, PaperScale, "bitstream", 323870, "533899fa3c5cc7d052237479766286f989990e9a1b81d484da0caabb27310577"},
+		{VideoSurveillance, TestScale, "bitstream", 35, "ef4cb8d36a7a48efa61f63e6078cab8b46ed09692b5dd2a5c41efe11e5c0209f"},
+		{DatabaseHashJoin, PaperScale, "gz", 11953987, "d9f1e8670b78c66ff368ffb9ed95a920743096010dccbcb71319f21a46f292ed"},
+		{DatabaseHashJoin, TestScale, "gz", 2277, "0b95e6fa65a9a43ef409c14a0d07ee23f467ec7f4247d52dfe1d87ce0d97761e"},
+	} {
+		b, err := c.build(c.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("%s/scale%d", b.Name, c.sc), func(t *testing.T) {
+			in, err := b.Inputs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(in) != 1 || in[c.input] == nil {
+				t.Fatalf("inputs %v, want exactly %q", keys(in), c.input)
+			}
+			x := in[c.input]
+			if x.DType() != tensor.Uint8 || x.Rank() != 1 {
+				t.Fatalf("%s is %s %v, want a flat uint8 stream", c.input, x.DType(), x.Shape())
+			}
+			sum := sha256.Sum256(x.Bytes())
+			if got := int64(x.SizeBytes()); got != c.size {
+				t.Errorf("%s size %d, want %d", c.input, got, c.size)
+			}
+			if got := hex.EncodeToString(sum[:]); got != c.sha {
+				t.Errorf("%s sha256 %s, want %s", c.input, got, c.sha)
+			}
+			p := b.Pipeline
+			if p.InputBytes != c.size || p.Stages[0].InBytes != c.size {
+				t.Errorf("InputBytes %d, Stages[0].InBytes %d, want %d", p.InputBytes, p.Stages[0].InBytes, c.size)
+			}
+		})
+	}
+}
+
+func TestAppendPaddedMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, w := range []int{6, 7} {
+		top := int64(1)
+		for i := 0; i < w; i++ {
+			top *= 10
+		}
+		vals := []int64{0, 9, 10, top - 1}
+		for i := 0; i < 200; i++ {
+			vals = append(vals, rng.Int63n(top))
+		}
+		for _, v := range vals {
+			want := fmt.Sprintf("%0*d", w, v)
+			if got := string(appendPadded([]byte("x"), v, w)); got != "x"+want {
+				t.Errorf("appendPadded(%d, %d) = %q, want %q", v, w, got[1:], want)
+			}
+		}
+	}
+}
+
+// forgetTestScaleProbes drops the TestScale probes so the next
+// construction fills them again; paper-scale entries stay.
+func forgetTestScaleProbes() {
+	probeMu.Lock()
+	defer probeMu.Unlock()
+	for k := range probes {
+		if k.sc == TestScale {
+			delete(probes, k)
+		}
+	}
+}
+
+func samePipelineShape(a, b *dmxsys.Pipeline) error {
+	if a.Name != b.Name || a.InputBytes != b.InputBytes || a.OutputBytes != b.OutputBytes ||
+		len(a.Stages) != len(b.Stages) || len(a.Hops) != len(b.Hops) {
+		return fmt.Errorf("pipelines differ: %+v vs %+v", *a, *b)
+	}
+	for i := range a.Stages {
+		if a.Stages[i].InBytes != b.Stages[i].InBytes || a.Stages[i].Accel.Name != b.Stages[i].Accel.Name {
+			return fmt.Errorf("stage %d differs", i)
+		}
+	}
+	for i := range a.Hops {
+		if a.Hops[i].InBytes != b.Hops[i].InBytes || a.Hops[i].OutBytes != b.Hops[i].OutBytes {
+			return fmt.Errorf("hop %d differs", i)
+		}
+	}
+	return nil
+}
+
+func TestProbeMemoRunsGeneratorOnce(t *testing.T) {
+	for _, build := range []func(Scale) (*Benchmark, error){VideoSurveillance, DatabaseHashJoin} {
+		forgetTestScaleProbes()
+		start := probeRuns.Load()
+		a, err := build(TestScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := build(TestScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := probeRuns.Load() - start; n != 1 {
+			t.Errorf("%s: two constructions ran the generator %d times, want 1", a.Name, n)
+		}
+		if a.Pipeline == b.Pipeline {
+			t.Errorf("%s: constructions share one Pipeline", a.Name)
+		}
+		if err := samePipelineShape(a.Pipeline, b.Pipeline); err != nil {
+			t.Errorf("%s: %v", a.Name, err)
+		}
+	}
+}
+
+// TestConcurrentSuitesAgree builds the TestScale suite eight times at
+// once through the sweep pool, with the probes cold, at 1, 2 and 8
+// workers: every build must see the same byte counts, and each probe
+// must be filled exactly once.
+func TestConcurrentSuitesAgree(t *testing.T) {
+	want, err := Suite(TestScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		prev := sweep.SetWorkers(workers)
+		forgetTestScaleProbes()
+		start := probeRuns.Load()
+		got, err := sweep.Map(make([]struct{}, 8), func(int, struct{}) ([]*Benchmark, error) {
+			return Suite(TestScale)
+		})
+		sweep.SetWorkers(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := probeRuns.Load() - start; n != 2 {
+			t.Errorf("workers=%d: %d probe generator runs, want 2 (video, hash-join)", workers, n)
+		}
+		for _, s := range got {
+			for i, b := range s {
+				if err := samePipelineShape(b.Pipeline, want[i].Pipeline); err != nil {
+					t.Errorf("workers=%d %s: %v", workers, b.Name, err)
+				}
+			}
+		}
+	}
+}

@@ -84,12 +84,12 @@ func keys(m map[string]*tensor.Tensor) []string {
 }
 
 // Suite returns all five Table I benchmarks at the given scale, in
-// Table I order. The five constructors are independent but individually
-// expensive at paper scale — video RLE-encodes a ~12 MB YUV batch and
-// hash-join gzip-compresses a ~16 MB table just to size their
-// bitstreams — so they are built concurrently on the sweep worker pool.
-// Each constructor seeds its own RNGs, so the result is identical to a
-// sequential build.
+// Table I order. The five constructors are independent, so they run on
+// the sweep worker pool (a plain loop at one worker); each seeds its own
+// RNGs, so the result is identical to a sequential build. Construction
+// is cheap except for the first paper-scale build in a process, which
+// pays the two corpus probes (probeSize) — almost all of it the
+// hash-join table's gzip.
 func Suite(sc Scale) ([]*Benchmark, error) {
 	builders := []func(Scale) (*Benchmark, error){
 		VideoSurveillance, SoundDetection, BrainStimulation,
