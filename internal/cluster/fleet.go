@@ -241,99 +241,109 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 		routerAL[i].App = f.plans[0].Pipeline(i).Name
 	}
 
+	// Router trace peers, formatted once rather than per routed request.
+	hostNames := make([]string, nh)
+	for h := range hostNames {
+		hostNames[h] = fmt.Sprintf("h%d", h)
+	}
+
 	remaining := 0
 	for i := 0; i < apps; i++ {
 		i := i
 		pipe := f.plans[0].Pipeline(i)
 		dl := spec.DeadlineFor(i)
 		start := sim.Duration(i) * f.cfg.Base.StartStagger
+		// One arrival handler per app: the body never reads its offset,
+		// so every arrival schedules the same func value instead of a
+		// fresh closure over the run state.
+		arrive := func() {
+			now := f.eng0.Now()
+			h := f.rt.pick(i)
+			if h < 0 {
+				// Every host drained or at its admission cap: the
+				// router turns the request away itself.
+				routerAL[i].Requests++
+				routerAL[i].Rejected++
+				f.eng0.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
+					"cluster.router", "", pipe.Name, f.cfg.Router.Policy.String(), -1)
+				remaining--
+				return
+			}
+			f.rt.outstanding[h]++
+			f.routed[h][i]++
+			parts[h][i].Requests++
+			f.eng0.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
+				"cluster.router", hostNames[h], pipe.Name,
+				f.cfg.Router.Policy.String(), int64(f.rt.outstanding[h]))
+
+			retire := func(ret dmxsys.Retired) {
+				end := f.eng0.Now()
+				al := &parts[h][i]
+				al.Retries += ret.Retries
+				al.Timeouts += ret.Timeouts
+				remaining--
+				switch ret.Outcome {
+				case traffic.OutcomeRejected:
+					al.Rejected++
+					return
+				case traffic.OutcomeAbandoned:
+					al.Abandoned++
+					return
+				}
+				// End-to-end latency and deadline: measured from the
+				// cluster arrival, so network time counts against the
+				// budget exactly like queueing time.
+				lat := obs.Duration(end.Sub(now))
+				al.Latency.Add(lat)
+				if ret.Outcome == traffic.OutcomeDegraded {
+					al.Degraded++
+					al.DegradedLat.Add(lat)
+				} else {
+					al.CleanLat.Add(lat)
+				}
+				if dl != 0 && end > now.Add(dl) {
+					al.Missed++
+				}
+				if al.Completed == 0 || end < firsts[h][i] {
+					firsts[h][i] = end
+				}
+				if end > lasts[h][i] {
+					lasts[h][i] = end
+				}
+				al.Completed++
+			}
+			// The router's outstanding slot frees when the response
+			// arrives back at the router — on the global lane, where
+			// all routing state lives.
+			finish := func(ret dmxsys.Retired) {
+				f.rt.outstanding[h]--
+				retire(ret)
+			}
+			deliver := func() {
+				f.hosts[h].Admit(i, dl, func(ret dmxsys.Retired) {
+					if f.net == nil {
+						finish(ret)
+						return
+					}
+					// Response leg: completed requests carry the
+					// pipeline's output; control-only retirements
+					// (rejections, abandons) pay latency alone.
+					out := int64(0)
+					if ret.Outcome == traffic.OutcomeClean || ret.Outcome == traffic.OutcomeDegraded {
+						out = pipe.OutputBytes
+					}
+					f.net.up(h, out, func() { finish(ret) })
+				})
+			}
+			if f.net == nil {
+				deliver()
+				return
+			}
+			f.net.down(h, pipe.InputBytes, deliver)
+		}
 		for _, off := range spec.Arrivals(i) {
 			remaining++
-			f.eng0.Schedule(start+off, func() {
-				now := f.eng0.Now()
-				h := f.rt.pick(i)
-				if h < 0 {
-					// Every host drained or at its admission cap: the
-					// router turns the request away itself.
-					routerAL[i].Requests++
-					routerAL[i].Rejected++
-					f.eng0.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
-						"cluster.router", "", pipe.Name, f.cfg.Router.Policy.String(), -1)
-					remaining--
-					return
-				}
-				f.rt.outstanding[h]++
-				f.routed[h][i]++
-				parts[h][i].Requests++
-				f.eng0.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
-					"cluster.router", fmt.Sprintf("h%d", h), pipe.Name,
-					f.cfg.Router.Policy.String(), int64(f.rt.outstanding[h]))
-
-				retire := func(ret dmxsys.Retired) {
-					end := f.eng0.Now()
-					al := &parts[h][i]
-					al.Retries += ret.Retries
-					al.Timeouts += ret.Timeouts
-					remaining--
-					switch ret.Outcome {
-					case traffic.OutcomeRejected:
-						al.Rejected++
-						return
-					case traffic.OutcomeAbandoned:
-						al.Abandoned++
-						return
-					}
-					// End-to-end latency and deadline: measured from the
-					// cluster arrival, so network time counts against the
-					// budget exactly like queueing time.
-					lat := obs.Duration(end.Sub(now))
-					al.Latency.Add(lat)
-					if ret.Outcome == traffic.OutcomeDegraded {
-						al.Degraded++
-						al.DegradedLat.Add(lat)
-					} else {
-						al.CleanLat.Add(lat)
-					}
-					if dl != 0 && end > now.Add(dl) {
-						al.Missed++
-					}
-					if al.Completed == 0 || end < firsts[h][i] {
-						firsts[h][i] = end
-					}
-					if end > lasts[h][i] {
-						lasts[h][i] = end
-					}
-					al.Completed++
-				}
-				// The router's outstanding slot frees when the response
-				// arrives back at the router — on the global lane, where
-				// all routing state lives.
-				finish := func(ret dmxsys.Retired) {
-					f.rt.outstanding[h]--
-					retire(ret)
-				}
-				deliver := func() {
-					f.hosts[h].Admit(i, dl, func(ret dmxsys.Retired) {
-						if f.net == nil {
-							finish(ret)
-							return
-						}
-						// Response leg: completed requests carry the
-						// pipeline's output; control-only retirements
-						// (rejections, abandons) pay latency alone.
-						out := int64(0)
-						if ret.Outcome == traffic.OutcomeClean || ret.Outcome == traffic.OutcomeDegraded {
-							out = pipe.OutputBytes
-						}
-						f.net.up(h, out, func() { finish(ret) })
-					})
-				}
-				if f.net == nil {
-					deliver()
-					return
-				}
-				f.net.down(h, pipe.InputBytes, deliver)
-			})
+			f.eng0.Schedule(start+off, arrive)
 		}
 	}
 	f.g.Run()

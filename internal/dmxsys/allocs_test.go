@@ -1,0 +1,75 @@
+package dmxsys_test
+
+// Allocation pins for the serving hot path. Every per-hop constant — DRX
+// service times, fabric routes, data queues, occupancy slots — is
+// resolved when the plan and its replicas are built, so a request's
+// steady-state walk allocates only its own state and its step closures.
+// A per-request lookup or route build creeping back in moves these
+// counts by at least one per request and trips the bound.
+
+import (
+	"testing"
+
+	"dmx/internal/dmxsys"
+	"dmx/internal/sim"
+	"dmx/internal/traffic"
+	"dmx/internal/workload"
+)
+
+// allocsPerRequest reports the steady-state heap allocations of one
+// request: run drives a fresh load of the given size end to end, and the
+// difference between a load of 2n and one of n requests, per extra
+// request, cancels construction and report costs.
+func allocsPerRequest(n int, run func(requests int)) float64 {
+	small := testing.AllocsPerRun(5, func() { run(n) })
+	large := testing.AllocsPerRun(5, func() { run(2 * n) })
+	return (large - small) / float64(n)
+}
+
+// allocSpec is the pinned open-loop load: Poisson below the bump
+// placement's capacity for the first Table I application.
+func allocSpec(requests int) traffic.Spec {
+	return traffic.Spec{Arrival: traffic.Poisson, Rate: 30000, Requests: requests, Seed: 5}
+}
+
+func TestServingAllocsPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items at random under the race detector")
+	}
+	benches, err := workload.Suite(workload.TestScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipes := []*dmxsys.Pipeline{benches[0].Pipeline}
+	for _, tc := range []struct {
+		name  string
+		mut   func(*dmxsys.Config)
+		bound float64
+	}{
+		{"unbatched", nil, 29},
+		{"batched", func(c *dmxsys.Config) {
+			c.BatchWindow = 200 * sim.Microsecond
+			c.BatchMax = 8
+		}, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := dmxsys.DefaultConfig(dmxsys.BumpInTheWire)
+			if tc.mut != nil {
+				tc.mut(&cfg)
+			}
+			got := allocsPerRequest(200, func(requests int) {
+				s, err := dmxsys.New(cfg, pipes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.RunLoad(allocSpec(requests)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%.2f allocations per request", got)
+			if got > tc.bound {
+				t.Errorf("%.2f allocations per request, bound %.0f", got, tc.bound)
+			}
+		})
+	}
+}

@@ -301,33 +301,30 @@ func (b *batch) obsDMA(typ obs.Type, step uint8, from, to string, n int64, begin
 
 // transfer mirrors request.transfer: link outages retry the whole batch
 // under the policy, then abandon it.
-func (b *batch) transfer(from, to string, n int64, done func()) {
-	done = b.guard(done)
-	b.fabricAttempt(from, to, 1, func() error {
-		return b.s.Fabric.Transfer(from, to, n, done)
-	})
+func (b *batch) transfer(l *leg, n int64, done func()) {
+	b.fabricAttempt(l, n, b.guard(done), 1)
 }
 
-func (b *batch) fabricAttempt(from, to string, attempt int, start func() error) {
-	err := start()
+func (b *batch) fabricAttempt(l *leg, n int64, done func(), attempt int) {
+	s := b.s
+	err := s.Fabric.TransferRoute(l.rt, n, done)
 	if err == nil {
 		return
 	}
-	s := b.s
 	if s.hazardous && errors.Is(err, pcie.ErrLinkDown) {
 		if attempt < s.cfg.Retry.Attempts() {
 			next := attempt + 1
 			b.members[0].retries++
-			s.obsInstant(b.a, obs.TypeRetry, 0, b.track, "", from+"→"+to, int64(next))
+			s.obsInstant(b.a, obs.TypeRetry, 0, b.track, "", l.from+"→"+l.to, int64(next))
 			s.Eng.Schedule(s.inj.RetryBackoff(s.cfg.Retry, next), b.guard(func() {
-				b.fabricAttempt(from, to, next, start)
+				b.fabricAttempt(l, n, done, next)
 			}))
 			return
 		}
 		b.abandon()
 		return
 	}
-	b.fail(fmt.Errorf("dmxsys: transfer %s→%s: %w", from, to, err))
+	b.fail(fmt.Errorf("dmxsys: transfer %s→%s: %w", l.from, l.to, err))
 }
 
 // Scheduling keys, mirroring request.kernelKey/hopKey at batch scale:
@@ -368,15 +365,15 @@ func (b *batch) hopKey() int64 {
 func (b *batch) stepInput() {
 	s, a := b.s, b.a
 	bytes := b.n() * a.pipe.InputBytes
-	s.occupyPath(a, pcie.Root, a.accelDev[0], bytes)
-	s.obsInstant(a, obs.TypeInputDMA, 0, pcie.Root, a.accelDev[0], "", bytes)
+	a.occupyLeg(a.input, bytes)
+	s.obsInstant(a, obs.TypeInputDMA, 0, a.input.from, a.input.to, "", bytes)
 	b.legBegin = s.Eng.Now()
-	b.transfer(pcie.Root, a.accelDev[0], bytes, b.inputArrived)
+	b.transfer(a.input, bytes, b.inputArrived)
 }
 
 func (b *batch) inputArrived() {
 	a := b.a
-	b.obsDMA(obs.TypeInputDMA, 0, pcie.Root, a.accelDev[0], b.n()*a.pipe.InputBytes, b.legBegin)
+	b.obsDMA(obs.TypeInputDMA, 0, a.input.from, a.input.to, b.n()*a.pipe.InputBytes, b.legBegin)
 	b.lap(phaseMovement)
 	b.stepKernel()
 }
@@ -406,11 +403,10 @@ func (b *batch) kernelAttempt() {
 	}
 	bytes := b.n() * st.InBytes
 	s.obsInstant(a, obs.TypeKernelEnqueued, step, dev, "", st.Accel.Name, bytes)
-	srv := s.servers[dev]
 	service := st.Accel.Latency(bytes)
-	a.occupyServer(srv, service)
+	a.occupyAccel(k, service)
 	b.arm(st.Accel.Name, b.kernelTimeout)
-	srv.SubmitKeyed(a.id, b.kernelKey(), service, b.guard(b.kernelDone))
+	a.accelSrv[k].SubmitKeyed(a.id, b.kernelKey(), service, b.guard(b.kernelDone))
 }
 
 func (b *batch) kernelTimeout() {
@@ -448,20 +444,18 @@ func (b *batch) nextStage() {
 // completion back out per member.
 func (b *batch) stepOutput() {
 	s, a := b.s, b.a
-	last := a.accelDev[len(a.accelDev)-1]
 	bytes := b.n() * a.pipe.OutputBytes
-	s.occupyPath(a, last, pcie.Root, bytes)
+	a.occupyLeg(a.output, bytes)
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeOutputDMA, 0, last, pcie.Root, "", bytes)
+		s.obsInstant(a, obs.TypeOutputDMA, 0, a.output.from, a.output.to, "", bytes)
 		b.legBegin = s.Eng.Now()
-		b.transfer(last, pcie.Root, bytes, b.outputDone)
+		b.transfer(a.output, bytes, b.outputDone)
 	})
 }
 
 func (b *batch) outputDone() {
 	a := b.a
-	last := a.accelDev[len(a.accelDev)-1]
-	b.obsDMA(obs.TypeOutputDMA, 0, last, pcie.Root, b.n()*a.pipe.OutputBytes, b.legBegin)
+	b.obsDMA(obs.TypeOutputDMA, 0, a.output.from, a.output.to, b.n()*a.pipe.OutputBytes, b.legBegin)
 	b.lap(phaseMovement)
 	// Per-member retirement: each member's latency runs from its own
 	// arrival, and outcome/retry counters are whatever the member
@@ -493,43 +487,41 @@ func (b *batch) stepHop() {
 // the coalesced DMA accel → host.
 func (b *batch) hopHostIn() {
 	s, a, k := b.s, b.a, b.k
-	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	bytes := b.n() * h.InBytes
-	s.occupyPath(a, from, pcie.Root, bytes)
+	l := a.hops[k].toHost
+	bytes := b.n() * a.pipe.Hops[k].InBytes
+	a.occupyLeg(l, bytes)
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeHostDMA, 0, from, pcie.Root, "", bytes)
+		s.obsInstant(a, obs.TypeHostDMA, 0, l.from, l.to, "", bytes)
 		b.legBegin = s.Eng.Now()
-		b.transfer(from, pcie.Root, bytes, b.hopHostArrived)
+		b.transfer(l, bytes, b.hopHostArrived)
 	})
 }
 
 func (b *batch) hopHostArrived() {
 	a, k := b.a, b.k
-	h := a.pipe.Hops[k]
-	b.obsDMA(obs.TypeHostDMA, 0, a.accelDev[k], pcie.Root, b.n()*h.InBytes, b.legBegin)
+	l := a.hops[k].toHost
+	b.obsDMA(obs.TypeHostDMA, 0, l.from, l.to, b.n()*a.pipe.Hops[k].InBytes, b.legBegin)
 	b.lap(phaseMovement)
 	b.restructureHost(b.hopHostRestructured)
 }
 
 func (b *batch) hopHostRestructured() {
 	s, a, k := b.s, b.a, b.k
-	h := a.pipe.Hops[k]
-	to := a.accelDev[k+1]
-	bytes := b.n() * h.OutBytes
+	l := a.hops[k].fromHost
+	bytes := b.n() * a.pipe.Hops[k].OutBytes
 	b.lap(phaseRestructure)
-	s.occupyPath(a, pcie.Root, to, bytes)
+	a.occupyLeg(l, bytes)
 	s.Eng.Schedule(DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeHostDMA, 0, pcie.Root, to, "", bytes)
+		s.obsInstant(a, obs.TypeHostDMA, 0, l.from, l.to, "", bytes)
 		b.legBegin = s.Eng.Now()
-		b.transfer(pcie.Root, to, bytes, b.hopHostDone)
+		b.transfer(l, bytes, b.hopHostDone)
 	})
 }
 
 func (b *batch) hopHostDone() {
 	a, k := b.a, b.k
-	h := a.pipe.Hops[k]
-	b.obsDMA(obs.TypeHostDMA, 0, pcie.Root, a.accelDev[k+1], b.n()*h.OutBytes, b.legBegin)
+	l := a.hops[k].fromHost
+	b.obsDMA(obs.TypeHostDMA, 0, l.from, l.to, b.n()*a.pipe.Hops[k].OutBytes, b.legBegin)
 	b.lap(phaseMovement)
 	b.nextStage()
 }
@@ -537,43 +529,41 @@ func (b *batch) hopHostDone() {
 // hopCardIn: coalesced P2P DMA to the app's standalone DRX card.
 func (b *batch) hopCardIn() {
 	s, a, k := b.s, b.a, b.k
-	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	bytes := b.n() * h.InBytes
-	s.occupyPath(a, from, a.sdrxDev, bytes)
+	l := a.hops[k].in
+	bytes := b.n() * a.pipe.Hops[k].InBytes
+	a.occupyLeg(l, bytes)
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeP2PDMA, obs.StepRXDMA, from, a.sdrxDev, "", bytes)
+		s.obsInstant(a, obs.TypeP2PDMA, obs.StepRXDMA, l.from, l.to, "", bytes)
 		b.legBegin = s.Eng.Now()
-		b.transfer(from, a.sdrxDev, bytes, b.hopCardArrived)
+		b.transfer(l, bytes, b.hopCardArrived)
 	})
 }
 
 func (b *batch) hopCardArrived() {
 	a, k := b.a, b.k
-	h := a.pipe.Hops[k]
-	b.obsDMA(obs.TypeP2PDMA, obs.StepRXDMA, a.accelDev[k], a.sdrxDev, b.n()*h.InBytes, b.legBegin)
+	l := a.hops[k].in
+	b.obsDMA(obs.TypeP2PDMA, obs.StepRXDMA, l.from, l.to, b.n()*a.pipe.Hops[k].InBytes, b.legBegin)
 	b.lap(phaseMovement)
 	b.restructureDRX(b.hopCardRestructured)
 }
 
 func (b *batch) hopCardRestructured() {
 	s, a, k := b.s, b.a, b.k
-	h := a.pipe.Hops[k]
-	to := a.accelDev[k+1]
-	bytes := b.n() * h.OutBytes
+	l := a.hops[k].out
+	bytes := b.n() * a.pipe.Hops[k].OutBytes
 	b.lap(phaseRestructure)
-	s.occupyPath(a, a.sdrxDev, to, bytes)
+	a.occupyLeg(l, bytes)
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, a.sdrxDev, to, "", bytes)
+		s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, l.from, l.to, "", bytes)
 		b.legBegin = s.Eng.Now()
-		b.transfer(a.sdrxDev, to, bytes, b.hopCardDone)
+		b.transfer(l, bytes, b.hopCardDone)
 	})
 }
 
 func (b *batch) hopCardDone() {
 	a, k := b.a, b.k
-	h := a.pipe.Hops[k]
-	b.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, a.sdrxDev, a.accelDev[k+1], b.n()*h.OutBytes, b.legBegin)
+	l := a.hops[k].out
+	b.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, l.from, l.to, b.n()*a.pipe.Hops[k].OutBytes, b.legBegin)
 	b.lap(phaseMovement)
 	b.nextStage()
 }
@@ -581,52 +571,39 @@ func (b *batch) hopCardDone() {
 // hopSwitchIn: coalesced up-leg into the switch-integrated DRX.
 func (b *batch) hopSwitchIn() {
 	s, a, k := b.s, b.a, b.k
-	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	drxTrack := "drx." + a.sw
-	bytes := b.n() * h.InBytes
-	if l, err := s.Fabric.UpLink(from); err == nil {
-		a.occupy(l.Name, sim.BytesAt(bytes, l.Bandwidth))
-	}
+	l := a.hops[k].in
+	bytes := b.n() * a.pipe.Hops[k].InBytes
+	a.occupyLeg(l, bytes)
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeP2PDMA, obs.StepRXDMA, from, drxTrack, "", bytes)
+		s.obsInstant(a, obs.TypeP2PDMA, obs.StepRXDMA, l.from, l.to, "", bytes)
 		b.legBegin = s.Eng.Now()
-		arrived := b.guard(b.hopSwitchArrived)
-		b.fabricAttempt(from, drxTrack, 1, func() error {
-			return s.Fabric.TransferUp(from, bytes, arrived)
-		})
+		b.transfer(l, bytes, b.hopSwitchArrived)
 	})
 }
 
 func (b *batch) hopSwitchArrived() {
 	a, k := b.a, b.k
-	h := a.pipe.Hops[k]
-	b.obsDMA(obs.TypeP2PDMA, obs.StepRXDMA, a.accelDev[k], "drx."+a.sw, b.n()*h.InBytes, b.legBegin)
+	l := a.hops[k].in
+	b.obsDMA(obs.TypeP2PDMA, obs.StepRXDMA, l.from, l.to, b.n()*a.pipe.Hops[k].InBytes, b.legBegin)
 	b.lap(phaseMovement)
 	b.restructureDRX(b.hopSwitchRestructured)
 }
 
 func (b *batch) hopSwitchRestructured() {
 	s, a, k := b.s, b.a, b.k
-	h := a.pipe.Hops[k]
-	to := a.accelDev[k+1]
-	bytes := b.n() * h.OutBytes
+	l := a.hops[k].out
+	bytes := b.n() * a.pipe.Hops[k].OutBytes
 	b.lap(phaseRestructure)
-	if l, err := s.Fabric.DownLink(to); err == nil {
-		a.occupy(l.Name, sim.BytesAt(bytes, l.Bandwidth))
-	}
-	s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, "drx."+a.sw, to, "", bytes)
+	a.occupyLeg(l, bytes)
+	s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, l.from, l.to, "", bytes)
 	b.legBegin = s.Eng.Now()
-	done := b.guard(b.hopSwitchDone)
-	b.fabricAttempt("drx."+a.sw, to, 1, func() error {
-		return s.Fabric.TransferDown(to, bytes, done)
-	})
+	b.transfer(l, bytes, b.hopSwitchDone)
 }
 
 func (b *batch) hopSwitchDone() {
 	a, k := b.a, b.k
-	h := a.pipe.Hops[k]
-	b.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, "drx."+a.sw, a.accelDev[k+1], b.n()*h.OutBytes, b.legBegin)
+	l := a.hops[k].out
+	b.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, l.from, l.to, b.n()*a.pipe.Hops[k].OutBytes, b.legBegin)
 	b.lap(phaseMovement)
 	b.nextStage()
 }
@@ -638,14 +615,8 @@ func (b *batch) hopSwitchDone() {
 func (b *batch) hopBumpIn() {
 	s, a, k := b.s, b.a, b.k
 	h := a.pipe.Hops[k]
-	rx, tx, err := s.hopQueues(a, k)
-	if err != nil {
-		b.fail(fmt.Errorf("dmxsys: %w", err))
-		return
-	}
-	b.rx, b.tx = rx, tx
-	from := a.accelDev[k]
-	drxTrack := "drx." + from
+	b.rx, b.tx = a.hops[k].rx, a.hops[k].tx
+	from, drxTrack := a.accelDev[k], a.drxServer[k].Name()
 	link := pcie.LinkConfig{Gen: s.cfg.Gen, Lanes: s.cfg.AccelLanes}
 	inBytes := b.n() * h.InBytes
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
@@ -662,7 +633,7 @@ func (b *batch) hopBumpIn() {
 func (b *batch) hopBumpAtDRX() {
 	a, k := b.a, b.k
 	h := a.pipe.Hops[k]
-	b.obsDMA(obs.TypeQueueDMA, obs.StepRXDMA, a.accelDev[k], "drx."+a.accelDev[k], b.n()*h.InBytes, b.legBegin)
+	b.obsDMA(obs.TypeQueueDMA, obs.StepRXDMA, a.accelDev[k], a.drxServer[k].Name(), b.n()*h.InBytes, b.legBegin)
 	b.lap(phaseMovement)
 	b.restructureDRX(b.hopBumpRestructured)
 }
@@ -674,10 +645,8 @@ func (b *batch) hopBumpRestructured() {
 
 func (b *batch) hopBumpTXAdmitted() {
 	s, a, k := b.s, b.a, b.k
-	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	to := a.accelDev[k+1]
-	outBytes := b.n() * h.OutBytes
+	l := a.hops[k].out
+	outBytes := b.n() * a.pipe.Hops[k].OutBytes
 	b.txHeld = outBytes
 	if b.rx != nil && b.rxHeld > 0 {
 		// Release whatever RX share the batch still holds (peeled
@@ -689,20 +658,18 @@ func (b *batch) hopBumpTXAdmitted() {
 		b.rxHeld = 0
 	}
 	b.lap(phaseRestructure)
-	s.occupyPath(a, from, to, outBytes)
-	s.obsInstant(a, obs.TypeTXReady, obs.StepTXReady, "drx."+from, "", "", outBytes)
+	a.occupyLeg(l, outBytes)
+	s.obsInstant(a, obs.TypeTXReady, obs.StepTXReady, a.drxServer[k].Name(), "", "", outBytes)
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, from, to, "", outBytes)
+		s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, l.from, l.to, "", outBytes)
 		b.legBegin = s.Eng.Now()
-		b.transfer(from, to, outBytes, b.hopBumpDone)
+		b.transfer(l, outBytes, b.hopBumpDone)
 	})
 }
 
 func (b *batch) hopBumpDone() {
 	a, k := b.a, b.k
-	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	to := a.accelDev[k+1]
+	l := a.hops[k].out
 	if b.tx != nil && b.txHeld > 0 {
 		if err := b.tx.Dequeue(b.txHeld); err != nil {
 			b.fail(fmt.Errorf("dmxsys: %w", err))
@@ -710,7 +677,7 @@ func (b *batch) hopBumpDone() {
 		}
 		b.txHeld = 0
 	}
-	b.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, from, to, b.n()*h.OutBytes, b.legBegin)
+	b.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, l.from, l.to, b.n()*a.pipe.Hops[k].OutBytes, b.legBegin)
 	b.lap(phaseMovement)
 	b.nextStage()
 }
@@ -757,13 +724,8 @@ func (b *batch) restructureDRX(done func()) {
 	}
 	s.obsInstant(a, obs.TypeRestructure, obs.StepRestructure,
 		unit, "", kern.Name, b.n()*a.pipe.Hops[k].InBytes)
-	d, err := s.drxServiceTime(kern)
-	if err != nil {
-		b.fail(fmt.Errorf("dmxsys: %w", err))
-		return
-	}
-	d *= sim.Duration(b.n())
-	a.occupyServer(a.drxServer[k], d)
+	d := a.hopDRX[k] * sim.Duration(b.n())
+	a.occupyDRX(k, d)
 	b.arm(unit, b.degrade)
 	a.drxServer[k].SubmitKeyed(a.id, b.hopKey(), d, b.guard(func() {
 		b.disarm()
@@ -841,20 +803,21 @@ func (b *batch) degrade() {
 		s.cpuJob(ops, bytes, b.guard(b.hopHostRestructured))
 		return
 	}
-	from := a.accelDev[k]
+	l := a.hops[k].toHost
 	inBytes := b.n() * h.InBytes
-	s.occupyPath(a, from, pcie.Root, inBytes)
+	a.occupyLeg(l, inBytes)
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, b.guard(func() {
-		s.obsInstant(a, obs.TypeHostDMA, 0, from, pcie.Root, "", inBytes)
+		s.obsInstant(a, obs.TypeHostDMA, 0, l.from, l.to, "", inBytes)
 		b.legBegin = s.Eng.Now()
-		b.transfer(from, pcie.Root, inBytes, b.degradeAtHost)
+		b.transfer(l, inBytes, b.degradeAtHost)
 	}))
 }
 
 func (b *batch) degradeAtHost() {
 	s, a, k := b.s, b.a, b.k
 	h := a.pipe.Hops[k]
-	b.obsDMA(obs.TypeHostDMA, 0, a.accelDev[k], pcie.Root, b.n()*h.InBytes, b.legBegin)
+	l := a.hops[k].toHost
+	b.obsDMA(obs.TypeHostDMA, 0, l.from, l.to, b.n()*h.InBytes, b.legBegin)
 	b.lap(phaseMovement)
 	ops, bytes := s.restructureWork(h.Kernel)
 	ops *= b.n()
@@ -866,22 +829,21 @@ func (b *batch) degradeAtHost() {
 
 func (b *batch) degradeRestructured() {
 	s, a, k := b.s, b.a, b.k
-	h := a.pipe.Hops[k]
-	to := a.accelDev[k+1]
-	outBytes := b.n() * h.OutBytes
+	l := a.hops[k].fromHost
+	outBytes := b.n() * a.pipe.Hops[k].OutBytes
 	b.lap(phaseRestructure)
-	s.occupyPath(a, pcie.Root, to, outBytes)
+	a.occupyLeg(l, outBytes)
 	s.Eng.Schedule(DMASetupLatency, b.guard(func() {
-		s.obsInstant(a, obs.TypeHostDMA, 0, pcie.Root, to, "", outBytes)
+		s.obsInstant(a, obs.TypeHostDMA, 0, l.from, l.to, "", outBytes)
 		b.legBegin = s.Eng.Now()
-		b.transfer(pcie.Root, to, outBytes, b.degradeDone)
+		b.transfer(l, outBytes, b.degradeDone)
 	}))
 }
 
 func (b *batch) degradeDone() {
 	a, k := b.a, b.k
-	h := a.pipe.Hops[k]
-	b.obsDMA(obs.TypeHostDMA, 0, pcie.Root, a.accelDev[k+1], b.n()*h.OutBytes, b.legBegin)
+	l := a.hops[k].fromHost
+	b.obsDMA(obs.TypeHostDMA, 0, l.from, l.to, b.n()*a.pipe.Hops[k].OutBytes, b.legBegin)
 	b.lap(phaseMovement)
 	b.nextStage()
 }

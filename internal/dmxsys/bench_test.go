@@ -11,9 +11,10 @@ import (
 
 // servingBench drives one full RunLoad over the first test-scale
 // benchmark with the given config mutation. Building the system is
-// inside the timed loop on purpose: the serving benchmarks gate
-// allocs/op end to end (construction + drive + report), the regime the
-// batch-accumulator steady state must not regress.
+// inside the timed loop on purpose: the serving benchmarks price the
+// whole run end to end (construction + drive + report). The
+// per-request allocation count is pinned separately, with construction
+// cancelled out, by TestServingAllocsPerRequest.
 func servingBench(b *testing.B, mut func(*dmxsys.Config)) {
 	benches, err := workload.Suite(workload.TestScale)
 	if err != nil {
@@ -40,7 +41,7 @@ func servingBench(b *testing.B, mut func(*dmxsys.Config)) {
 	}
 	// One cold pass outside the timer warms the process-wide DRX
 	// timing cache and the event/shell pools, so allocs/op measures the
-	// steady state the CI snapshot gate can hold exactly.
+	// steady state.
 	run()
 	b.ReportAllocs()
 	b.ResetTimer()

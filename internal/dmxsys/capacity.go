@@ -87,7 +87,7 @@ func (p *Plan) appCapacity(i int, pa *planApp) Capacity {
 		h := pipe.Hops[k]
 		hop := sim.Duration(0)
 		if cfg.Placement.UsesDRX() {
-			hop = p.drxTimes[h.Kernel.Signature()]
+			hop = pa.hopDRX[k]
 		}
 		if pa.fusion != nil {
 			// Fusion changes what the DRX unit is charged: the leader hop

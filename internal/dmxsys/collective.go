@@ -50,13 +50,9 @@ func NewCollective(cfg CollectiveConfig) (*CollectiveSystem, error) {
 	}
 	eng := sim.NewEngine()
 	s := &System{
-		Eng:     eng,
-		Fabric:  pcie.New(eng),
-		cfg:     cfg.Sys,
-		servers: make(map[string]*sim.Server),
-		// A minimal plan shell: collective timing resolves kernels
-		// through the process-wide cache.
-		plan: &Plan{cfg: cfg.Sys, drxTimes: make(map[string]sim.Duration)},
+		Eng:    eng,
+		Fabric: pcie.New(eng),
+		cfg:    cfg.Sys,
 	}
 	m := cfg.Sys.CPU
 	opsPerSec := float64(m.Cores) * m.FreqHz * float64(m.SIMDLanes) * m.IssueEff
@@ -84,8 +80,6 @@ func NewCollective(cfg CollectiveConfig) (*CollectiveSystem, error) {
 		slotsLeft--
 		cs.devs = append(cs.devs, dev)
 		if cfg.UseDMX {
-			name := "drx." + dev
-			s.servers[name] = sim.NewServer(eng, name, 1)
 			s.nDRX++
 		}
 	}

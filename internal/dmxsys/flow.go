@@ -369,52 +369,50 @@ func (r *request) finish() {
 	}
 }
 
-// transfer starts a fabric DMA with link-fault handling: a start that
-// fails because an injected link outage is in effect is re-attempted
-// under the retry policy, and the request is abandoned once attempts
-// run out; any other error is a hard flow error, exactly as before.
-func (r *request) transfer(from, to string, n int64, done func()) {
-	done = r.guard(done)
-	r.fabricAttempt(from, to, 1, func() error {
-		return r.s.Fabric.Transfer(from, to, n, done)
-	})
+// transfer starts a fabric DMA of n bytes along a resolved leg with
+// link-fault handling: a start that fails because an injected link
+// outage is in effect is re-attempted under the retry policy, and the
+// request is abandoned once attempts run out; any other error is a hard
+// flow error.
+func (r *request) transfer(l *leg, n int64, done func()) {
+	r.fabricAttempt(l, n, r.guard(done), 1)
 }
 
-func (r *request) fabricAttempt(from, to string, attempt int, start func() error) {
-	err := start()
+func (r *request) fabricAttempt(l *leg, n int64, done func(), attempt int) {
+	s := r.s
+	err := s.Fabric.TransferRoute(l.rt, n, done)
 	if err == nil {
 		return
 	}
-	s := r.s
 	if s.hazardous && errors.Is(err, pcie.ErrLinkDown) {
 		if attempt < s.cfg.Retry.Attempts() {
 			next := attempt + 1
 			r.retries++
-			s.obsInstant(r.a, obs.TypeRetry, 0, r.track, "", from+"→"+to, int64(next))
+			s.obsInstant(r.a, obs.TypeRetry, 0, r.track, "", l.from+"→"+l.to, int64(next))
 			s.Eng.Schedule(s.inj.RetryBackoff(s.cfg.Retry, next), r.guard(func() {
-				r.fabricAttempt(from, to, next, start)
+				r.fabricAttempt(l, n, done, next)
 			}))
 			return
 		}
 		r.abandon()
 		return
 	}
-	r.fail(fmt.Errorf("dmxsys: transfer %s→%s: %w", from, to, err))
+	r.fail(fmt.Errorf("dmxsys: transfer %s→%s: %w", l.from, l.to, err))
 }
 
 // stepInput ships the request payload host → first accelerator, then
 // enters the kernel/hop chain.
 func (r *request) stepInput() {
 	s, a := r.s, r.a
-	s.occupyPath(a, pcie.Root, a.accelDev[0], a.pipe.InputBytes)
-	s.obsInstant(a, obs.TypeInputDMA, 0, pcie.Root, a.accelDev[0], "", a.pipe.InputBytes)
+	a.occupyLeg(a.input, a.pipe.InputBytes)
+	s.obsInstant(a, obs.TypeInputDMA, 0, a.input.from, a.input.to, "", a.pipe.InputBytes)
 	r.legBegin = s.Eng.Now()
-	r.transfer(pcie.Root, a.accelDev[0], a.pipe.InputBytes, r.inputArrived)
+	r.transfer(a.input, a.pipe.InputBytes, r.inputArrived)
 }
 
 func (r *request) inputArrived() {
 	a := r.a
-	r.obsDMA(obs.TypeInputDMA, 0, pcie.Root, a.accelDev[0], a.pipe.InputBytes, r.legBegin)
+	r.obsDMA(obs.TypeInputDMA, 0, a.input.from, a.input.to, a.pipe.InputBytes, r.legBegin)
 	r.lap(phaseMovement)
 	r.stepKernel()
 }
@@ -443,11 +441,10 @@ func (r *request) kernelAttempt() {
 		step = obs.StepNextKernel
 	}
 	s.obsInstant(a, obs.TypeKernelEnqueued, step, dev, "", st.Accel.Name, st.InBytes)
-	srv := s.servers[dev]
 	service := st.Accel.Latency(st.InBytes)
-	a.occupyServer(srv, service)
+	a.occupyAccel(k, service)
 	r.arm(st.Accel.Name, r.kernelTimeout)
-	srv.SubmitKeyed(a.id, r.kernelKey(), service, r.guard(r.kernelDone))
+	a.accelSrv[k].SubmitKeyed(a.id, r.kernelKey(), service, r.guard(r.kernelDone))
 }
 
 // kernelTimeout handles a stage watchdog firing on a kernel execution:
@@ -489,19 +486,17 @@ func (r *request) nextStage() {
 // stepOutput returns the final result to the host.
 func (r *request) stepOutput() {
 	s, a := r.s, r.a
-	last := a.accelDev[len(a.accelDev)-1]
-	s.occupyPath(a, last, pcie.Root, a.pipe.OutputBytes)
+	a.occupyLeg(a.output, a.pipe.OutputBytes)
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeOutputDMA, 0, last, pcie.Root, "", a.pipe.OutputBytes)
+		s.obsInstant(a, obs.TypeOutputDMA, 0, a.output.from, a.output.to, "", a.pipe.OutputBytes)
 		r.legBegin = s.Eng.Now()
-		r.transfer(last, pcie.Root, a.pipe.OutputBytes, r.outputDone)
+		r.transfer(a.output, a.pipe.OutputBytes, r.outputDone)
 	})
 }
 
 func (r *request) outputDone() {
 	a := r.a
-	last := a.accelDev[len(a.accelDev)-1]
-	r.obsDMA(obs.TypeOutputDMA, 0, last, pcie.Root, a.pipe.OutputBytes, r.legBegin)
+	r.obsDMA(obs.TypeOutputDMA, 0, a.output.from, a.output.to, a.pipe.OutputBytes, r.legBegin)
 	r.lap(phaseMovement)
 	r.finish()
 }
@@ -578,20 +573,20 @@ func (r *request) stepHop() {
 func (r *request) hopHostIn() {
 	s, a, k := r.s, r.a, r.k
 	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	s.occupyPath(a, from, pcie.Root, h.InBytes)
+	l := a.hops[k].toHost
+	a.occupyLeg(l, h.InBytes)
 	s.Eng.Schedule(r.hopEntryDelay(), func() {
-		s.obsInstant(a, obs.TypeHostDMA, 0, from, pcie.Root, "", h.InBytes)
+		s.obsInstant(a, obs.TypeHostDMA, 0, l.from, l.to, "", h.InBytes)
 		r.legBegin = s.Eng.Now()
-		r.transfer(from, pcie.Root, h.InBytes, r.hopHostArrived)
+		r.transfer(l, h.InBytes, r.hopHostArrived)
 	})
 }
 
 // hopHostArrived: (S2) restructure on the host (CPU or integrated DRX).
 func (r *request) hopHostArrived() {
 	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeHostDMA, 0, a.accelDev[k], pcie.Root, h.InBytes, r.legBegin)
+	l := a.hops[k].toHost
+	r.obsDMA(obs.TypeHostDMA, 0, l.from, l.to, a.pipe.Hops[k].InBytes, r.legBegin)
 	r.lap(phaseMovement)
 	r.restructureHost(r.hopHostRestructured)
 }
@@ -601,20 +596,20 @@ func (r *request) hopHostArrived() {
 func (r *request) hopHostRestructured() {
 	s, a, k := r.s, r.a, r.k
 	h := a.pipe.Hops[k]
-	to := a.accelDev[k+1]
+	l := a.hops[k].fromHost
 	r.lap(phaseRestructure)
-	s.occupyPath(a, pcie.Root, to, h.OutBytes)
+	a.occupyLeg(l, h.OutBytes)
 	s.Eng.Schedule(DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeHostDMA, 0, pcie.Root, to, "", h.OutBytes)
+		s.obsInstant(a, obs.TypeHostDMA, 0, l.from, l.to, "", h.OutBytes)
 		r.legBegin = s.Eng.Now()
-		r.transfer(pcie.Root, to, h.OutBytes, r.hopHostDone)
+		r.transfer(l, h.OutBytes, r.hopHostDone)
 	})
 }
 
 func (r *request) hopHostDone() {
 	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeHostDMA, 0, pcie.Root, a.accelDev[k+1], h.OutBytes, r.legBegin)
+	l := a.hops[k].fromHost
+	r.obsDMA(obs.TypeHostDMA, 0, l.from, l.to, a.pipe.Hops[k].OutBytes, r.legBegin)
 	r.lap(phaseMovement)
 	r.nextStage()
 }
@@ -623,19 +618,19 @@ func (r *request) hopHostDone() {
 func (r *request) hopCardIn() {
 	s, a, k := r.s, r.a, r.k
 	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	s.occupyPath(a, from, a.sdrxDev, h.InBytes)
+	l := a.hops[k].in
+	a.occupyLeg(l, h.InBytes)
 	s.Eng.Schedule(r.hopEntryDelay(), func() {
-		s.obsInstant(a, obs.TypeP2PDMA, obs.StepRXDMA, from, a.sdrxDev, "", h.InBytes)
+		s.obsInstant(a, obs.TypeP2PDMA, obs.StepRXDMA, l.from, l.to, "", h.InBytes)
 		r.legBegin = s.Eng.Now()
-		r.transfer(from, a.sdrxDev, h.InBytes, r.hopCardArrived)
+		r.transfer(l, h.InBytes, r.hopCardArrived)
 	})
 }
 
 func (r *request) hopCardArrived() {
 	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeP2PDMA, obs.StepRXDMA, a.accelDev[k], a.sdrxDev, h.InBytes, r.legBegin)
+	l := a.hops[k].in
+	r.obsDMA(obs.TypeP2PDMA, obs.StepRXDMA, l.from, l.to, a.pipe.Hops[k].InBytes, r.legBegin)
 	r.lap(phaseMovement)
 	r.restructureDRX(r.hopCardRestructured)
 }
@@ -644,20 +639,20 @@ func (r *request) hopCardArrived() {
 func (r *request) hopCardRestructured() {
 	s, a, k := r.s, r.a, r.k
 	h := a.pipe.Hops[k]
-	to := a.accelDev[k+1]
+	l := a.hops[k].out
 	r.lap(phaseRestructure)
-	s.occupyPath(a, a.sdrxDev, to, h.OutBytes)
+	a.occupyLeg(l, h.OutBytes)
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, a.sdrxDev, to, "", h.OutBytes)
+		s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, l.from, l.to, "", h.OutBytes)
 		r.legBegin = s.Eng.Now()
-		r.transfer(a.sdrxDev, to, h.OutBytes, r.hopCardDone)
+		r.transfer(l, h.OutBytes, r.hopCardDone)
 	})
 }
 
 func (r *request) hopCardDone() {
 	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, a.sdrxDev, a.accelDev[k+1], h.OutBytes, r.legBegin)
+	l := a.hops[k].out
+	r.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, l.from, l.to, a.pipe.Hops[k].OutBytes, r.legBegin)
 	r.lap(phaseMovement)
 	r.nextStage()
 }
@@ -667,25 +662,19 @@ func (r *request) hopCardDone() {
 func (r *request) hopSwitchIn() {
 	s, a, k := r.s, r.a, r.k
 	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	drxTrack := "drx." + a.sw
-	if l, err := s.Fabric.UpLink(from); err == nil {
-		a.occupy(l.Name, sim.BytesAt(h.InBytes, l.Bandwidth))
-	}
+	l := a.hops[k].in
+	a.occupyLeg(l, h.InBytes)
 	s.Eng.Schedule(r.hopEntryDelay(), func() {
-		s.obsInstant(a, obs.TypeP2PDMA, obs.StepRXDMA, from, drxTrack, "", h.InBytes)
+		s.obsInstant(a, obs.TypeP2PDMA, obs.StepRXDMA, l.from, l.to, "", h.InBytes)
 		r.legBegin = s.Eng.Now()
-		arrived := r.guard(r.hopSwitchArrived)
-		r.fabricAttempt(from, drxTrack, 1, func() error {
-			return s.Fabric.TransferUp(from, h.InBytes, arrived)
-		})
+		r.transfer(l, h.InBytes, r.hopSwitchArrived)
 	})
 }
 
 func (r *request) hopSwitchArrived() {
 	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeP2PDMA, obs.StepRXDMA, a.accelDev[k], "drx."+a.sw, h.InBytes, r.legBegin)
+	l := a.hops[k].in
+	r.obsDMA(obs.TypeP2PDMA, obs.StepRXDMA, l.from, l.to, a.pipe.Hops[k].InBytes, r.legBegin)
 	r.lap(phaseMovement)
 	r.restructureDRX(r.hopSwitchRestructured)
 }
@@ -695,23 +684,18 @@ func (r *request) hopSwitchArrived() {
 func (r *request) hopSwitchRestructured() {
 	s, a, k := r.s, r.a, r.k
 	h := a.pipe.Hops[k]
-	to := a.accelDev[k+1]
+	l := a.hops[k].out
 	r.lap(phaseRestructure)
-	if l, err := s.Fabric.DownLink(to); err == nil {
-		a.occupy(l.Name, sim.BytesAt(h.OutBytes, l.Bandwidth))
-	}
-	s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, "drx."+a.sw, to, "", h.OutBytes)
+	a.occupyLeg(l, h.OutBytes)
+	s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, l.from, l.to, "", h.OutBytes)
 	r.legBegin = s.Eng.Now()
-	done := r.guard(r.hopSwitchDone)
-	r.fabricAttempt("drx."+a.sw, to, 1, func() error {
-		return s.Fabric.TransferDown(to, h.OutBytes, done)
-	})
+	r.transfer(l, h.OutBytes, r.hopSwitchDone)
 }
 
 func (r *request) hopSwitchDone() {
 	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, "drx."+a.sw, a.accelDev[k+1], h.OutBytes, r.legBegin)
+	l := a.hops[k].out
+	r.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, l.from, l.to, a.pipe.Hops[k].OutBytes, r.legBegin)
 	r.lap(phaseMovement)
 	r.nextStage()
 }
@@ -725,14 +709,8 @@ func (r *request) hopSwitchDone() {
 func (r *request) hopBumpIn() {
 	s, a, k := r.s, r.a, r.k
 	h := a.pipe.Hops[k]
-	rx, tx, err := s.hopQueues(a, k)
-	if err != nil {
-		r.fail(fmt.Errorf("dmxsys: %w", err))
-		return
-	}
-	r.rx, r.tx = rx, tx
-	from := a.accelDev[k]
-	drxTrack := "drx." + from
+	r.rx, r.tx = a.hops[k].rx, a.hops[k].tx
+	from, drxTrack := a.accelDev[k], a.drxServer[k].Name()
 	link := pcie.LinkConfig{Gen: s.cfg.Gen, Lanes: s.cfg.AccelLanes}
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
 		s.queueAdmit(r.rx, h.InBytes, func() {
@@ -748,7 +726,7 @@ func (r *request) hopBumpIn() {
 func (r *request) hopBumpAtDRX() {
 	a, k := r.a, r.k
 	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeQueueDMA, obs.StepRXDMA, a.accelDev[k], "drx."+a.accelDev[k], h.InBytes, r.legBegin)
+	r.obsDMA(obs.TypeQueueDMA, obs.StepRXDMA, a.accelDev[k], a.drxServer[k].Name(), h.InBytes, r.legBegin)
 	r.lap(phaseMovement)
 	r.restructureDRX(r.hopBumpRestructured)
 }
@@ -763,8 +741,7 @@ func (r *request) hopBumpRestructured() {
 func (r *request) hopBumpTXAdmitted() {
 	s, a, k := r.s, r.a, r.k
 	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	to := a.accelDev[k+1]
+	l := a.hops[k].out
 	r.txHeld = h.OutBytes
 	if r.rx != nil {
 		if err := r.rx.Dequeue(h.InBytes); err != nil {
@@ -774,20 +751,19 @@ func (r *request) hopBumpTXAdmitted() {
 		r.rxHeld = 0
 	}
 	r.lap(phaseRestructure)
-	s.occupyPath(a, from, to, h.OutBytes)
-	s.obsInstant(a, obs.TypeTXReady, obs.StepTXReady, "drx."+from, "", "", h.OutBytes)
+	a.occupyLeg(l, h.OutBytes)
+	s.obsInstant(a, obs.TypeTXReady, obs.StepTXReady, a.drxServer[k].Name(), "", "", h.OutBytes)
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, from, to, "", h.OutBytes)
+		s.obsInstant(a, obs.TypeP2PDMA, obs.StepP2PDMA, l.from, l.to, "", h.OutBytes)
 		r.legBegin = s.Eng.Now()
-		r.transfer(from, to, h.OutBytes, r.hopBumpDone)
+		r.transfer(l, h.OutBytes, r.hopBumpDone)
 	})
 }
 
 func (r *request) hopBumpDone() {
 	a, k := r.a, r.k
 	h := a.pipe.Hops[k]
-	from := a.accelDev[k]
-	to := a.accelDev[k+1]
+	l := a.hops[k].out
 	if r.tx != nil {
 		if err := r.tx.Dequeue(h.OutBytes); err != nil {
 			r.fail(fmt.Errorf("dmxsys: %w", err))
@@ -795,7 +771,7 @@ func (r *request) hopBumpDone() {
 		}
 		r.txHeld = 0
 	}
-	r.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, from, to, h.OutBytes, r.legBegin)
+	r.obsDMA(obs.TypeP2PDMA, obs.StepP2PDMA, l.from, l.to, h.OutBytes, r.legBegin)
 	r.lap(phaseMovement)
 	r.nextStage()
 }
@@ -852,13 +828,8 @@ func (r *request) restructureAttempt(done func()) {
 		// released the hold): fall through to the standalone submit of
 		// this hop's unfused kernel.
 	}
-	d, err := s.drxServiceTime(kern)
-	if err != nil {
-		// Cache warmed in New; reachable only on a mutated config.
-		r.fail(fmt.Errorf("dmxsys: %w", err))
-		return
-	}
-	a.occupyServer(a.drxServer[k], d)
+	d := a.hopDRX[k]
+	a.occupyDRX(k, d)
 	r.arm(unit, r.degradeHop)
 	a.drxServer[k].SubmitKeyed(a.id, r.hopKey(), d, r.guard(func() {
 		r.disarm()
@@ -877,7 +848,7 @@ func (r *request) restructureAttempt(done func()) {
 func (r *request) fusedLeader(f hopFusion, done func()) {
 	s, a, k := r.s, r.a, r.k
 	unit := a.drxServer[k].Name()
-	a.occupyServer(a.drxServer[k], f.part)
+	a.occupyDRX(k, f.part)
 	r.arm(unit, r.degradeHop)
 	// The hold callback bypasses guard: a guarded drop (watchdog fired,
 	// request retired) would leak the retained slot and wedge the unit,
@@ -912,7 +883,7 @@ func (r *request) fusedResume(f hopFusion, done func()) {
 	unit := a.drxServer[k].Name()
 	hold := r.hold
 	r.hold = nil
-	a.occupyServer(a.drxServer[k], s.Eng.Now().Sub(r.holdAt)+f.part)
+	a.occupyDRX(k, s.Eng.Now().Sub(r.holdAt)+f.part)
 	r.arm(unit, r.degradeHop)
 	hold.Resume(f.part, r.guard(func() {
 		r.disarm()
@@ -988,19 +959,20 @@ func (r *request) degradeHop() {
 		s.cpuJob(ops, bytes, r.guard(r.hopHostRestructured))
 		return
 	}
-	from := a.accelDev[k]
-	s.occupyPath(a, from, pcie.Root, h.InBytes)
+	l := a.hops[k].toHost
+	a.occupyLeg(l, h.InBytes)
 	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, r.guard(func() {
-		s.obsInstant(a, obs.TypeHostDMA, 0, from, pcie.Root, "", h.InBytes)
+		s.obsInstant(a, obs.TypeHostDMA, 0, l.from, l.to, "", h.InBytes)
 		r.legBegin = s.Eng.Now()
-		r.transfer(from, pcie.Root, h.InBytes, r.degradeAtHost)
+		r.transfer(l, h.InBytes, r.degradeAtHost)
 	}))
 }
 
 func (r *request) degradeAtHost() {
 	s, a, k := r.s, r.a, r.k
 	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeHostDMA, 0, a.accelDev[k], pcie.Root, h.InBytes, r.legBegin)
+	l := a.hops[k].toHost
+	r.obsDMA(obs.TypeHostDMA, 0, l.from, l.to, h.InBytes, r.legBegin)
 	r.lap(phaseMovement)
 	ops, bytes := s.restructureWork(h.Kernel)
 	s.occupyCPU(a, ops, bytes)
@@ -1011,20 +983,20 @@ func (r *request) degradeAtHost() {
 func (r *request) degradeRestructured() {
 	s, a, k := r.s, r.a, r.k
 	h := a.pipe.Hops[k]
-	to := a.accelDev[k+1]
+	l := a.hops[k].fromHost
 	r.lap(phaseRestructure)
-	s.occupyPath(a, pcie.Root, to, h.OutBytes)
+	a.occupyLeg(l, h.OutBytes)
 	s.Eng.Schedule(DMASetupLatency, r.guard(func() {
-		s.obsInstant(a, obs.TypeHostDMA, 0, pcie.Root, to, "", h.OutBytes)
+		s.obsInstant(a, obs.TypeHostDMA, 0, l.from, l.to, "", h.OutBytes)
 		r.legBegin = s.Eng.Now()
-		r.transfer(pcie.Root, to, h.OutBytes, r.degradeDone)
+		r.transfer(l, h.OutBytes, r.degradeDone)
 	}))
 }
 
 func (r *request) degradeDone() {
 	a, k := r.a, r.k
-	h := a.pipe.Hops[k]
-	r.obsDMA(obs.TypeHostDMA, 0, pcie.Root, a.accelDev[k+1], h.OutBytes, r.legBegin)
+	l := a.hops[k].fromHost
+	r.obsDMA(obs.TypeHostDMA, 0, l.from, l.to, a.pipe.Hops[k].OutBytes, r.legBegin)
 	r.lap(phaseMovement)
 	r.nextStage()
 }

@@ -108,27 +108,6 @@ func (qs *QueueSet) TX(peer string) (*DataQueue, error) {
 	return q, nil
 }
 
-// hopQueues is the bump-in-the-wire flow's use of the queue machinery:
-// stage k's output lands in DRX_k's RX queue for the downstream peer
-// (Fig. 10 step ④), is restructured into the TX queue (step ⑦), and the
-// TX entry releases when the P2P DMA to the peer completes (step ⑩).
-func (s *System) hopQueues(a *appInstance, k int) (*DataQueue, *DataQueue, error) {
-	qs := s.queueSets["drx."+a.accelDev[k]]
-	if qs == nil {
-		return nil, nil, nil // placement without per-accelerator queues
-	}
-	peer := a.accelDev[k+1]
-	rx, err := qs.RX(peer)
-	if err != nil {
-		return nil, nil, err
-	}
-	tx, err := qs.TX(peer)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rx, tx, nil
-}
-
 // queueAdmit reserves RX space for an arriving payload, retrying after a
 // backoff if the queue is momentarily full (payloads far larger than
 // 100 MB are rejected during pipeline validation, so waiting always

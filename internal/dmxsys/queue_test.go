@@ -106,12 +106,12 @@ func TestBumpFlowDrainsQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run()
-	for name, qs := range s.queueSets {
+	for _, qs := range s.queueSets {
 		for peer := range qs.rx {
 			rx, _ := qs.RX(peer)
 			tx, _ := qs.TX(peer)
 			if rx.Used() != 0 || tx.Used() != 0 {
-				t.Errorf("%s: queues not drained after run: rx %d tx %d", name, rx.Used(), tx.Used())
+				t.Errorf("%s: queues not drained after run: rx %d tx %d", qs.owner, rx.Used(), tx.Used())
 			}
 		}
 	}

@@ -31,11 +31,10 @@ type System struct {
 	cpuCompute *sim.Channel
 	cpuMem     *sim.Channel
 
-	apps    []*appInstance
-	servers map[string]*sim.Server // accel and DRX service stations
-	// queueSets holds each bump-in-the-wire DRX's RX/TX data queues,
-	// keyed like its server ("drx.<accel device>").
-	queueSets map[string]*QueueSet
+	apps []*appInstance
+	// queueSets holds each bump-in-the-wire DRX's RX/TX data queues, in
+	// build order; every hop resolves its own pair at Instantiate.
+	queueSets []*QueueSet
 	nSwitches int
 	nDRX      int
 	// localBytes counts bump-in-the-wire DRX↔accel movement that stays
@@ -45,12 +44,6 @@ type System struct {
 	// the interrupt/polling decision.
 	irqTimes []sim.Time
 
-	// plan is the immutable topology/timing plan this replica was
-	// materialized from (shared across fleet replicas).
-	plan *Plan
-	// prefix namespaces every station, link, and trace track of this
-	// replica ("" single-host, "h3/" in a fleet).
-	prefix string
 	// drxServers lists the DRX service stations for energy metering
 	// (identifying them by name breaks under host prefixes).
 	drxServers []*sim.Server
@@ -90,18 +83,32 @@ func (s *System) fail(err error) {
 	}
 }
 
-// appInstance is one running application.
+// appInstance is one running application. Everything a request reads
+// per step — stations, DRX service times, fabric routes, data queues and
+// occupancy slots — is resolved here once, at Instantiate, so the request
+// machine does no name lookups.
 type appInstance struct {
 	id   int
 	pipe *Pipeline
-	// accelDev[k] is the fabric device of stage k (empty for AllCPU).
+	// accelDev[k] is the fabric device of stage k and accelSrv[k] its
+	// service station (both empty for AllCPU).
 	accelDev []string
-	// drxServer[k] serves hop k's restructuring (nil when on CPU).
+	accelSrv []*sim.Server
+	// drxServer[k] serves hop k's restructuring (nil when on CPU); its
+	// name is the hop's DRX trace track.
 	drxServer []*sim.Server
-	// standalone DRX device name, when applicable.
-	sdrxDev string
-	// switch the app's devices live on.
-	sw string
+	// hopDRX[k] is hop k's DRX service time (nil without DRX). Plan
+	// state, shared read-only across replicas.
+	hopDRX []sim.Duration
+
+	// input and output are the host↔accelerator legs of every request;
+	// hops[k] holds hop k's legs and data queues (all nil for AllCPU).
+	input, output *leg
+	hops          []hopRoute
+	// accelSlot[k] / drxSlot[k] are the occupancy slots of stage k's
+	// station and hop k's DRX unit.
+	accelSlot []int
+	drxSlot   []int
 
 	// track is the app instance's trace timeline name.
 	track string
@@ -141,44 +148,102 @@ type appInstance struct {
 	// read-only across replicas.
 	fusion []hopFusion
 
-	// occ accumulates, per shared resource (server, link, or host
-	// channel), the exclusive occupancy the app's requests charged it.
-	// Divided by the request count it is the per-request occupancy whose
-	// maximum bounds steady-state throughput (AppReport.Bottleneck).
-	occ map[string]sim.Duration
+	// occ[i] accumulates the exclusive occupancy the app's requests
+	// charged shared resource occNames[i] (server, link, or host
+	// channel). Divided by the request count it is the per-request
+	// occupancy whose maximum bounds steady-state throughput
+	// (AppReport.Bottleneck). Slots are assigned at Instantiate; the two
+	// host channels always hold slotCPUCompute and slotCPUMem.
+	occ      []sim.Duration
+	occNames []string
 
 	rep AppReport
 }
 
-// occupy charges one request's exclusive use of a named resource.
-func (a *appInstance) occupy(name string, d sim.Duration) {
-	a.occ[name] += d
+// Occupancy slots every app reserves for the shared host channels.
+const (
+	slotCPUCompute = iota
+	slotCPUMem
+)
+
+// slot returns the occupancy slot of a named resource, assigning the
+// next free one on first use. Build time only.
+func (a *appInstance) slot(name string) int {
+	for i, n := range a.occNames {
+		if n == name {
+			return i
+		}
+	}
+	a.occNames = append(a.occNames, name)
+	a.occ = append(a.occ, 0)
+	return len(a.occNames) - 1
 }
 
-// occupyPath charges a payload's serialization time against every link
-// of a fabric route. Route errors are ignored here: the transfer itself
-// reports them through the request machine.
-func (s *System) occupyPath(a *appInstance, from, to string, n int64) {
-	links, err := s.Fabric.PathLinks(from, to)
-	if err != nil {
-		return
+// leg is one fabric transfer of a request's walk, resolved at
+// Instantiate: the route handle, its trace endpoints, and the occupancy
+// slot and bandwidth of every link the route crosses.
+type leg struct {
+	from, to string
+	rt       *pcie.Route
+	links    []linkCharge
+}
+
+// linkCharge is one link of a leg in occupancy terms.
+type linkCharge struct {
+	slot int
+	bw   float64
+}
+
+// hopRoute is hop k's resolved data motion.
+type hopRoute struct {
+	// toHost and fromHost are the accelerator k → host and host →
+	// accelerator k+1 legs: the hop itself under MultiAxl and Integrated,
+	// and every placement's CPU-fallback (degrade) path.
+	toHost, fromHost *leg
+	// in and out are the DRX path's legs: to and from the standalone
+	// card, up into and down out of the switch (PCIe-Integrated), or —
+	// under bump-in-the-wire — only out, the P2P DMA to the peer (the
+	// move into the inline DRX stays off the fabric).
+	in, out *leg
+	// rx, tx are the bump-in-the-wire DRX's data queues toward the peer
+	// accelerator (nil otherwise).
+	rx, tx *DataQueue
+}
+
+// newLeg resolves a leg on route rt, charging its links into app a's
+// occupancy slots.
+func (a *appInstance) newLeg(rt *pcie.Route, from, to string) *leg {
+	l := &leg{from: from, to: to, rt: rt}
+	for _, li := range rt.Links() {
+		l.links = append(l.links, linkCharge{slot: a.slot(li.Name), bw: li.Bandwidth})
 	}
-	for _, l := range links {
-		a.occupy(l.Name, sim.BytesAt(n, l.Bandwidth))
+	return l
+}
+
+// occupyLeg charges a payload's serialization time against every link
+// of a resolved leg.
+func (a *appInstance) occupyLeg(l *leg, n int64) {
+	for _, c := range l.links {
+		a.occ[c.slot] += sim.BytesAt(n, c.bw)
 	}
 }
 
 // occupyCPU charges a host job's drain time on the two shared CPU
 // channels.
 func (s *System) occupyCPU(a *appInstance, ops, bytes int64) {
-	a.occupy(s.cpuCompute.Name(), sim.BytesAt(ops, s.cpuCompute.Capacity()))
-	a.occupy(s.cpuMem.Name(), sim.BytesAt(bytes, s.cpuMem.Capacity()))
+	a.occ[slotCPUCompute] += sim.BytesAt(ops, s.cpuCompute.Capacity())
+	a.occ[slotCPUMem] += sim.BytesAt(bytes, s.cpuMem.Capacity())
 }
 
-// occupyServer charges a service-station job, spread across the
-// station's slots (a k-slot server serves k requests concurrently).
-func (a *appInstance) occupyServer(srv *sim.Server, d sim.Duration) {
-	a.occupy(srv.Name(), d/sim.Duration(srv.Slots()))
+// occupyAccel charges stage k's station for one kernel execution.
+func (a *appInstance) occupyAccel(k int, d sim.Duration) {
+	a.occ[a.accelSlot[k]] += d / sim.Duration(a.accelSrv[k].Slots())
+}
+
+// occupyDRX charges hop k's DRX unit, spread across the unit's slots (a
+// k-slot server serves k requests concurrently).
+func (a *appInstance) occupyDRX(k int, d sim.Duration) {
+	a.occ[a.drxSlot[k]] += d / sim.Duration(a.drxServer[k].Slots())
 }
 
 // bottleneck reports the largest per-request occupancy across the
@@ -190,9 +255,9 @@ func (a *appInstance) bottleneck() (sim.Duration, string) {
 	}
 	var max sim.Duration
 	name := ""
-	for res, d := range a.occ {
+	for i, d := range a.occ {
 		per := d / sim.Duration(a.requests)
-		if per > max || (per == max && (name == "" || res < name)) {
+		if res := a.occNames[i]; per > max || (per == max && (name == "" || res < name)) {
 			max, name = per, res
 		}
 	}
@@ -212,11 +277,6 @@ type Plan struct {
 	nSwitches int
 	nDRX      int
 	nCards    int
-
-	// drxTimes maps kernel signature → simulated DRX duration under
-	// cfg.DRX, fully warmed at plan time. Read-only after NewPlan, so
-	// replicas (and parallel sweep workers) share it without locking.
-	drxTimes map[string]sim.Duration
 }
 
 // planApp is one pipeline's placement decisions and precomputed tables.
@@ -229,6 +289,11 @@ type planApp struct {
 	// Standalone placement); newCard is true when this app brings it up.
 	cardDev string
 	newCard bool
+
+	// hopDRX[k] is hop k's DRX service time under cfg.DRX (nil when the
+	// placement has no DRX), resolved once through drxTimeOf. Read-only
+	// after NewPlan, so replicas and parallel sweep workers share it.
+	hopDRX []sim.Duration
 
 	remAtKernel []sim.Duration
 	remAtHop    []sim.Duration
@@ -287,7 +352,7 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 	if len(pipelines) == 0 {
 		return nil, fmt.Errorf("dmxsys: no pipelines")
 	}
-	p := &Plan{cfg: cfg, pipes: pipelines, drxTimes: make(map[string]sim.Duration)}
+	p := &Plan{cfg: cfg, pipes: pipelines}
 	for _, fp := range cfg.FuseHops {
 		if fp.App >= len(pipelines) {
 			return nil, fmt.Errorf("dmxsys: fuse pair app=%d hop=%d: only %d pipelines", fp.App, fp.Hop, len(pipelines))
@@ -360,12 +425,15 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 			p.nDRX++
 		}
 
-		// Warm the DRX service-time cache.
+		// Resolve every hop's DRX service time onto the hop.
 		if cfg.Placement.UsesDRX() {
-			for _, h := range pipe.Hops {
-				if _, err := p.drxTime(h.Kernel); err != nil {
+			pa.hopDRX = make([]sim.Duration, len(pipe.Hops))
+			for k, h := range pipe.Hops {
+				d, err := drxTimeOf(cfg.DRX, h.Kernel)
+				if err != nil {
 					return nil, err
 				}
+				pa.hopDRX[k] = d
 			}
 		}
 
@@ -386,14 +454,14 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dmxsys: fuse pair app=%d hop=%d: %w", fp.App, fp.Hop, err)
 			}
-			ft, err := p.drxTime(fused)
+			ft, err := drxTimeOf(cfg.DRX, fused)
 			if err != nil {
 				return nil, fmt.Errorf("dmxsys: fuse pair app=%d hop=%d: %w", fp.App, fp.Hop, err)
 			}
 			if pa.fusion == nil {
 				pa.fusion = make([]hopFusion, len(pipe.Hops))
 			}
-			t1, t2 := p.drxTimes[k1.Signature()], p.drxTimes[k2.Signature()]
+			t1, t2 := pa.hopDRX[fp.Hop], pa.hopDRX[fp.Hop+1]
 			part1 := ft / 2
 			if t1+t2 > 0 {
 				part1 = sim.Duration(float64(ft) * float64(t1) / float64(t1+t2))
@@ -415,7 +483,7 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 				if k < len(pipe.Hops) {
 					hop := sim.Duration(0)
 					if cfg.Placement.UsesDRX() {
-						hop = p.drxTimes[pipe.Hops[k].Kernel.Signature()]
+						hop = pa.hopDRX[k]
 						if pa.fusion != nil && pa.fusion[k].role != fuseNone {
 							// A fused hop's station demand is its segment of
 							// the merged program.
@@ -482,10 +550,6 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 		Eng:       eng,
 		Fabric:    pcie.New(eng),
 		cfg:       cfg,
-		plan:      p,
-		prefix:    pfx,
-		servers:   make(map[string]*sim.Server),
-		queueSets: make(map[string]*QueueSet),
 		nSwitches: p.nSwitches,
 		nDRX:      p.nDRX,
 	}
@@ -537,42 +601,44 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 	integratedDRX := (*sim.Server)(nil)
 	if cfg.Placement == Integrated {
 		integratedDRX = sim.NewServerDisc(eng, pfx+"drx.integrated", 1, cfg.discipline())
-		s.servers[pfx+"drx.integrated"] = integratedDRX
 		s.drxServers = append(s.drxServers, integratedDRX)
 	}
-	var card *sim.Server
+	var card, switchDRX *sim.Server
 
 	for i, pipe := range p.pipes {
 		pa := &p.apps[i]
-		a := &appInstance{id: i, pipe: pipe, occ: make(map[string]sim.Duration)}
+		a := &appInstance{id: i, pipe: pipe, hopDRX: pa.hopDRX}
+		a.slot(s.cpuCompute.Name()) // slotCPUCompute
+		a.slot(s.cpuMem.Name())     // slotCPUMem
 		a.rep.App = pipe.Name
 		a.track = fmt.Sprintf("%s%s#%d", pfx, pipe.Name, i)
+		sw := ""
 		if pa.sw != "" {
-			a.sw = pfx + pa.sw
+			sw = pfx + pa.sw
 		}
 		if pa.newSwitch {
-			if err := s.Fabric.AddSwitch(a.sw, uplink); err != nil {
+			if err := s.Fabric.AddSwitch(sw, uplink); err != nil {
 				return nil, err
 			}
 			if cfg.Placement == PCIeIntegrated {
-				unit := sim.NewServerDisc(eng, "drx."+a.sw, cfg.PCIeIntegratedSlots, cfg.discipline())
-				s.servers["drx."+a.sw] = unit
-				s.drxServers = append(s.drxServers, unit)
+				switchDRX = sim.NewServerDisc(eng, "drx."+sw, cfg.PCIeIntegratedSlots, cfg.discipline())
+				s.drxServers = append(s.drxServers, switchDRX)
 			}
 		}
 
 		if cfg.Placement != AllCPU {
 			for k, st := range pipe.Stages {
 				dev := fmt.Sprintf("%sa%d.%d", pfx, i, k)
-				if err := s.Fabric.AddDevice(dev, a.sw, accelLink); err != nil {
+				if err := s.Fabric.AddDevice(dev, sw, accelLink); err != nil {
 					return nil, err
 				}
 				a.accelDev = append(a.accelDev, dev)
-				s.servers[dev] = sim.NewServerDisc(eng, dev+":"+st.Accel.Name, 1, cfg.discipline())
+				a.accelSrv = append(a.accelSrv, sim.NewServerDisc(eng, dev+":"+st.Accel.Name, 1, cfg.discipline()))
 			}
 		}
 
 		a.drxServer = make([]*sim.Server, len(pipe.Hops))
+		cardDev := pfx + pa.cardDev
 		switch cfg.Placement {
 		case Integrated:
 			for k := range pipe.Hops {
@@ -580,40 +646,30 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 			}
 		case Standalone:
 			if pa.newCard {
-				dev := pfx + pa.cardDev
-				if err := s.Fabric.AddDevice(dev, a.sw, accelLink); err != nil {
+				if err := s.Fabric.AddDevice(cardDev, sw, accelLink); err != nil {
 					return nil, err
 				}
-				card = sim.NewServerDisc(eng, dev, 1, cfg.discipline())
-				s.servers[dev] = card
+				card = sim.NewServerDisc(eng, cardDev, 1, cfg.discipline())
 				s.drxServers = append(s.drxServers, card)
 			}
-			a.sdrxDev = pfx + pa.cardDev
 			for k := range pipe.Hops {
 				a.drxServer[k] = card
 			}
 		case PCIeIntegrated:
-			unit := s.servers["drx."+a.sw]
 			for k := range pipe.Hops {
-				a.drxServer[k] = unit
+				a.drxServer[k] = switchDRX
 			}
 		case BumpInTheWire:
 			// One DRX inline with every accelerator; hop k runs on the
 			// upstream accelerator's DRX (Fig. 10: DRX_1 restructures).
-			// Each DRX statically partitions its queue memory across the
-			// chain's peers (Sec. V).
 			for k := range pipe.Hops {
-				name := "drx." + a.accelDev[k]
-				unit := sim.NewServerDisc(eng, name, 1, cfg.discipline())
-				s.servers[name] = unit
+				unit := sim.NewServerDisc(eng, "drx."+a.accelDev[k], 1, cfg.discipline())
 				a.drxServer[k] = unit
 				s.drxServers = append(s.drxServers, unit)
-				qs, err := NewQueueSet(name, a.accelDev)
-				if err != nil {
-					return nil, err
-				}
-				s.queueSets[name] = qs
 			}
+		}
+		if err := s.resolve(a, cardDev); err != nil {
+			return nil, err
 		}
 
 		// The scheduling tables, batch ceiling, and fusion table are plan
@@ -633,6 +689,92 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 		s.apps = append(s.apps, a)
 	}
 	return s, nil
+}
+
+// resolve fixes every per-request constant of app a once: its station
+// occupancy slots, its fabric legs (input, output, and each hop's legs
+// under the placement plus the CPU-fallback pair), and, under
+// bump-in-the-wire, each hop's data queues. cardDev is the app's
+// standalone DRX card.
+func (s *System) resolve(a *appInstance, cardDev string) error {
+	if s.cfg.Placement == AllCPU {
+		return nil
+	}
+	fabric := s.Fabric
+	route := func(from, to string) (*leg, error) {
+		rt, err := fabric.Route(from, to)
+		if err != nil {
+			return nil, err
+		}
+		return a.newLeg(rt, from, to), nil
+	}
+	for _, srv := range a.accelSrv {
+		a.accelSlot = append(a.accelSlot, a.slot(srv.Name()))
+	}
+	var err error
+	if a.input, err = route(pcie.Root, a.accelDev[0]); err != nil {
+		return err
+	}
+	if a.output, err = route(a.accelDev[len(a.accelDev)-1], pcie.Root); err != nil {
+		return err
+	}
+	a.hops = make([]hopRoute, len(a.pipe.Hops))
+	for k := range a.hops {
+		h := &a.hops[k]
+		from, to := a.accelDev[k], a.accelDev[k+1]
+		if h.toHost, err = route(from, pcie.Root); err != nil {
+			return err
+		}
+		if h.fromHost, err = route(pcie.Root, to); err != nil {
+			return err
+		}
+		unit := a.drxServer[k]
+		if unit != nil {
+			a.drxSlot = append(a.drxSlot, a.slot(unit.Name()))
+		}
+		switch s.cfg.Placement {
+		case Standalone:
+			if h.in, err = route(from, cardDev); err != nil {
+				return err
+			}
+			if h.out, err = route(cardDev, to); err != nil {
+				return err
+			}
+		case PCIeIntegrated:
+			up, err := fabric.UpRoute(from)
+			if err != nil {
+				return err
+			}
+			down, err := fabric.DownRoute(to)
+			if err != nil {
+				return err
+			}
+			h.in = a.newLeg(up, from, unit.Name())
+			h.out = a.newLeg(down, unit.Name(), to)
+		case BumpInTheWire:
+			if h.out, err = route(from, to); err != nil {
+				return err
+			}
+			// Stage k's output lands in DRX_k's RX queue for the
+			// downstream peer (Fig. 10 step ④), is restructured into the
+			// TX queue (step ⑦), and the TX entry releases when the P2P
+			// DMA to the peer completes (step ⑩). Each DRX statically
+			// partitions its queue memory across the chain's peers
+			// (Sec. V).
+			qs, err := NewQueueSet(unit.Name(), a.accelDev)
+			if err != nil {
+				return err
+			}
+			s.queueSets = append(s.queueSets, qs)
+			if h.rx, err = qs.RX(to); err != nil {
+				return err
+			}
+			if h.tx, err = qs.TX(to); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // New assembles a system running the given pipelines concurrently (one
@@ -663,21 +805,6 @@ var drxTimeCache sync.Map // drxTimeKey → sim.Duration
 type drxTimeKey struct {
 	sig string
 	cfg drx.Config
-}
-
-// drxTime resolves one kernel's DRX duration at plan time: the plan's
-// own map first, then the process-wide cache (drxTimeOf), recording the
-// result in the plan map that serves the per-request lookups.
-func (p *Plan) drxTime(k *restructure.Kernel) (sim.Duration, error) {
-	if d, ok := p.drxTimes[k.Signature()]; ok {
-		return d, nil
-	}
-	d, err := drxTimeOf(p.cfg.DRX, k)
-	if err != nil {
-		return 0, err
-	}
-	p.drxTimes[k.Signature()] = d
-	return d, nil
 }
 
 // FusionCandidate is one legal adjacent-hop fusion under the plan's
@@ -721,7 +848,7 @@ func (p *Plan) FusionCandidates() []FusionCandidate {
 			out = append(out, FusionCandidate{
 				App:     i,
 				Hop:     k,
-				Unfused: p.drxTimes[k1.Signature()] + p.drxTimes[k2.Signature()],
+				Unfused: p.apps[i].hopDRX[k] + p.apps[i].hopDRX[k+1],
 				Fused:   ft,
 			})
 		}
@@ -730,9 +857,10 @@ func (p *Plan) FusionCandidates() []FusionCandidate {
 }
 
 // drxTimeOf resolves a kernel's DRX duration through the process-wide
-// cache, timing it on a miss. It never touches plan-local state, so it
-// is safe after NewPlan (plan maps are shared read-only by replicas) and
-// under parallel sweep workers.
+// cache, timing it on a miss. It is the single place a timing is
+// computed: NewPlan resolves every hop's time through it, and it never
+// touches plan state, so it is safe after NewPlan and under parallel
+// sweep workers.
 func drxTimeOf(dcfg drx.Config, k *restructure.Kernel) (sim.Duration, error) {
 	key := drxTimeKey{sig: k.Signature(), cfg: dcfg}
 	if d, ok := drxTimeCache.Load(key); ok {
@@ -767,14 +895,10 @@ func drxTimeFor(dcfg drx.Config, k *restructure.Kernel) (sim.Duration, error) {
 	return sim.FromSeconds(res.Seconds(dcfg.ClockHz)), nil
 }
 
-// drxServiceTime resolves a kernel's DRX duration at run time. The
-// plan's warmed map covers every pipeline kernel; the process-wide path
-// remains for ad-hoc kernels (collectives, reports, tests). The plan map
-// is never written here, so replicas share it race-free.
+// drxServiceTime resolves an ad-hoc kernel's DRX duration (collective
+// reductions, reports, tests) through the process-wide cache. Pipeline
+// hops never come here: their times sit on the hop (appInstance.hopDRX).
 func (s *System) drxServiceTime(k *restructure.Kernel) (sim.Duration, error) {
-	if d, ok := s.plan.drxTimes[k.Signature()]; ok {
-		return d, nil
-	}
 	return drxTimeOf(s.cfg.DRX, k)
 }
 
@@ -882,8 +1006,7 @@ func (s *System) energyReport(makespan sim.Duration) (float64, map[string]float6
 			if len(a.accelDev) == 0 {
 				continue
 			}
-			srv := s.servers[a.accelDev[k]]
-			meter.AddAccelerator(st.Accel.Name, st.Accel.PowerW, srv.BusyTime)
+			meter.AddAccelerator(st.Accel.Name, st.Accel.PowerW, a.accelSrv[k].BusyTime)
 		}
 	}
 	if s.nDRX > 0 {

@@ -174,43 +174,83 @@ func (f *Fabric) SwitchOf(name string) (string, bool) {
 // Devices lists device names in insertion order.
 func (f *Fabric) Devices() []string { return append([]string(nil), f.order...) }
 
-// route resolves the channel path and fixed latency between endpoints.
-func (f *Fabric) route(from, to string) ([]*sim.Channel, sim.Duration, error) {
+// Route is a resolved transfer path between two endpoints: the
+// channels a DMA occupies, in path order, the path's fixed hop latency,
+// and each channel's LinkInfo. Resolving it once and reusing it through
+// TransferRoute keeps name lookups and path building off the
+// per-transfer path.
+type Route struct {
+	path  []*sim.Channel
+	lat   sim.Duration
+	links []LinkInfo
+}
+
+func newRoute(lat sim.Duration, path ...*sim.Channel) *Route {
+	links := make([]LinkInfo, len(path))
+	for i, ch := range path {
+		links[i] = LinkInfo{Name: ch.Name(), Bandwidth: ch.Capacity()}
+	}
+	return &Route{path: path, lat: lat, links: links}
+}
+
+// Route resolves the path of a Transfer between endpoints (device names
+// or Root).
+func (f *Fabric) Route(from, to string) (*Route, error) {
 	if from == to {
-		return nil, 0, fmt.Errorf("pcie: transfer from %q to itself", from)
+		return nil, fmt.Errorf("pcie: transfer from %q to itself", from)
 	}
 	if from == Root {
 		d, ok := f.devices[to]
 		if !ok {
-			return nil, 0, fmt.Errorf("pcie: unknown device %q", to)
+			return nil, fmt.Errorf("pcie: unknown device %q", to)
 		}
 		sw := f.switches[d.sw]
-		return []*sim.Channel{sw.uplink.down, d.link.down}, SwitchPortLatency + RootComplexLatency, nil
+		return newRoute(SwitchPortLatency+RootComplexLatency, sw.uplink.down, d.link.down), nil
 	}
 	if to == Root {
 		d, ok := f.devices[from]
 		if !ok {
-			return nil, 0, fmt.Errorf("pcie: unknown device %q", from)
+			return nil, fmt.Errorf("pcie: unknown device %q", from)
 		}
 		sw := f.switches[d.sw]
-		return []*sim.Channel{d.link.up, sw.uplink.up}, SwitchPortLatency + RootComplexLatency, nil
+		return newRoute(SwitchPortLatency+RootComplexLatency, d.link.up, sw.uplink.up), nil
 	}
 	src, ok := f.devices[from]
 	if !ok {
-		return nil, 0, fmt.Errorf("pcie: unknown device %q", from)
+		return nil, fmt.Errorf("pcie: unknown device %q", from)
 	}
 	dst, ok := f.devices[to]
 	if !ok {
-		return nil, 0, fmt.Errorf("pcie: unknown device %q", to)
+		return nil, fmt.Errorf("pcie: unknown device %q", to)
 	}
 	if src.sw == dst.sw {
 		// Peer-to-peer under one switch: traffic multiplexes through the
 		// switch without touching the upstream port.
-		return []*sim.Channel{src.link.up, dst.link.down}, SwitchPortLatency, nil
+		return newRoute(SwitchPortLatency, src.link.up, dst.link.down), nil
 	}
 	s1, s2 := f.switches[src.sw], f.switches[dst.sw]
-	return []*sim.Channel{src.link.up, s1.uplink.up, s2.uplink.down, dst.link.down},
-		2*SwitchPortLatency + RootComplexLatency, nil
+	return newRoute(2*SwitchPortLatency+RootComplexLatency,
+		src.link.up, s1.uplink.up, s2.uplink.down, dst.link.down), nil
+}
+
+// UpRoute resolves the TransferUp path: the device's upstream link,
+// terminating at its switch after one port crossing.
+func (f *Fabric) UpRoute(dev string) (*Route, error) {
+	d, ok := f.devices[dev]
+	if !ok {
+		return nil, fmt.Errorf("pcie: unknown device %q", dev)
+	}
+	return newRoute(SwitchPortLatency, d.link.up), nil
+}
+
+// DownRoute resolves the TransferDown path: the device's downstream
+// link, from its switch.
+func (f *Fabric) DownRoute(dev string) (*Route, error) {
+	d, ok := f.devices[dev]
+	if !ok {
+		return nil, fmt.Errorf("pcie: unknown device %q", dev)
+	}
+	return newRoute(SwitchPortLatency, d.link.down), nil
 }
 
 // LinkInfo identifies one channel on a transfer path for capacity
@@ -220,48 +260,39 @@ type LinkInfo struct {
 	Bandwidth float64
 }
 
+// Links reports the channels the route occupies, in path order. The
+// slice is a copy: occupancy accounting uses it to charge a payload's
+// serialization time against every link it crosses, and mutating it
+// never reaches the route.
+func (rt *Route) Links() []LinkInfo { return append([]LinkInfo(nil), rt.links...) }
+
 // PathLinks reports the channels a Transfer between the endpoints would
-// occupy, in path order. Capacity analysis uses it to charge a payload's
-// serialization time against every link it crosses.
+// occupy, in path order.
 func (f *Fabric) PathLinks(from, to string) ([]LinkInfo, error) {
-	path, _, err := f.route(from, to)
+	rt, err := f.Route(from, to)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]LinkInfo, len(path))
-	for i, ch := range path {
-		out[i] = LinkInfo{Name: ch.Name(), Bandwidth: ch.Capacity()}
-	}
-	return out, nil
-}
-
-// UpLink reports the device's upstream link (the TransferUp path).
-func (f *Fabric) UpLink(dev string) (LinkInfo, error) {
-	d, ok := f.devices[dev]
-	if !ok {
-		return LinkInfo{}, fmt.Errorf("pcie: unknown device %q", dev)
-	}
-	return LinkInfo{Name: d.link.up.Name(), Bandwidth: d.link.up.Capacity()}, nil
-}
-
-// DownLink reports the device's downstream link (the TransferDown path).
-func (f *Fabric) DownLink(dev string) (LinkInfo, error) {
-	d, ok := f.devices[dev]
-	if !ok {
-		return LinkInfo{}, fmt.Errorf("pcie: unknown device %q", dev)
-	}
-	return LinkInfo{Name: d.link.down.Name(), Bandwidth: d.link.down.Capacity()}, nil
+	return rt.Links(), nil
 }
 
 // Transfer starts a DMA of n bytes between endpoints (device names or
-// Root) and calls done when the last byte arrives. The flow occupies
-// every link on its path; completion is governed by the slowest
-// (fair-share) link, plus the path's fixed hop latency.
+// Root) and calls done when the last byte arrives. It resolves the route
+// on every call; hot paths resolve it once and use TransferRoute.
 func (f *Fabric) Transfer(from, to string, n int64, done func()) error {
-	path, hopLat, err := f.route(from, to)
+	rt, err := f.Route(from, to)
 	if err != nil {
 		return err
 	}
+	return f.TransferRoute(rt, n, done)
+}
+
+// TransferRoute starts a DMA of n bytes along a resolved route and calls
+// done when the last byte arrives. The flow occupies every link on the
+// path; completion is governed by the slowest (fair-share) link, plus
+// the path's fixed hop latency.
+func (f *Fabric) TransferRoute(rt *Route, n int64, done func()) error {
+	path, hopLat := rt.path, rt.lat
 	remaining := len(path)
 	complete := func() {
 		remaining--
@@ -314,42 +345,20 @@ func (f *Fabric) linkLoad(ch *sim.Channel, n int64, now sim.Time) (int64, error)
 // the switch, e.g. at a switch-integrated DRX) and calls done after the
 // device link drains plus one port crossing.
 func (f *Fabric) TransferUp(dev string, n int64, done func()) error {
-	d, ok := f.devices[dev]
-	if !ok {
-		return fmt.Errorf("pcie: unknown device %q", dev)
+	rt, err := f.UpRoute(dev)
+	if err != nil {
+		return err
 	}
-	if f.faults != nil {
-		var err error
-		if n, err = f.linkLoad(d.link.up, n, f.eng.Now()); err != nil {
-			return err
-		}
-	}
-	d.link.up.Start(n, func() {
-		if done != nil {
-			f.eng.Schedule(SwitchPortLatency, done)
-		}
-	})
-	return nil
+	return f.TransferRoute(rt, n, done)
 }
 
 // TransferDown moves n bytes from a device's switch to the device.
 func (f *Fabric) TransferDown(dev string, n int64, done func()) error {
-	d, ok := f.devices[dev]
-	if !ok {
-		return fmt.Errorf("pcie: unknown device %q", dev)
+	rt, err := f.DownRoute(dev)
+	if err != nil {
+		return err
 	}
-	if f.faults != nil {
-		var err error
-		if n, err = f.linkLoad(d.link.down, n, f.eng.Now()); err != nil {
-			return err
-		}
-	}
-	d.link.down.Start(n, func() {
-		if done != nil {
-			f.eng.Schedule(SwitchPortLatency, done)
-		}
-	})
-	return nil
+	return f.TransferRoute(rt, n, done)
 }
 
 // LinkStats reports a channel's lifetime accounting for the energy model
