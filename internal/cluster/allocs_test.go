@@ -35,7 +35,7 @@ func TestFleetAllocsPerRequest(t *testing.T) {
 	large := testing.AllocsPerRun(5, func() { run(2 * n) })
 	got := (large - small) / n
 	t.Logf("%.2f allocations per request", got)
-	const bound = 32
+	const bound = 30
 	if got > bound {
 		t.Errorf("%.2f allocations per request, bound %d", got, bound)
 	}

@@ -46,11 +46,11 @@ func TestServingAllocsPerRequest(t *testing.T) {
 		mut   func(*dmxsys.Config)
 		bound float64
 	}{
-		{"unbatched", nil, 29},
+		{"unbatched", nil, 27},
 		{"batched", func(c *dmxsys.Config) {
 			c.BatchWindow = 200 * sim.Microsecond
 			c.BatchMax = 8
-		}, 9},
+		}, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := dmxsys.DefaultConfig(dmxsys.BumpInTheWire)

@@ -188,31 +188,43 @@ func TestBatchMemberTransientPeelsAlone(t *testing.T) {
 }
 
 // TestBatchShellRecyclingStaysLive is the regression test for two
-// recycling bugs in the batch pool. First, a shell returned to the pool
-// is marked dead so stale completions from its old life drop — but
-// newBatch must revive it, or every completion guard of a batch built
+// recycling bugs in the carrier pool. First, a shell returned to the
+// pool is marked dead so stale completions from its old life drop — but
+// newCarrier must revive it, or every completion guard of a walk built
 // on a recycled shell is silently discarded and the run deadlocks.
 // Second, the epoch must stay monotone across lives: if release reset
 // it to zero, a guarded closure captured in a previous life (a stale
 // kernel job still queued in a server) could match the fresh shell's
-// epoch and corrupt the new batch (ABA). A retry policy alone makes the
-// system hazardous — guard() is live without any injected fault — and
-// an open-loop burst under a 200us window closes several batches per
-// app, so shells recycle.
+// epoch and corrupt the new walk (ABA). Every request rides a pooled
+// carrier, batched or not, so both hazards apply to the unbatched path
+// too. A retry policy alone makes the system hazardous — guard() is live
+// without any injected fault — and an open-loop burst retires carriers
+// while later arrivals take them, so shells recycle; under a 200us
+// window it also closes several batches per app.
 func TestBatchShellRecyclingStaysLive(t *testing.T) {
-	rep := batchedLoad(t, func(c *dmxsys.Config) {
-		c.BatchWindow = 200 * sim.Microsecond
-		c.Retry = faults.RetryPolicy{MaxAttempts: 3, Backoff: 10 * sim.Microsecond}
-	}, traffic.Spec{Arrival: traffic.OpenLoop, Rate: 50000, Requests: 32})
-	for _, al := range rep.PerApp {
-		if al.Batches < 2 {
-			t.Fatalf("%s: only %d batch formed; the repro needs recycled shells",
-				al.App, al.Batches)
-		}
-		if al.Completed != al.Requests {
-			t.Fatalf("%s: %d/%d completed; a recycled batch shell dropped completions",
-				al.App, al.Completed, al.Requests)
-		}
+	for _, tc := range []struct {
+		name   string
+		window sim.Duration
+	}{
+		{"unbatched", 0},
+		{"window=200us", 200 * sim.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := batchedLoad(t, func(c *dmxsys.Config) {
+				c.BatchWindow = tc.window
+				c.Retry = faults.RetryPolicy{MaxAttempts: 3, Backoff: 10 * sim.Microsecond}
+			}, traffic.Spec{Arrival: traffic.OpenLoop, Rate: 50000, Requests: 32})
+			for _, al := range rep.PerApp {
+				if tc.window > 0 && al.Batches < 2 {
+					t.Fatalf("%s: only %d batch formed; the repro needs recycled shells",
+						al.App, al.Batches)
+				}
+				if al.Completed != al.Requests {
+					t.Fatalf("%s: %d/%d completed; a recycled carrier shell dropped completions",
+						al.App, al.Completed, al.Requests)
+				}
+			}
+		})
 	}
 }
 
@@ -310,7 +322,7 @@ func TestAdmissionControlCapsBacklog(t *testing.T) {
 // TestBatchAccumulatorSteadyStateAllocs pins the accumulator's
 // allocation behavior: a batched load may not allocate more than the
 // unbatched serving path plus a small one-time budget (the first
-// window's pending slice and the first batch shells; both recycle).
+// window's pending slice and the first carrier shells; both recycle).
 func TestBatchAccumulatorSteadyStateAllocs(t *testing.T) {
 	b := faultBench(t)
 	spec := traffic.Spec{Arrival: traffic.OpenLoop, Rate: 50000, Requests: 64}

@@ -58,8 +58,8 @@ func BenchmarkRunLoadUnbatched(b *testing.B) {
 
 // BenchmarkRunLoadBatched runs the same load through the continuous
 // batching accumulator: arrivals coalesce inside a 200 µs window and
-// walk the pipeline as pooled batch shells. Allocs/op must stay in the
-// same regime as the unbatched path — the accumulator and shells
+// walk the pipeline on pooled carriers. Allocs/op must stay in the
+// same regime as the unbatched path — the accumulator and carriers
 // recycle, they do not grow with batch count.
 func BenchmarkRunLoadBatched(b *testing.B) {
 	servingBench(b, func(c *dmxsys.Config) {

@@ -28,8 +28,9 @@ type Capacity struct {
 func (p *Plan) Capacity(i int) Capacity { return p.apps[i].cap }
 
 // appCapacity statically accumulates the per-request occupancy charges
-// of one request walking app i's pipeline — the same charges flow.go's
-// occupy calls record — and picks the maximum with the same
+// of one request walking app i's pipeline — the same charges a
+// one-member carrier's occupy calls record in flow.go — and picks the
+// maximum with the same
 // lexicographic tie-break as appInstance.bottleneck.
 func (p *Plan) appCapacity(i int, pa *planApp) Capacity {
 	cfg := p.cfg

@@ -22,17 +22,19 @@
 // text rendering of the same stream; RunReport.Metrics is its aggregate.
 //
 // The serving layer turns one-shot runs into request streams: RunLoad
-// drives a traffic.Spec arrival process through per-request state
-// machines (flow.go) and reports per-app rates, latency quantiles, and
-// outcome counters. In front of the state machine sits an optional
-// continuous-batching accumulator (batch.go): arrivals of an app inside
-// Config.BatchWindow coalesce and walk the pipeline as one batch — one
-// kernel launch, one driver round trip, and one DMA descriptor per
-// transfer leg — then split back out per request for latency and
-// deadline accounting. Contended stations order their backlogs by
-// Config.Sched (FIFO, priority, weighted fair, earliest-deadline-first,
-// shortest-remaining-service), and Config.AdmitLimit sheds arrivals
-// past a per-app outstanding cap as rejections. Batching off
-// (BatchWindow 0) is byte-identical to the unbatched path; batched
-// members under fault injection retry and degrade individually.
+// drives a traffic.Spec arrival process through one request state
+// machine (flow.go), whose carrier walks the pipeline for n ≥ 1 member
+// requests, and reports per-app rates, latency quantiles, and outcome
+// counters. An unbatched request is a carrier of one. In front of the
+// machine sits an optional continuous-batching accumulator (batch.go):
+// arrivals of an app inside Config.BatchWindow coalesce onto one
+// carrier — one kernel launch, one driver round trip, and one DMA
+// descriptor per transfer leg — then split back out per request for
+// latency and deadline accounting. Contended stations order their
+// backlogs by Config.Sched (FIFO, priority, weighted fair,
+// earliest-deadline-first, shortest-remaining-service), and
+// Config.AdmitLimit sheds arrivals past a per-app outstanding cap as
+// rejections. Batching off (BatchWindow 0) is byte-identical to the
+// unbatched path; batched members under fault injection retry and
+// degrade individually.
 package dmxsys

@@ -53,10 +53,13 @@ type System struct {
 	// configured.
 	rec *obs.Recorder
 
-	// batchPool recycles retired batch shells (members slice and
-	// completion closures included) so steady-state batching never
-	// allocates beyond the requests themselves.
-	batchPool []*batch
+	// carrierPool recycles retired carrier shells (members slice
+	// included), so a steady-state walk — solo or batched — allocates
+	// only its requests and step closures. carriers lists every shell
+	// ever made, live or pooled: the drain diagnosis names the live
+	// ones.
+	carrierPool []*carrier
+	carriers    []*carrier
 	// admitting is true while RunLoad drives the system; admission
 	// control applies only there (Run and RunStream issue fixed request
 	// sets whose reports have no rejection channel).
