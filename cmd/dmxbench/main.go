@@ -6,7 +6,6 @@
 //	dmxbench -exp fig11      # run one (table1, fig3, fig5, fig11..fig19)
 //	dmxbench -list           # list experiment ids
 //	dmxbench -j 4            # cap the sweep worker pool at 4
-//	dmxbench -exp cluster -shards 8   # shard each fleet across event lanes
 //	dmxbench -exp tune               # autotune the stock serving scenario
 //	dmxbench -exp tune -spec my.json # autotune a custom experiment Spec
 //
@@ -48,7 +47,6 @@ func run() int {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	quiet := flag.Bool("q", false, "suppress progress timing on stderr")
 	jobs := flag.Int("j", 0, "parallel sweep workers (default: all cores)")
-	shards := flag.Int("shards", 1, "event lanes per cluster-experiment fleet (output is byte-identical at any value)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	spec := flag.String("spec", "", "experiment Spec (JSON) to tune instead of the stock scenario (only with -exp tune)")
@@ -61,7 +59,6 @@ func run() int {
 	tuneSpecPath = *spec
 
 	sweep.SetWorkers(*jobs)
-	experiments.SetClusterShards(*shards)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

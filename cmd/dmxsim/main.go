@@ -60,13 +60,8 @@
 // "router:" line showing where requests landed. A fleet of one host is
 // byte-identical to the single-host load run.
 //
-// -shards N runs the fleet conservatively in parallel: hosts spread
-// across up to N event lanes that execute concurrently inside lookahead
-// windows derived from -net-lat. Output is byte-identical at any shard
-// count — the flag only buys wall-clock on multi-core machines, and a
-// fleet without a network latency falls back to sequential execution.
-// The cluster-only flags (-shards, -net-*, -host-admit, -drain) are
-// rejected with -hosts 1 rather than silently ignored.
+// The cluster-only flags (-net-*, -host-admit, -drain) are rejected
+// with -hosts 1 rather than silently ignored.
 //
 // -spec file.json loads a serialized experiment document (dmx.Spec —
 // the format the autotuner emits as TuneResult.Winner) as the base
@@ -157,7 +152,6 @@ type options struct {
 	netCore   float64
 	netNIC    float64
 	netLat    string
-	shards    int
 }
 
 func main() {
@@ -191,7 +185,6 @@ func main() {
 	flag.Float64Var(&o.netCore, "net-core", 0, "shared core network bandwidth in bytes/s per direction (0 = unmodeled)")
 	flag.Float64Var(&o.netNIC, "net-nic", 0, "per-host NIC bandwidth in bytes/s per direction (0 = unmodeled)")
 	flag.StringVar(&o.netLat, "net-lat", "", "one-way network propagation latency, e.g. '2us' (empty = none)")
-	flag.IntVar(&o.shards, "shards", 1, "event lanes for conservative-parallel fleet execution (needs -net-lat; output is byte-identical at any value)")
 	specPath := flag.String("spec", "", "load a JSON experiment Spec (dmx.Spec) as the base configuration; explicitly set flags override its fields")
 	flag.Parse()
 
@@ -279,7 +272,6 @@ func applySpec(s dmx.Spec, o options, explicit map[string]bool) (options, error)
 		{"net-core", func() { o.netCore = s.NetCore }, s.NetCore == 0},
 		{"net-nic", func() { o.netNIC = s.NetNIC }, s.NetNIC == 0},
 		{"net-lat", func() { o.netLat = s.NetLat }, s.NetLat == ""},
-		{"shards", func() { o.shards = s.Shards }, s.Shards == 0},
 	} {
 		if m.skip || explicit[m.flag] {
 			continue
@@ -411,7 +403,7 @@ func run(o options, out io.Writer) error {
 }
 
 // checkClusterFlags rejects cluster-only flags on a single-host run.
-// Silently ignoring -net-* (or -shards, -host-admit, -drain) would
+// Silently ignoring -net-* (or -host-admit, -drain) would
 // print a report for physics the user didn't ask about — a one-host
 // "fleet" has no inter-host network to model.
 func checkClusterFlags(o options) error {
@@ -427,9 +419,6 @@ func checkClusterFlags(o options) error {
 	}
 	if o.netLat != "" {
 		bad = append(bad, "-net-lat")
-	}
-	if o.shards > 1 || o.shards < 0 {
-		bad = append(bad, "-shards")
 	}
 	if o.hostAdmit != 0 {
 		bad = append(bad, "-host-admit")
@@ -537,8 +526,7 @@ func runCluster(o options, cfg dmxsys.Config, pipes []*dmxsys.Pipeline, out io.W
 		}
 		nc.Latency = d
 	}
-	f, err := cluster.New(cluster.FleetConfig{Hosts: o.hosts, Base: cfg, Net: nc, Router: rc,
-		Shards: o.shards}, pipes)
+	f, err := cluster.New(cluster.FleetConfig{Hosts: o.hosts, Base: cfg, Net: nc, Router: rc}, pipes)
 	if err != nil {
 		return err
 	}

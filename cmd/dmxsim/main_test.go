@@ -78,11 +78,8 @@ func TestClusterOnlyFlagsRejected(t *testing.T) {
 		{"net-lat-single-host", func(o *options) { o.netLat = "2us" }, true},
 		{"net-core-single-host", func(o *options) { o.netCore = 50e9 }, true},
 		{"net-nic-single-host", func(o *options) { o.netNIC = 12.5e9 }, true},
-		{"shards-single-host", func(o *options) { o.shards = 4 }, true},
-		{"negative-shards-single-host", func(o *options) { o.shards = -1 }, true},
 		{"host-admit-single-host", func(o *options) { o.hostAdmit = 8 }, true},
 		{"drain-single-host", func(o *options) { o.drain = "3/2ms" }, true},
-		{"shards-default-ok", func(o *options) { o.shards = 1 }, false},
 		{"net-multi-host-ok", func(o *options) {
 			o.hosts = 2
 			o.arrival = "poisson"
@@ -90,7 +87,6 @@ func TestClusterOnlyFlagsRejected(t *testing.T) {
 			o.rate = 2000
 			o.requests = 4
 			o.netLat = "2us"
-			o.shards = 3
 			o.trace = false
 			o.verbose = false
 		}, false},
@@ -108,36 +104,6 @@ func TestClusterOnlyFlagsRejected(t *testing.T) {
 				t.Errorf("valid flag combination rejected: %v", err)
 			}
 		})
-	}
-}
-
-// The CLI's fleet output must be byte-identical at any -shards value:
-// the flag buys wall-clock, never different physics.
-func TestClusterShardsOutputIdentical(t *testing.T) {
-	fleet := func(shards int) string {
-		o := opts()
-		o.trace = false
-		o.verbose = false
-		o.hosts = 4
-		o.arrival = "poisson"
-		o.router = "score"
-		o.rate = 8000
-		o.requests = 32
-		o.seed = 9
-		o.netNIC = 12.5e9
-		o.netLat = "2us"
-		o.shards = shards
-		var buf bytes.Buffer
-		if err := run(o, &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	seq := fleet(1)
-	for _, n := range []int{2, 4, 8} {
-		if got := fleet(n); got != seq {
-			t.Errorf("-shards %d output differs from sequential:\n%s\nvs:\n%s", n, got, seq)
-		}
 	}
 }
 
@@ -180,7 +146,7 @@ func TestApplySpecMerge(t *testing.T) {
 		BatchWindow: "200us", BatchMax: 8, Admit: 32,
 		Faults: "transient=0.01", FaultSeed: 9, Retry: 2, Deadline: "500us",
 		Arrival: "poisson", Rate: 2500, Requests: 48, Seed: 7, SLO: "30ms",
-		Hosts: 2, Router: "least", HostAdmit: 16, NetNIC: 12.5e9, NetLat: "2us", Shards: 3,
+		Hosts: 2, Router: "least", HostAdmit: 16, NetNIC: 12.5e9, NetLat: "2us",
 	}
 	cases := []struct {
 		name     string
@@ -205,9 +171,9 @@ func TestApplySpecMerge(t *testing.T) {
 			if o.arrival != "poisson" || o.rate != 2500 || o.requests != 48 || o.seed != 7 || o.slo != "30ms" {
 				t.Errorf("traffic: %q rate=%v req=%d seed=%d slo=%q", o.arrival, o.rate, o.requests, o.seed, o.slo)
 			}
-			if o.hosts != 2 || o.router != "least" || o.hostAdmit != 16 || o.netNIC != 12.5e9 || o.netLat != "2us" || o.shards != 3 {
-				t.Errorf("cluster: hosts=%d router=%q hostAdmit=%d nic=%v lat=%q shards=%d",
-					o.hosts, o.router, o.hostAdmit, o.netNIC, o.netLat, o.shards)
+			if o.hosts != 2 || o.router != "least" || o.hostAdmit != 16 || o.netNIC != 12.5e9 || o.netLat != "2us" {
+				t.Errorf("cluster: hosts=%d router=%q hostAdmit=%d nic=%v lat=%q",
+					o.hosts, o.router, o.hostAdmit, o.netNIC, o.netLat)
 			}
 		}, ""},
 		{"explicit flags win", spec, map[string]bool{"placement": true, "rate": true, "requests": true},
@@ -240,7 +206,7 @@ func TestApplySpecMerge(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := options{app: "all", napps: 1, placement: "bump", gen: 3, lanes: 128,
-				rate: 1000, requests: 16, seed: 1, discipline: "fifo", router: "score", hosts: 1, shards: 1}
+				rate: 1000, requests: 16, seed: 1, discipline: "fifo", router: "score", hosts: 1}
 			o, err := applySpec(tc.spec, base, tc.explicit)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -264,7 +230,7 @@ func TestRunWithFusedSpec(t *testing.T) {
 		Arrival: "poisson", Rate: 2000, Requests: 8, Seed: 3,
 		FuseHops: []dmx.FusePair{{App: 0, Hop: 0}},
 	}, options{app: "all", napps: 1, placement: "bump", gen: 3, lanes: 128,
-		rate: 1000, requests: 16, seed: 1, hosts: 1, shards: 1}, nil)
+		rate: 1000, requests: 16, seed: 1, hosts: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,6 @@ package cluster
 // across millions of simulated arrivals.
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"dmx/internal/dmxsys"
@@ -59,12 +57,11 @@ func BenchmarkRouterObserve(b *testing.B) {
 
 func BenchmarkNetFabricTransfer(b *testing.B) {
 	eng := sim.NewEngine()
-	hostEng := []*sim.Engine{eng, eng, eng, eng}
 	f := newNetFabric(NetConfig{
 		NICBytesPerSec:  12.5e9,
 		CoreBytesPerSec: 50e9,
 		Latency:         2 * sim.Microsecond,
-	}, eng, hostEng)
+	}, eng, 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		done := false
@@ -76,12 +73,8 @@ func BenchmarkNetFabricTransfer(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetShardedRun prices a complete 4-host fleet run through
-// the conservative-parallel machinery: shards=1 is the plain sequential
-// engine, shards=4 the windowed group, so the pair is the sharding
-// overhead at fleet scale. GOMAXPROCS is pinned to 1 so the measured
-// path (inline windows) is identical on every host; the multi-core
-// wall-clock win is measured at the experiment level instead.
+// BenchmarkFleetRun prices a complete 4-host fleet run: plan, the
+// replicas, the fabric and the router, end to end.
 //
 // Unlike the router/fabric micro-benches this one does not
 // ReportAllocs: a full fleet run allocates thousands of objects
@@ -89,9 +82,7 @@ func BenchmarkNetFabricTransfer(b *testing.B) {
 // randomized hash seed and so drifts ±1 between processes — an exact
 // alloc gate on it would flake. benchsnap still gates the benchmark's
 // presence and records its timing shape.
-func BenchmarkFleetShardedRun(b *testing.B) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
+func BenchmarkFleetRun(b *testing.B) {
 	benches, err := workload.Suite(workload.TestScale)
 	if err != nil {
 		b.Fatal(err)
@@ -103,23 +94,18 @@ func BenchmarkFleetShardedRun(b *testing.B) {
 			break
 		}
 	}
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f, err := New(FleetConfig{
-					Hosts:  4,
-					Base:   dmxsys.DefaultConfig(dmxsys.BumpInTheWire),
-					Net:    NetConfig{NICBytesPerSec: 12.5e9, Latency: 2 * sim.Microsecond},
-					Shards: shards,
-				}, []*dmxsys.Pipeline{pipe})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := f.Run(traffic.Spec{Arrival: traffic.Poisson,
-					Rate: 8000, Requests: 64, Seed: 5}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		f, err := New(FleetConfig{
+			Hosts: 4,
+			Base:  dmxsys.DefaultConfig(dmxsys.BumpInTheWire),
+			Net:   NetConfig{NICBytesPerSec: 12.5e9, Latency: 2 * sim.Microsecond},
+		}, []*dmxsys.Pipeline{pipe})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.Run(traffic.Spec{Arrival: traffic.Poisson,
+			Rate: 8000, Requests: 64, Seed: 5}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -26,14 +26,6 @@ type FleetConfig struct {
 	// Router parameterizes load balancing, per-host admission, and
 	// fault-aware draining; the zero value is score routing, uncapped.
 	Router RouterConfig
-	// Shards requests conservative-parallel execution: the fleet is
-	// partitioned across up to Shards event lanes (one per host plus a
-	// global lane for the router and core fabric, so at most Hosts+1 are
-	// used) that run concurrently inside lookahead windows derived from
-	// Net.Latency. Reports, traces, and metrics are byte-identical at any
-	// value. 0 or 1 means sequential; a fleet without a network latency
-	// has no lookahead and always runs sequentially regardless of Shards.
-	Shards int
 }
 
 // hostCfg is host h's effective configuration.
@@ -44,23 +36,18 @@ func (c FleetConfig) hostCfg(h int) dmxsys.Config {
 	return c.Base
 }
 
-// Fleet is N instantiated replicas of a serving plan on one shard
-// group of deterministic engines — host h on lane 1+h%(K−1), the
-// router and core fabric on lane 0 — joined by a network fabric and
-// fronted by the cluster router. With Shards ≤ 1 (or no network
-// latency) the group is a single plain engine and Run is the classic
-// sequential loop. Like a System, a Fleet is single-shot: Run consumes
-// the engines.
+// Fleet is N instantiated replicas of a serving plan on one
+// deterministic engine, joined by a network fabric and fronted by the
+// cluster router. Like a System, a Fleet is single-shot: Run consumes
+// the engine.
 type Fleet struct {
-	cfg     FleetConfig
-	g       *sim.ShardGroup
-	eng0    *sim.Engine   // global lane: router, arrivals, core fabric
-	hostEng []*sim.Engine // per-host lane engines (aliases of eng0 when sequential)
-	plans   []*dmxsys.Plan
-	hosts   []*dmxsys.System
-	net     *netFabric
-	rt      *router
-	routed  [][]int // [host][app] requests delivered to the host
+	cfg    FleetConfig
+	eng    *sim.Engine
+	plans  []*dmxsys.Plan
+	hosts  []*dmxsys.System
+	net    *netFabric
+	rt     *router
+	routed [][]int // [host][app] requests delivered to the host
 }
 
 // New validates the configuration, builds the plans (one shared plan
@@ -76,9 +63,6 @@ func New(cfg FleetConfig, pipelines []*dmxsys.Pipeline) (*Fleet, error) {
 	if cfg.Router.HostAdmit < 0 || cfg.Router.DrainIncidents < 0 || cfg.Router.DrainWindow < 0 {
 		return nil, fmt.Errorf("cluster: negative router parameter")
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("cluster: negative shard count %d", cfg.Shards)
-	}
 	if len(cfg.PerHost) != 0 && len(cfg.PerHost) != cfg.Hosts {
 		return nil, fmt.Errorf("cluster: PerHost has %d entries for %d hosts", len(cfg.PerHost), cfg.Hosts)
 	}
@@ -90,18 +74,7 @@ func New(cfg FleetConfig, pipelines []*dmxsys.Pipeline) (*Fleet, error) {
 			return nil, fmt.Errorf("cluster: set trace sinks on Base, not PerHost[%d]", h)
 		}
 	}
-	// Lane count: one lane per host plus the global lane, capped by the
-	// requested shard count. NewShardGroup itself falls back to one plain
-	// engine when the lookahead (the fabric latency) is zero — a fleet
-	// whose hosts are reachable instantaneously cannot run conservatively
-	// in parallel, and silently degrading beats refusing to run.
-	lanes := cfg.Shards
-	if lanes > cfg.Hosts+1 {
-		lanes = cfg.Hosts + 1
-	}
-	g := sim.NewShardGroup(lanes, cfg.Net.Latency)
-	f := &Fleet{cfg: cfg, g: g, eng0: g.Engine(0)}
-	f.hostEng = make([]*sim.Engine, cfg.Hosts)
+	f := &Fleet{cfg: cfg, eng: sim.NewEngine()}
 	var shared *dmxsys.Plan
 	for h := 0; h < cfg.Hosts; h++ {
 		var (
@@ -127,22 +100,12 @@ func New(cfg FleetConfig, pipelines []*dmxsys.Pipeline) (*Fleet, error) {
 			// is byte-identical to a standalone System.
 			pfx = fmt.Sprintf("h%d/", h)
 		}
-		lane := 0
-		if k := g.Lanes(); k > 1 {
-			lane = 1 + h%(k-1)
-		}
-		f.hostEng[h] = g.Engine(lane)
-		sys, err := p.Instantiate(f.hostEng[h], dmxsys.HostOpts{Prefix: pfx, Obs: cfg.Base.Obs})
+		sys, err := p.Instantiate(f.eng, dmxsys.HostOpts{Prefix: pfx, Obs: cfg.Base.Obs})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: host %d: %w", h, err)
 		}
 		f.plans = append(f.plans, p)
 		f.hosts = append(f.hosts, sys)
-	}
-	if f.eng0.Obs == nil {
-		// Hosts install the fleet recorder on their own lanes; the global
-		// lane carries the router and fabric and needs it too.
-		f.eng0.Obs = cfg.Base.Obs
 	}
 	apps := f.plans[0].Apps()
 	caps := make([][]float64, cfg.Hosts)
@@ -155,25 +118,24 @@ func New(cfg FleetConfig, pipelines []*dmxsys.Pipeline) (*Fleet, error) {
 		f.routed[h] = make([]int, apps)
 	}
 	f.rt = newRouter(cfg.Router, caps, apps)
-	f.net = newNetFabric(cfg.Net, f.eng0, f.hostEng)
+	f.net = newNetFabric(cfg.Net, f.eng, cfg.Hosts)
 	if cfg.Router.DrainIncidents > 0 {
 		// Fault-aware draining is push-based: each fresh incident streams
 		// a notification to the router over the fabric's one-way latency
 		// instead of the router polling host state at every arrival. The
-		// counter is lane-local to the host; the router folds it into the
-		// drain window on the global lane when the notification lands.
-		// Installed only when draining is configured, so other fleets keep
-		// the polling-free event stream they always had.
+		// router folds the host's running total into the drain window
+		// when the notification lands. Installed only when draining is
+		// configured, so other fleets keep the polling-free event stream
+		// they always had.
 		lat := cfg.Net.Latency
 		for h := range f.hosts {
 			h := h
-			he := f.hostEng[h]
 			total := 0
 			f.hosts[h].OnFaultIncident(func() {
 				total++
 				n := total
-				he.Send(f.eng0, lat, func() {
-					f.rt.observe(h, n, f.eng0.Now())
+				f.eng.Schedule(lat, func() {
+					f.rt.observe(h, n, f.eng.Now())
 				})
 			})
 		}
@@ -183,11 +145,6 @@ func New(cfg FleetConfig, pipelines []*dmxsys.Pipeline) (*Fleet, error) {
 
 // Hosts reports the replica count.
 func (f *Fleet) Hosts() int { return len(f.hosts) }
-
-// Shards reports the event-lane count the fleet actually runs with: 1
-// when sequential (whether requested or forced by a zero-latency
-// fabric), otherwise the clamped FleetConfig.Shards.
-func (f *Fleet) Shards() int { return f.g.Lanes() }
 
 // Routed reports, per host and per app, how many requests the router
 // delivered (populated by Run).
@@ -257,14 +214,14 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 		// so every arrival schedules the same func value instead of a
 		// fresh closure over the run state.
 		arrive := func() {
-			now := f.eng0.Now()
+			now := f.eng.Now()
 			h := f.rt.pick(i)
 			if h < 0 {
 				// Every host drained or at its admission cap: the
 				// router turns the request away itself.
 				routerAL[i].Requests++
 				routerAL[i].Rejected++
-				f.eng0.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
+				f.eng.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
 					"cluster.router", "", pipe.Name, f.cfg.Router.Policy.String(), -1)
 				remaining--
 				return
@@ -272,12 +229,12 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 			f.rt.outstanding[h]++
 			f.routed[h][i]++
 			parts[h][i].Requests++
-			f.eng0.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
+			f.eng.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
 				"cluster.router", hostNames[h], pipe.Name,
 				f.cfg.Router.Policy.String(), int64(f.rt.outstanding[h]))
 
 			retire := func(ret dmxsys.Retired) {
-				end := f.eng0.Now()
+				end := f.eng.Now()
 				al := &parts[h][i]
 				al.Retries += ret.Retries
 				al.Timeouts += ret.Timeouts
@@ -313,8 +270,7 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 				al.Completed++
 			}
 			// The router's outstanding slot frees when the response
-			// arrives back at the router — on the global lane, where
-			// all routing state lives.
+			// arrives back at the router.
 			finish := func(ret dmxsys.Retired) {
 				f.rt.outstanding[h]--
 				retire(ret)
@@ -343,10 +299,10 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 		}
 		for _, off := range spec.Arrivals(i) {
 			remaining++
-			f.eng0.Schedule(start+off, arrive)
+			f.eng.Schedule(start+off, arrive)
 		}
 	}
-	f.g.Run()
+	f.eng.Run()
 	for h, s := range f.hosts {
 		if err := s.Err(); err != nil {
 			return traffic.LoadReport{}, fmt.Errorf("cluster: host %d: %w", h, err)
@@ -355,7 +311,7 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 	if remaining != 0 {
 		return traffic.LoadReport{}, fmt.Errorf("cluster: %d requests never completed (deadlocked fleet)", remaining)
 	}
-	rep.Makespan = sim.Duration(f.g.Now())
+	rep.Makespan = sim.Duration(f.eng.Now())
 
 	// Per-partial rates, then the roll-up. Offered splits across the
 	// partials in proportion to the requests each actually received

@@ -44,46 +44,41 @@ func (c NetConfig) Validate() error {
 	return nil
 }
 
-// netFabric is the instantiated network: shared core channels on the
-// fleet's global lane plus one NIC channel pair per host on the host's
-// lane, joined store-and-forward by the propagation delay. The delay is
-// exactly the sharded engine's lookahead, so every fabric crossing is a
-// legal cross-lane send at any shard count (and a plain Schedule when
-// the fleet runs sequentially). A nil *netFabric means the config was
-// disabled and callers deliver synchronously.
+// netFabric is the instantiated network: shared core channels plus one
+// NIC channel pair per host, joined store-and-forward by the
+// propagation delay. A nil *netFabric means the config was disabled and
+// callers deliver synchronously.
 type netFabric struct {
 	lat              sim.Duration
-	eng0             *sim.Engine   // global lane: router + core channels
-	hostEng          []*sim.Engine // per-host lane engines: NIC channels
+	eng              *sim.Engine
 	coreDown, coreUp *sim.Channel
 	nicDown, nicUp   []*sim.Channel
 }
 
-func newNetFabric(cfg NetConfig, eng0 *sim.Engine, hostEng []*sim.Engine) *netFabric {
+func newNetFabric(cfg NetConfig, eng *sim.Engine, hosts int) *netFabric {
 	if !cfg.enabled() {
 		return nil
 	}
-	f := &netFabric{lat: cfg.Latency, eng0: eng0, hostEng: hostEng}
+	f := &netFabric{lat: cfg.Latency, eng: eng}
 	if cfg.CoreBytesPerSec > 0 {
-		f.coreDown = sim.NewChannel(eng0, "net.core.down", cfg.CoreBytesPerSec)
-		f.coreUp = sim.NewChannel(eng0, "net.core.up", cfg.CoreBytesPerSec)
+		f.coreDown = sim.NewChannel(eng, "net.core.down", cfg.CoreBytesPerSec)
+		f.coreUp = sim.NewChannel(eng, "net.core.up", cfg.CoreBytesPerSec)
 	}
 	if cfg.NICBytesPerSec > 0 {
-		f.nicDown = make([]*sim.Channel, len(hostEng))
-		f.nicUp = make([]*sim.Channel, len(hostEng))
-		for h, he := range hostEng {
-			f.nicDown[h] = sim.NewChannel(he, fmt.Sprintf("net.h%d.down", h), cfg.NICBytesPerSec)
-			f.nicUp[h] = sim.NewChannel(he, fmt.Sprintf("net.h%d.up", h), cfg.NICBytesPerSec)
+		f.nicDown = make([]*sim.Channel, hosts)
+		f.nicUp = make([]*sim.Channel, hosts)
+		for h := 0; h < hosts; h++ {
+			f.nicDown[h] = sim.NewChannel(eng, fmt.Sprintf("net.h%d.down", h), cfg.NICBytesPerSec)
+			f.nicUp[h] = sim.NewChannel(eng, fmt.Sprintf("net.h%d.up", h), cfg.NICBytesPerSec)
 		}
 	}
 	return f
 }
 
 // down ships n bytes router → host h store-and-forward: the shared core
-// drains the message on the global lane, the propagation delay carries
-// it across lanes, host h's NIC drains it on the host's lane, and done
-// runs there. (A zero latency implies a sequential fleet — the lookahead
-// is gone — so the hop continues synchronously on the shared engine.)
+// drains the message, the propagation delay carries it across, host h's
+// NIC drains it, and done runs. With a zero latency the hop continues
+// synchronously.
 func (f *netFabric) down(h int, n int64, done func()) {
 	nic := func() {
 		if f.nicDown != nil {
@@ -94,7 +89,7 @@ func (f *netFabric) down(h int, n int64, done func()) {
 	}
 	cross := func() {
 		if f.lat > 0 {
-			f.eng0.Send(f.hostEng[h], f.lat, nic)
+			f.eng.Schedule(f.lat, nic)
 			return
 		}
 		nic()
@@ -106,8 +101,8 @@ func (f *netFabric) down(h int, n int64, done func()) {
 	cross()
 }
 
-// up ships n bytes host h → router: NIC on the host's lane, propagation
-// across lanes, core on the global lane, done at the router.
+// up ships n bytes host h → router: NIC, propagation, core, then done
+// at the router.
 func (f *netFabric) up(h int, n int64, done func()) {
 	core := func() {
 		if f.coreUp != nil {
@@ -118,7 +113,7 @@ func (f *netFabric) up(h int, n int64, done func()) {
 	}
 	cross := func() {
 		if f.lat > 0 {
-			f.hostEng[h].Send(f.eng0, f.lat, core)
+			f.eng.Schedule(f.lat, core)
 			return
 		}
 		core()

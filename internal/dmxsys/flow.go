@@ -60,16 +60,9 @@ func (p phase) obsPhase() obs.Phase {
 	return obs.PhaseMovement
 }
 
-// sink is the live trace emission target: the engine's current
-// recorder. Sharded fleets swap each lane's recorder for a private
-// capture buffer during lookahead windows, so emission sites must read
-// it at emission time — s.rec stays the report-time aggregate source
-// (and the "is tracing on" gate); sequentially they are one recorder.
-func (s *System) sink() *obs.Recorder { return s.Eng.Obs }
-
 // obsInstant emits one protocol instant (a Fig. 10 moment) for app a.
 func (s *System) obsInstant(a *appInstance, typ obs.Type, step uint8, track, peer, name string, bytes int64) {
-	s.sink().Instant(obs.Time(s.Eng.Now()), typ, step, track, peer, a.pipe.Name, name, bytes)
+	s.rec.Instant(obs.Time(s.Eng.Now()), typ, step, track, peer, a.pipe.Name, name, bytes)
 }
 
 // request is one admitted request: only what belongs to it alone. The
@@ -380,7 +373,7 @@ func (c *carrier) lap(p phase) {
 	d := now.Sub(c.mark)
 	if d > 0 {
 		op := p.obsPhase()
-		c.s.sink().Span(obs.Time(c.mark), obs.Duration(d), obs.TypePhase, op, 0,
+		c.s.rec.Span(obs.Time(c.mark), obs.Duration(d), obs.TypePhase, op, 0,
 			c.track, c.a.pipe.Name, op.String(), 0)
 	}
 	c.mark = now
@@ -404,10 +397,10 @@ func (c *carrier) obsDMA(typ obs.Type, step uint8, from, to string, n int64, beg
 		return
 	}
 	now := s.Eng.Now()
-	s.sink().Span(obs.Time(begin), obs.Duration(now.Sub(begin)), typ, obs.PhaseNone,
+	s.rec.Span(obs.Time(begin), obs.Duration(now.Sub(begin)), typ, obs.PhaseNone,
 		step, c.track, c.a.pipe.Name, "", n)
 	if from != to {
-		s.sink().FlowPair(obs.Time(begin), obs.Time(now), typ, from, to, c.a.pipe.Name, "", n)
+		s.rec.FlowPair(obs.Time(begin), obs.Time(now), typ, from, to, c.a.pipe.Name, "", n)
 	}
 }
 

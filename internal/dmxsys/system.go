@@ -587,7 +587,6 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 	// timelines key off the station name, so fleet replicas draw
 	// independent incident streams from the same seed.
 	s.inj = faults.New(cfg.Faults, s.rec)
-	s.inj.Bind(eng)
 	s.hazardous = s.inj.Enabled() || cfg.Retry.Enabled()
 	if s.inj.Enabled() {
 		s.Fabric.SetFaults(s.inj)

@@ -44,22 +44,6 @@ const (
 	clusterNetLat = 5 * sim.Microsecond
 )
 
-// clusterShards is the per-fleet shard request, settable from the CLI.
-// It changes wall-clock only: every point's report is byte-identical at
-// any value (the ShardGroup contract), which is why the rendered table
-// deliberately never mentions it — CI diffs renders across shard
-// counts.
-var clusterShards = 1
-
-// SetClusterShards requests conservative-parallel execution for the
-// cluster experiment's fleets and returns the previous setting. Not
-// safe to call concurrently with Cluster.
-func SetClusterShards(n int) int {
-	prev := clusterShards
-	clusterShards = n
-	return prev
-}
-
 // ClusterPoint is one host count's measurement for one benchmark.
 type ClusterPoint struct {
 	Hosts     int
@@ -107,7 +91,6 @@ func clusterRun(j clusterJob) (ClusterPoint, error) {
 			CoreBytesPerSec: clusterCoreHosts * j.cap1 * float64(maxBytes),
 			Latency:         clusterNetLat,
 		},
-		Shards: clusterShards,
 	}, []*dmxsys.Pipeline{pipe})
 	if err != nil {
 		return ClusterPoint{}, err

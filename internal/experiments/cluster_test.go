@@ -56,28 +56,6 @@ func TestClusterCurveShape(t *testing.T) {
 	}
 }
 
-// TestClusterShardsInvariance is the conservative-parallel gate at the
-// experiment level: the rendered scaling figure must be byte-identical
-// whether each fleet runs sequentially or sharded across event lanes —
-// sharding buys wall-clock, never different physics.
-func TestClusterShardsInvariance(t *testing.T) {
-	prev := SetClusterShards(1)
-	defer SetClusterShards(prev)
-	seqRes, err := Cluster()
-	if err != nil {
-		t.Fatalf("sequential Cluster: %v", err)
-	}
-	seq := seqRes.Render()
-	SetClusterShards(8)
-	shRes, err := Cluster()
-	if err != nil {
-		t.Fatalf("sharded Cluster: %v", err)
-	}
-	if sh := shRes.Render(); sh != seq {
-		t.Errorf("sharded rendering differs from sequential:\n--- sequential ---\n%s\n--- shards=8 ---\n%s", seq, sh)
-	}
-}
-
 // TestClusterDeterministicAcrossWorkerCounts is the fleet-executor
 // gate: because each point is one shared-engine simulation, the
 // rendered figure must be byte-identical whether the sweep pool runs

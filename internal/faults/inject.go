@@ -99,7 +99,6 @@ type Counts struct {
 type Injector struct {
 	plan Plan
 	rec  *obs.Recorder
-	eng  *sim.Engine
 
 	drx   map[string]*timeline
 	link  map[string]*timeline
@@ -137,25 +136,6 @@ func New(plan *Plan, rec *obs.Recorder) *Injector {
 // Enabled reports whether the injector is live.
 func (in *Injector) Enabled() bool { return in != nil }
 
-// Bind attaches the injector to the engine it serves, so fault/repair
-// instants emit through the engine's *current* recorder — sharded
-// execution swaps a capture buffer in per lookahead window, and a
-// cached recorder would bypass it. Unbound injectors keep emitting to
-// the recorder passed at construction. Bind on nil is a no-op.
-func (in *Injector) Bind(eng *sim.Engine) {
-	if in != nil {
-		in.eng = eng
-	}
-}
-
-// sink is the live emission target (see Bind).
-func (in *Injector) sink() *obs.Recorder {
-	if in.eng != nil {
-		return in.eng.Obs
-	}
-	return in.rec
-}
-
 // incident fires the OnIncident hook for one fresh incident.
 func (in *Injector) incident() {
 	if in.OnIncident != nil {
@@ -184,9 +164,8 @@ func (in *Injector) lane(m map[string]*timeline, kind, name string, mtbf, repair
 // emitWindow records a fault/repair instant pair for a freshly observed
 // incident window, timestamped at the window's true boundaries.
 func (in *Injector) emitWindow(name string, start, until sim.Time) {
-	rec := in.sink()
-	rec.Instant(obs.Time(start), obs.TypeFault, 0, name, "", "", name, 0)
-	rec.Instant(obs.Time(until), obs.TypeRepair, 0, name, "", "", name, 0)
+	in.rec.Instant(obs.Time(start), obs.TypeFault, 0, name, "", "", name, 0)
+	in.rec.Instant(obs.Time(until), obs.TypeRepair, 0, name, "", "", name, 0)
 }
 
 // DRXDown reports whether the named DRX unit is in an outage at now

@@ -181,8 +181,8 @@ func TestAggregateMetrics(t *testing.T) {
 }
 
 // Merge must behave exactly like building one histogram from the union
-// of samples — the property the sharded fleet leans on when it folds
-// per-lane partials into a report. The edges worth pinning: merging two
+// of samples — the property a fleet leans on when it folds its
+// per-(host, app) partials into a report. The edges worth pinning: merging two
 // empties stays empty (not a zero-valued "sample"), a single-sample
 // histogram merges without disturbing Min/Max, and samples clamped into
 // the last bucket re-derive the same quantiles after the merge as

@@ -55,47 +55,6 @@ func (r *Recorder) Emit(ev Event) {
 	}
 }
 
-// EmitRebased re-emits an event captured by another Recorder into r,
-// assigning a fresh Seq and remapping its flow id through flows — the
-// first appearance of a captured flow id allocates the next master id,
-// so flows grafted in emission order receive exactly the ids a single
-// recorder would have assigned. This is the sim shard barrier's graft
-// path: per-lane capture buffers replay into the master recorder in
-// canonical order, and the result is byte-identical to single-lane
-// emission. flows must persist for the lifetime of the source recorder
-// (a flow can begin and end in different graft batches).
-func (r *Recorder) EmitRebased(ev Event, flows map[uint64]uint64) {
-	if r == nil {
-		return
-	}
-	if ev.Flow != 0 {
-		id, ok := flows[ev.Flow]
-		if !ok {
-			r.flowID++
-			id = r.flowID
-			flows[ev.Flow] = id
-		}
-		ev.Flow = id
-	}
-	ev.Seq = r.seq
-	r.seq++
-	r.events = append(r.events, ev)
-	if r.OnEvent != nil {
-		r.OnEvent(&r.events[len(r.events)-1])
-	}
-}
-
-// Clear drops the recorded events while keeping the Seq and flow-id
-// counters monotone, so a capture buffer reused across shard windows
-// never re-issues a flow id it already handed out. Clear on a nil
-// Recorder is a no-op.
-func (r *Recorder) Clear() {
-	if r == nil {
-		return
-	}
-	r.events = r.events[:0]
-}
-
 // Span records a closed interval on a track.
 func (r *Recorder) Span(begin Time, dur Duration, typ Type, phase Phase, step uint8, track, app, name string, bytes int64) {
 	if r == nil {

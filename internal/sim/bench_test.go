@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 )
 
@@ -163,68 +162,6 @@ func BenchmarkEngineScheduleHeavyCancel(b *testing.B) {
 		})
 	}
 }
-
-// Multi-host event mixes for the sharded engine. Both shapes run the
-// same windowed machinery; lanes=1 is the sequential-fallback baseline
-// (a plain engine behind the group API), so the pair prices the
-// sharding overhead itself. On a multi-core host the lanes=4 numbers
-// also show the conservative-parallel win; under GOMAXPROCS=1 the
-// windows run inline and the delta is pure bookkeeping cost.
-
-// benchShardMix seeds every lane with event chains and drains the
-// group. skew concentrates the population on lane 1 with a sparse
-// cross-lane trickle (the per-shard-skewed fleet: one hot host, the
-// barrier waits on it every window); !skew hops every firing to the
-// next lane at exactly the lookahead (cross-shard chatter: maximal
-// barrier and materialization traffic). GOMAXPROCS is pinned to 1 so
-// the measured path (inline windows) and the allocs/op snapshot are
-// identical on every host — the multi-core wall-clock win is measured
-// at the experiment level (EXPERIMENTS.md), not here.
-func benchShardMix(b *testing.B, skew bool) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	for _, lanes := range []int{1, 4} {
-		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
-			const lookahead = Microsecond
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g := NewShardGroup(lanes, lookahead)
-				var hop func(l, depth int) func()
-				hop = func(l, depth int) func() {
-					return func() {
-						if depth == 0 {
-							return
-						}
-						e := g.Engine(l)
-						if !skew || depth%16 == 0 {
-							n := (l + 1) % lanes
-							e.Send(g.Engine(n), lookahead, hop(n, depth-1))
-							return
-						}
-						e.Schedule(100*Nanosecond, hop(l, depth-1))
-					}
-				}
-				for l := 0; l < lanes; l++ {
-					chains := 8
-					if skew {
-						chains = 2
-						if l == 1%lanes {
-							chains = 16
-						}
-					}
-					e := g.Engine(l)
-					for c := 0; c < chains; c++ {
-						e.At(Time(c)*Time(50*Nanosecond), hop(l, 32))
-					}
-				}
-				g.Run()
-			}
-		})
-	}
-}
-
-func BenchmarkShardGroupSkewed(b *testing.B)  { benchShardMix(b, true) }
-func BenchmarkShardGroupChatter(b *testing.B) { benchShardMix(b, false) }
 
 // BenchmarkChannelContention measures the fair-share channel under the
 // contention pattern of a loaded fabric link: a rotating population of

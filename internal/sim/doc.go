@@ -29,21 +29,6 @@
 // disciplines. All ties break by submission order, preserving
 // determinism under any policy.
 //
-// ShardGroup (shard.go, window.go) runs several engines — "lanes" —
-// as one logical simulation using conservative parallel DES: lanes
-// execute concurrently inside windows bounded by a lookahead (the
-// minimum cross-lane latency), and cross-lane work is scheduled only
-// through Engine.Send, which enforces delay ≥ lookahead. At each
-// window barrier, cross-lane sends are materialized in the canonical
-// order (fire time, parent fire time, parent ordinal, call index) and
-// lane-private observability captures are merged with rebased
-// sequence numbers and flow ids — so traces, reports, and metrics are
-// byte-identical at any lane count, and a 1-lane group is literally
-// the sequential engine (a differential fuzz harness pins the fire
-// log against a reference sequential run). Under GOMAXPROCS=1 windows
-// execute inline with no goroutines; otherwise per-lane workers carry
-// them, and the merge keeps the output unchanged.
-//
 // The kernel is also the lowest-level producer of the observability
 // stream (internal/obs): Engine carries an optional *obs.Recorder;
 // Server emits a service span per completed job (per-slot sub-tracks

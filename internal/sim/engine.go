@@ -17,12 +17,6 @@ import (
 type event struct {
 	at Time
 	// seq is the same-instant tie-break: FIFO among events at one time.
-	// On a plain engine it is the allocation counter. On a lane of a
-	// parallel ShardGroup it is a canonical global ordinal (shard.go):
-	// creations inside a window carry a provisional lane-local key
-	// (ordRaw | creation index) that the window barrier rewrites to the
-	// materialized ordinal — the position the creation would have held
-	// in a single-engine run's seq sequence.
 	seq uint64
 	gen uint64 // recycle generation, validates EventRef handles
 	fn  func()
@@ -94,24 +88,7 @@ type Engine struct {
 	// one sink). A nil recorder is the zero-overhead disabled state: the
 	// emit paths are a nil check, and the scheduling hot loop stays
 	// allocation-free (pinned by TestEngineSteadyStateDoesNotAllocate).
-	//
-	// On a lane of a parallel ShardGroup, Obs points at the lane's
-	// private capture recorder while a window runs; the barrier grafts
-	// the captured events into the group's master recorder in canonical
-	// order. Model components must therefore read Obs at emission time,
-	// never cache it across events.
 	Obs *obs.Recorder
-
-	// Sharded-execution state (shard.go / window.go). grp is nil for a
-	// standalone engine, which keeps every hot path above a single
-	// pointer test away from the classic single-threaded behavior.
-	grp    *ShardGroup
-	lane   int
-	curOrd uint64     // ordering key of the event currently firing
-	clog   []crec     // creation log for the in-flight window
-	elog   []erec     // emission log for the in-flight window
-	cross  []crossMsg // buffered cross-lane sends for the in-flight window
-	wtrace bool       // capture emissions into elog (window mode + tracing)
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -151,36 +128,10 @@ func (e *Engine) At(t Time, fn func()) EventRef {
 	ev := e.alloc()
 	ev.at = t
 	ev.fn = fn
-	e.assignKey(ev, t)
+	ev.seq = e.seq
+	e.seq++
 	e.lq.insert(ev)
 	return EventRef{ev: ev, gen: ev.gen, at: t}
-}
-
-// assignKey gives a freshly scheduled event its ordering key. On a
-// plain engine (grp == nil) this is the classic allocation counter —
-// one predicted branch on the hot path. On a parallel ShardGroup lane
-// the key depends on the group phase: setup (outside Run) draws a
-// materialized ordinal from the group counter directly, while window
-// mode assigns a provisional lane-local key and logs the creation so
-// the barrier can materialize its canonical position (shard.go).
-func (e *Engine) assignKey(ev *event, t Time) {
-	g := e.grp
-	if g == nil {
-		ev.seq = e.seq
-		e.seq++
-		return
-	}
-	switch g.mode {
-	case gmWindow:
-		ev.seq = ordRaw | uint64(len(e.clog))
-		e.clog = append(e.clog, crec{ev: ev, gen: ev.gen, at: t, pAt: e.now, parent: e.curOrd})
-	case gmSetup:
-		ev.seq = g.ordC
-		g.ordC++
-	default:
-		ev.seq = e.seq
-		e.seq++
-	}
 }
 
 // ScheduleBatch arranges for every callback in fns to run after delay,
@@ -208,7 +159,8 @@ func (e *Engine) ScheduleBatch(delay Duration, fns []func()) {
 		ev := e.alloc()
 		ev.at = t
 		ev.fn = fn
-		e.assignKey(ev, t)
+		ev.seq = e.seq
+		e.seq++
 		e.batch = append(e.batch, ev)
 	}
 	e.lq.insertBatch(e.batch)
@@ -223,11 +175,7 @@ func (e *Engine) ScheduleBatch(delay Duration, fns []func()) {
 // in one call. When the new firing time equals ref's and ref's event
 // was the most recently scheduled one, the entry is updated in place —
 // provably order-identical to cancel+schedule, since no seq has been
-// issued in between — and no queue surgery happens at all. On a
-// ShardGroup lane the in-place test would compare lane-local state
-// against canonical ordinals, so group engines always take the
-// cancel+schedule path (order-identical by the same argument: the
-// replacement key is the largest issued, exactly like the kept one).
+// issued in between — and no queue surgery happens at all.
 func (e *Engine) Reschedule(ref EventRef, delay Duration, fn func()) EventRef {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
@@ -236,7 +184,7 @@ func (e *Engine) Reschedule(ref EventRef, delay Duration, fn func()) EventRef {
 		panic("sim: nil event callback")
 	}
 	t := e.now.Add(delay)
-	if ev := ref.ev; e.grp == nil && ev != nil && ev.gen == ref.gen && ev.at == t && ev.seq == e.seq-1 {
+	if ev := ref.ev; ev != nil && ev.gen == ref.gen && ev.at == t && ev.seq == e.seq-1 {
 		ev.fn = fn
 		return ref
 	}
@@ -283,32 +231,15 @@ func (e *Engine) recycle(ev *event) {
 // purge loop anywhere: canceled events never reach the queue's head
 // because Cancel removes them immediately).
 func (e *Engine) fire(ev *event) {
-	at := ev.at
-	e.now = at
+	e.now = ev.at
 	e.nfired++
 	fn := ev.fn
-	key := ev.seq
 	// Recycle before running the callback: fn frequently reschedules,
 	// and reusing this very event keeps the hot loop allocation-free.
 	// Any EventRef to it is invalidated by the gen bump, so a late
 	// Cancel from inside fn cannot touch the recycled slot's new owner
 	// by accident.
 	e.recycle(ev)
-	if g := e.grp; g != nil && g.mode == gmWindow {
-		// Window mode: children created by fn inherit this event's key
-		// as their parent genealogy, and (when tracing) the emissions fn
-		// makes are fenced into an elog record so the barrier can replay
-		// them into the master recorder in canonical order.
-		e.curOrd = key
-		if e.wtrace {
-			lo := e.Obs.Len()
-			fn()
-			if hi := e.Obs.Len(); hi > lo {
-				e.elog = append(e.elog, erec{at: at, ord: key, lo: lo, hi: hi})
-			}
-			return
-		}
-	}
 	fn()
 }
 
@@ -327,46 +258,6 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run() {
 	for e.Step() {
 	}
-}
-
-// runBefore fires every event with time strictly before limit. Unlike
-// RunUntil it never advances the clock to limit: a lane's clock must
-// stay a time at which an event actually ran, so cross-lane sends
-// buffered during a window carry true causal timestamps and the next
-// window start is derived from queue heads, not synthetic clocks.
-func (e *Engine) runBefore(limit Time) {
-	for {
-		ev := e.lq.peek()
-		if ev == nil || ev.at >= limit {
-			return
-		}
-		e.lq.pop()
-		e.fire(ev)
-	}
-}
-
-// peekTime reports the firing time of the earliest pending event.
-func (e *Engine) peekTime() (Time, bool) {
-	ev := e.lq.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
-}
-
-// inject schedules fn at absolute time t under a caller-supplied
-// ordering key: the barrier's delivery path for cross-lane sends whose
-// canonical ordinal was already materialized. t is always at or beyond
-// the window that buffered the send, hence never in the lane's past.
-func (e *Engine) inject(t Time, ord uint64, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: cross-lane injection into the past (%v < %v)", t, e.now))
-	}
-	ev := e.alloc()
-	ev.at = t
-	ev.seq = ord
-	ev.fn = fn
-	e.lq.insert(ev)
 }
 
 // RunUntil executes events with time ≤ t, then advances the clock to t.

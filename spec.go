@@ -98,9 +98,6 @@ type Spec struct {
 	NetNIC float64 `json:"net_nic,omitempty"`
 	// NetLat is the one-way propagation latency ("2us"; empty = none).
 	NetLat string `json:"net_lat,omitempty"`
-	// Shards is the conservative-parallel lane count (byte-identical
-	// output at any value; needs NetLat).
-	Shards int `json:"shards,omitempty"`
 }
 
 // MarshalSpec renders the spec as deterministic, indented JSON with a
@@ -307,9 +304,6 @@ func (s Spec) Resolve() (FleetConfig, TrafficSpec, []*Pipeline, error) {
 		if s.NetLat != "" {
 			bad = append(bad, "net_lat")
 		}
-		if s.Shards > 1 || s.Shards < 0 {
-			bad = append(bad, "shards")
-		}
 		if s.HostAdmit != 0 {
 			bad = append(bad, "host_admit")
 		}
@@ -318,7 +312,7 @@ func (s Spec) Resolve() (FleetConfig, TrafficSpec, []*Pipeline, error) {
 				strings.Join(bad, ", "), s.Hosts))
 		}
 	}
-	fc := FleetConfig{Hosts: hosts, Base: cfg, Shards: s.Shards}
+	fc := FleetConfig{Hosts: hosts, Base: cfg}
 	if s.Router != "" {
 		pol, err := ParseRouterPolicy(s.Router)
 		if err != nil {

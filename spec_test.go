@@ -37,7 +37,6 @@ func fullSpec() Spec {
 		NetCore:    25e9,
 		NetNIC:     12.5e9,
 		NetLat:     "2us",
-		Shards:     3,
 	}
 }
 
@@ -84,6 +83,7 @@ func TestUnmarshalSpecRejects(t *testing.T) {
 		{"trailing data", `{"arrival":"poisson"}{"arrival":"open"}`, "trailing"},
 		{"wrong type", `{"arrival":"poisson","hosts":"four"}`, "hosts"},
 		{"not json", `arrival: poisson`, "parsing spec"},
+		{"removed field", `{"shards":2}`, "shards"},
 	}
 	for _, tc := range cases {
 		if _, err := UnmarshalSpec([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -125,7 +125,7 @@ func TestSpecResolveErrors(t *testing.T) {
 		{"bad duration", func(s *Spec) { s.SLO = "fast" }, "slo"},
 		{"bad router", func(s *Spec) { s.Router = "random" }, "policy"},
 		{"negative copies", func(s *Spec) { s.Copies = -1 }, "copies"},
-		{"cluster-only on one host", func(s *Spec) { s.NetLat = "2us"; s.Shards = 2 }, "hosts > 1"},
+		{"cluster-only on one host", func(s *Spec) { s.NetLat = "2us" }, "hosts > 1"},
 	}
 	for _, tc := range cases {
 		s := base
