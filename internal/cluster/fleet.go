@@ -182,123 +182,41 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 
 	// Partial accounting rows: one per (host, app), plus one router row
 	// per app holding router-level rejections. MergeApps sums them.
-	parts := make([][]traffic.AppLoad, nh)
-	firsts := make([][]sim.Time, nh)
-	lasts := make([][]sim.Time, nh)
+	r := &fleetRun{
+		f:         f,
+		parts:     make([][]traffic.AppLoad, nh),
+		firsts:    make([][]sim.Time, nh),
+		lasts:     make([][]sim.Time, nh),
+		routerAL:  make([]traffic.AppLoad, apps),
+		hostNames: make([]string, nh),
+		pipes:     make([]*dmxsys.Pipeline, apps),
+		deadlines: make([]sim.Duration, apps),
+	}
+	for i := 0; i < apps; i++ {
+		r.pipes[i] = f.plans[0].Pipeline(i)
+		r.deadlines[i] = spec.DeadlineFor(i)
+		r.routerAL[i].App = r.pipes[i].Name
+	}
 	for h := 0; h < nh; h++ {
-		parts[h] = make([]traffic.AppLoad, apps)
-		firsts[h] = make([]sim.Time, apps)
-		lasts[h] = make([]sim.Time, apps)
+		r.parts[h] = make([]traffic.AppLoad, apps)
+		r.firsts[h] = make([]sim.Time, apps)
+		r.lasts[h] = make([]sim.Time, apps)
 		for i := 0; i < apps; i++ {
-			parts[h][i].App = f.plans[0].Pipeline(i).Name
+			r.parts[h][i].App = r.pipes[i].Name
 		}
+		// Router trace peers, formatted once rather than per routed
+		// request.
+		r.hostNames[h] = fmt.Sprintf("h%d", h)
 	}
-	routerAL := make([]traffic.AppLoad, apps)
-	for i := range routerAL {
-		routerAL[i].App = f.plans[0].Pipeline(i).Name
-	}
-
-	// Router trace peers, formatted once rather than per routed request.
-	hostNames := make([]string, nh)
-	for h := range hostNames {
-		hostNames[h] = fmt.Sprintf("h%d", h)
-	}
-
-	remaining := 0
 	for i := 0; i < apps; i++ {
 		i := i
-		pipe := f.plans[0].Pipeline(i)
-		dl := spec.DeadlineFor(i)
 		start := sim.Duration(i) * f.cfg.Base.StartStagger
 		// One arrival handler per app: the body never reads its offset,
 		// so every arrival schedules the same func value instead of a
 		// fresh closure over the run state.
-		arrive := func() {
-			now := f.eng.Now()
-			h := f.rt.pick(i)
-			if h < 0 {
-				// Every host drained or at its admission cap: the
-				// router turns the request away itself.
-				routerAL[i].Requests++
-				routerAL[i].Rejected++
-				f.eng.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
-					"cluster.router", "", pipe.Name, f.cfg.Router.Policy.String(), -1)
-				remaining--
-				return
-			}
-			f.rt.outstanding[h]++
-			f.routed[h][i]++
-			parts[h][i].Requests++
-			f.eng.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
-				"cluster.router", hostNames[h], pipe.Name,
-				f.cfg.Router.Policy.String(), int64(f.rt.outstanding[h]))
-
-			retire := func(ret dmxsys.Retired) {
-				end := f.eng.Now()
-				al := &parts[h][i]
-				al.Retries += ret.Retries
-				al.Timeouts += ret.Timeouts
-				remaining--
-				switch ret.Outcome {
-				case traffic.OutcomeRejected:
-					al.Rejected++
-					return
-				case traffic.OutcomeAbandoned:
-					al.Abandoned++
-					return
-				}
-				// End-to-end latency and deadline: measured from the
-				// cluster arrival, so network time counts against the
-				// budget exactly like queueing time.
-				lat := obs.Duration(end.Sub(now))
-				al.Latency.Add(lat)
-				if ret.Outcome == traffic.OutcomeDegraded {
-					al.Degraded++
-					al.DegradedLat.Add(lat)
-				} else {
-					al.CleanLat.Add(lat)
-				}
-				if dl != 0 && end > now.Add(dl) {
-					al.Missed++
-				}
-				if al.Completed == 0 || end < firsts[h][i] {
-					firsts[h][i] = end
-				}
-				if end > lasts[h][i] {
-					lasts[h][i] = end
-				}
-				al.Completed++
-			}
-			// The router's outstanding slot frees when the response
-			// arrives back at the router.
-			finish := func(ret dmxsys.Retired) {
-				f.rt.outstanding[h]--
-				retire(ret)
-			}
-			deliver := func() {
-				f.hosts[h].Admit(i, dl, func(ret dmxsys.Retired) {
-					if f.net == nil {
-						finish(ret)
-						return
-					}
-					// Response leg: completed requests carry the
-					// pipeline's output; control-only retirements
-					// (rejections, abandons) pay latency alone.
-					out := int64(0)
-					if ret.Outcome == traffic.OutcomeClean || ret.Outcome == traffic.OutcomeDegraded {
-						out = pipe.OutputBytes
-					}
-					f.net.up(h, out, func() { finish(ret) })
-				})
-			}
-			if f.net == nil {
-				deliver()
-				return
-			}
-			f.net.down(h, pipe.InputBytes, deliver)
-		}
+		arrive := func() { r.arrive(i) }
 		for _, off := range spec.Arrivals(i) {
-			remaining++
+			r.remaining++
 			f.eng.Schedule(start+off, arrive)
 		}
 	}
@@ -308,8 +226,8 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 			return traffic.LoadReport{}, fmt.Errorf("cluster: host %d: %w", h, err)
 		}
 	}
-	if remaining != 0 {
-		return traffic.LoadReport{}, fmt.Errorf("cluster: %d requests never completed (deadlocked fleet)", remaining)
+	if r.remaining != 0 {
+		return traffic.LoadReport{}, fmt.Errorf("cluster: %d requests never completed (deadlocked fleet)", r.remaining)
 	}
 	rep.Makespan = sim.Duration(f.eng.Now())
 
@@ -320,28 +238,166 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 	for i := 0; i < apps; i++ {
 		counts := make([]int, nh+1)
 		for h := 0; h < nh; h++ {
-			counts[h] = parts[h][i].Requests
+			counts[h] = r.parts[h][i].Requests
 		}
-		counts[nh] = routerAL[i].Requests
+		counts[nh] = r.routerAL[i].Requests
 		if spec.Arrival != traffic.ClosedLoop {
 			shares := traffic.SplitRate(spec.Rate, counts)
 			for h := 0; h < nh; h++ {
-				parts[h][i].Offered = shares[h]
+				r.parts[h][i].Offered = shares[h]
 			}
-			routerAL[i].Offered = shares[nh]
+			r.routerAL[i].Offered = shares[nh]
 		}
 		rows := make([]traffic.AppLoad, 0, nh+1)
 		for h := 0; h < nh; h++ {
-			al := &parts[h][i]
-			if span := lasts[h][i].Sub(firsts[h][i]).Seconds(); al.Completed > 1 && span > 0 {
+			al := &r.parts[h][i]
+			if span := r.lasts[h][i].Sub(r.firsts[h][i]).Seconds(); al.Completed > 1 && span > 0 {
 				al.Achieved = float64(al.Completed-1) / span
 			}
 			al.Batches, al.BatchedRequests = f.hosts[h].BatchStats(i)
 			rows = append(rows, *al)
 		}
-		rows = append(rows, routerAL[i])
+		rows = append(rows, r.routerAL[i])
 		rep.PerApp[i] = traffic.MergeApps(rows...)
 	}
 	rep.Finalize()
 	return rep, nil
+}
+
+// fleetRun is one Run's state: the accounting rows the arrivals retire
+// into and the pool of arrival records. It lives and dies with Run, so
+// fleets that sweep runs concurrently never share a pool.
+type fleetRun struct {
+	f         *Fleet
+	parts     [][]traffic.AppLoad // [host][app] partial rows
+	firsts    [][]sim.Time
+	lasts     [][]sim.Time
+	routerAL  []traffic.AppLoad // [app] router-level rejections
+	hostNames []string
+	pipes     []*dmxsys.Pipeline
+	deadlines []sim.Duration
+	remaining int
+	pool      []*arrival
+}
+
+// arrival is one routed request's record from the router to the host
+// and back: where it went, when it arrived and what budget it carries,
+// and how it retired. Records are pooled per run and their callbacks
+// bound once per record, so routing a request allocates nothing.
+type arrival struct {
+	r        *fleetRun
+	host     int
+	app      int
+	at       sim.Time
+	deadline sim.Duration
+	ret      dmxsys.Retired
+
+	deliverFn func()
+	retiredFn func(dmxsys.Retired)
+	finishFn  func()
+}
+
+// arrive routes one arrival of app i: to a host, or turned away by the
+// router itself.
+func (r *fleetRun) arrive(i int) {
+	f := r.f
+	now := f.eng.Now()
+	pipe := r.pipes[i]
+	h := f.rt.pick(i)
+	if h < 0 {
+		// Every host drained or at its admission cap: the router turns
+		// the request away itself.
+		r.routerAL[i].Requests++
+		r.routerAL[i].Rejected++
+		f.eng.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
+			"cluster.router", "", pipe.Name, f.cfg.Router.Policy.String(), -1)
+		r.remaining--
+		return
+	}
+	f.rt.outstanding[h]++
+	f.routed[h][i]++
+	r.parts[h][i].Requests++
+	f.eng.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
+		"cluster.router", r.hostNames[h], pipe.Name,
+		f.cfg.Router.Policy.String(), int64(f.rt.outstanding[h]))
+	var a *arrival
+	if n := len(r.pool); n > 0 {
+		a = r.pool[n-1]
+		r.pool = r.pool[:n-1]
+	} else {
+		a = &arrival{r: r}
+		a.deliverFn, a.retiredFn, a.finishFn = a.deliver, a.retired, a.finish
+	}
+	a.host, a.app, a.at, a.deadline = h, i, now, r.deadlines[i]
+	if f.net == nil {
+		a.deliver()
+		return
+	}
+	f.net.down(h, pipe.InputBytes, a.deliverFn)
+}
+
+// deliver hands the request to its host.
+func (a *arrival) deliver() {
+	a.r.f.hosts[a.host].Admit(a.app, a.deadline, a.retiredFn)
+}
+
+// retired is the host's retirement callback: the response leg back to
+// the router, when the fleet has a network.
+func (a *arrival) retired(ret dmxsys.Retired) {
+	a.ret = ret
+	f := a.r.f
+	if f.net == nil {
+		a.finish()
+		return
+	}
+	// Response leg: completed requests carry the pipeline's output;
+	// control-only retirements (rejections, abandons) pay latency alone.
+	out := int64(0)
+	if ret.Outcome == traffic.OutcomeClean || ret.Outcome == traffic.OutcomeDegraded {
+		out = a.r.pipes[a.app].OutputBytes
+	}
+	f.net.up(a.host, out, a.finishFn)
+}
+
+// finish runs when the response arrives back at the router: the
+// router's outstanding slot frees, the request lands in its (host, app)
+// row, and the record returns to the pool.
+func (a *arrival) finish() {
+	r, h, i, ret, at, dl := a.r, a.host, a.app, a.ret, a.at, a.deadline
+	r.pool = append(r.pool, a)
+	r.f.rt.outstanding[h]--
+	end := r.f.eng.Now()
+	al := &r.parts[h][i]
+	al.Retries += ret.Retries
+	al.Timeouts += ret.Timeouts
+	r.remaining--
+	switch ret.Outcome {
+	case traffic.OutcomeRejected:
+		al.Rejected++
+		return
+	case traffic.OutcomeAbandoned:
+		al.Abandoned++
+		return
+	}
+	// End-to-end latency and deadline: measured from the cluster
+	// arrival, so network time counts against the budget exactly like
+	// queueing time.
+	lat := obs.Duration(end.Sub(at))
+	al.Latency.Add(lat)
+	if ret.Outcome == traffic.OutcomeDegraded {
+		al.Degraded++
+		al.DegradedLat.Add(lat)
+	} else {
+		al.CleanLat.Add(lat)
+	}
+	if dl != 0 && end > at.Add(dl) {
+		al.Missed++
+	}
+	if al.Completed == 0 || end < r.firsts[h][i] {
+		r.firsts[h][i] = end
+	}
+	if end > r.lasts[h][i] {
+		r.lasts[h][i] = end
+	}
+	al.Completed++
 }

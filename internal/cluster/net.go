@@ -53,6 +53,8 @@ type netFabric struct {
 	eng              *sim.Engine
 	coreDown, coreUp *sim.Channel
 	nicDown, nicUp   []*sim.Channel
+	// legs pools the in-flight message records.
+	legs []*netLeg
 }
 
 func newNetFabric(cfg NetConfig, eng *sim.Engine, hosts int) *netFabric {
@@ -80,47 +82,80 @@ func newNetFabric(cfg NetConfig, eng *sim.Engine, hosts int) *netFabric {
 // NIC drains it, and done runs. With a zero latency the hop continues
 // synchronously.
 func (f *netFabric) down(h int, n int64, done func()) {
-	nic := func() {
-		if f.nicDown != nil {
-			f.nicDown[h].Start(n, done)
-			return
-		}
-		done()
+	var nic *sim.Channel
+	if f.nicDown != nil {
+		nic = f.nicDown[h]
 	}
-	cross := func() {
-		if f.lat > 0 {
-			f.eng.Schedule(f.lat, nic)
-			return
-		}
-		nic()
-	}
-	if f.coreDown != nil {
-		f.coreDown.Start(n, cross)
-		return
-	}
-	cross()
+	f.send(f.coreDown, nic, n, done)
 }
 
 // up ships n bytes host h → router: NIC, propagation, core, then done
 // at the router.
 func (f *netFabric) up(h int, n int64, done func()) {
-	core := func() {
-		if f.coreUp != nil {
-			f.coreUp.Start(n, done)
-			return
-		}
-		done()
-	}
-	cross := func() {
-		if f.lat > 0 {
-			f.eng.Schedule(f.lat, core)
-			return
-		}
-		core()
-	}
+	var nic *sim.Channel
 	if f.nicUp != nil {
-		f.nicUp[h].Start(n, cross)
-		return
+		nic = f.nicUp[h]
 	}
-	cross()
+	f.send(nic, f.coreUp, n, done)
+}
+
+// netLeg is one message in flight: its first and last channel (nil when
+// that level is unmodeled), its size, and where it is. Records are
+// pooled on the fabric and advance is bound once per record, so a
+// message allocates nothing in steady state.
+type netLeg struct {
+	f           *netFabric
+	first, last *sim.Channel
+	n           int64
+	done        func()
+	stage       int
+	fire        func()
+}
+
+// send starts a message first → propagation → last.
+func (f *netFabric) send(first, last *sim.Channel, n int64, done func()) {
+	var l *netLeg
+	if k := len(f.legs); k > 0 {
+		l = f.legs[k-1]
+		f.legs = f.legs[:k-1]
+	} else {
+		l = &netLeg{f: f}
+		l.fire = l.advance
+	}
+	l.first, l.last, l.n, l.done, l.stage = first, last, n, done, 0
+	l.advance()
+}
+
+// advance runs the message's next store-and-forward stage: each stage
+// hands the message to a channel or to the engine and resumes here, or
+// is unmodeled and falls through. The record returns to the pool before
+// the last stage, which calls done directly.
+func (l *netLeg) advance() {
+	f := l.f
+	for {
+		stage := l.stage
+		l.stage++
+		switch stage {
+		case 0:
+			if l.first != nil {
+				l.first.Start(l.n, l.fire)
+				return
+			}
+		case 1:
+			if f.lat > 0 {
+				f.eng.Schedule(f.lat, l.fire)
+				return
+			}
+		default:
+			last, n, done := l.last, l.n, l.done
+			l.first, l.last, l.done = nil, nil, nil
+			f.legs = append(f.legs, l)
+			if last != nil {
+				last.Start(n, done)
+				return
+			}
+			done()
+			return
+		}
+	}
 }

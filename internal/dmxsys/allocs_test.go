@@ -2,15 +2,20 @@ package dmxsys_test
 
 // Allocation pins for the serving hot path. Every per-hop constant — DRX
 // service times, fabric routes, data queues, occupancy slots — is
-// resolved when the plan and its replicas are built, so a request's
-// steady-state walk allocates only its own state and its step closures.
-// A per-request lookup or route build creeping back in moves these
-// counts by at least one per request and trips the bound.
+// resolved when the plan and its replicas are built, and every step of
+// the walk resumes the carrier through one callback bound per pooled
+// shell (or a pooled guard ticket under faults), with fabric transfers
+// joining on pooled completion records. A request's steady-state walk
+// allocates only its own request record plus the engine's share of
+// growing its event queue for the up-front arrival schedule. A closure,
+// lookup or route build creeping back in moves these counts by at least
+// one per request and trips the bound.
 
 import (
 	"testing"
 
 	"dmx/internal/dmxsys"
+	"dmx/internal/faults"
 	"dmx/internal/sim"
 	"dmx/internal/traffic"
 	"dmx/internal/workload"
@@ -46,10 +51,16 @@ func TestServingAllocsPerRequest(t *testing.T) {
 		mut   func(*dmxsys.Config)
 		bound float64
 	}{
-		{"unbatched", nil, 27},
+		{"unbatched", nil, 6},
 		{"batched", func(c *dmxsys.Config) {
 			c.BatchWindow = 200 * sim.Microsecond
 			c.BatchMax = 8
+		}, 5},
+		// 1% transient DRX faults with retries: guard tickets, retry
+		// backoffs and the fabric's fault path stay off the heap too.
+		{"faulted", func(c *dmxsys.Config) {
+			c.Faults = &faults.Plan{Seed: 3, TransientProb: 0.01}
+			c.Retry = faults.RetryPolicy{MaxAttempts: 3, Backoff: 10 * sim.Microsecond}
 		}, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dmx/internal/obs"
-	"dmx/internal/sim"
 )
 
 // Continuous batching. With Config.BatchWindow set, arrivals of one
@@ -38,11 +37,10 @@ import (
 // Only the accumulation window and the peel branch of the recovery
 // ladder live here; the walk is the one in flow.go.
 
-// enqueueBatch parks one arrival in app a's accumulation window,
-// opening the window when it is the first pending request and flushing
-// early when the size cap fills.
-func (s *System) enqueueBatch(a *appInstance, deadline sim.Duration, done func(*request)) {
-	r := s.newRequest(a, deadline, done)
+// enqueueBatch parks one admitted request in app a's accumulation
+// window, opening the window when it is the first pending request and
+// flushing early when the size cap fills.
+func (s *System) enqueueBatch(a *appInstance, r *request) {
 	a.pending = append(a.pending, r)
 	if len(a.pending) == 1 {
 		a.flushRef = s.Eng.Schedule(s.cfg.BatchWindow, a.flushFn)

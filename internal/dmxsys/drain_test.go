@@ -10,8 +10,8 @@ import (
 )
 
 // A carrier whose in-flight completion is dropped never retires, and the
-// drain error must name it — app, stage cursor, member count and track —
-// not merely count the stranded requests. Bumping a live carrier's epoch
+// drain error must name it — app, stage cursor, phase, member count and
+// track — not merely count the stranded requests. Bumping a live carrier's epoch
 // while its input DMA is in flight reproduces the dropped-completion
 // hang of a mis-recycled shell: the retry policy makes guard live, so
 // the transfer's completion is discarded as stale.
@@ -39,12 +39,12 @@ func TestDrainErrorNamesStrandedCarrier(t *testing.T) {
 	if err == nil {
 		t.Fatal("a carrier with a dropped completion drained without error")
 	}
-	want := fmt.Sprintf("dmxsys: 1 requests never completed (deadlocked flow): app %s stage %d members %d track %s",
-		victim.a.pipe.Name, victim.k, len(victim.members), victim.track)
+	want := fmt.Sprintf("dmxsys: 1 requests never completed (deadlocked flow): app %s stage %d phase %v members %d track %s",
+		victim.a.pipe.Name, victim.k, victim.phase, len(victim.members), victim.track)
 	if err.Error() != want {
 		t.Fatalf("drain error:\n  %v\nwant:\n  %s", err, want)
 	}
-	if !strings.Contains(want, "stage 0 members 1 track app") {
+	if !strings.Contains(want, "stage 0 phase input-dma members 1 track app") {
 		t.Errorf("victim %q is not the first app's request mid input DMA", want)
 	}
 }

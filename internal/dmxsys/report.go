@@ -132,7 +132,7 @@ func (r RunReport) String() string {
 // panicked.
 func (s *System) Run() (RunReport, error) {
 	one := []sim.Duration{0}
-	err := s.drive(func(int) []sim.Duration { return one }, nil, func(int, int, *request) {})
+	err := s.drive(func(int) []sim.Duration { return one }, nil, func(int, *request) {})
 	if err != nil {
 		return RunReport{}, err
 	}

@@ -41,7 +41,7 @@ func (s *System) RunLoad(spec traffic.Spec) (traffic.LoadReport, error) {
 	// under Run/RunStream.
 	s.admitting = true
 	err := s.drive(func(app int) []sim.Duration { return arrivals[app] }, spec.DeadlineFor,
-		func(app, req int, r *request) {
+		func(app int, r *request) {
 			now := s.Eng.Now()
 			al := &rep.PerApp[app]
 			al.Retries += r.retries
@@ -107,12 +107,12 @@ type Retired struct {
 // control, batching, scheduling, and fault recovery behave exactly as
 // under RunLoad; this is the cluster front door, and with an empty host
 // prefix a fleet of one driving Admit per arrival reproduces RunLoad's
-// engine timeline event for event.
+// engine timeline event for event. The request carries done itself, so
+// a caller that passes one bound func per arrival record allocates
+// nothing here beyond the request.
 func (s *System) Admit(app int, deadline sim.Duration, done func(Retired)) {
 	s.admitting = true
-	s.admit(s.apps[app], deadline, func(r *request) {
-		done(Retired{Outcome: r.outcome, Retries: r.retries, Timeouts: r.timeouts})
-	})
+	s.admit(s.apps[app], deadline, nil, done)
 }
 
 // BatchStats reports how many coalesced dispatch groups the app's

@@ -41,7 +41,7 @@ func (s *System) RunStream(requests int) (StreamReport, error) {
 	// app's stagger instant and the pipeline drains them back to back.
 	offsets := make([]sim.Duration, requests)
 	completions := make([][]sim.Time, len(s.apps))
-	err := s.drive(func(int) []sim.Duration { return offsets }, nil, func(app, req int, r *request) {
+	err := s.drive(func(int) []sim.Duration { return offsets }, nil, func(app int, r *request) {
 		completions[app] = append(completions[app], s.Eng.Now())
 	})
 	if err != nil {

@@ -107,6 +107,9 @@ type Fabric struct {
 	// default) is the fault-free fabric with zero per-transfer overhead
 	// beyond one branch, preserving historical behavior bit-for-bit.
 	faults LinkFaults
+
+	// completions pools the per-transfer completion records.
+	completions []*completion
 }
 
 // SetFaults installs the fault hook (nil restores the healthy fabric).
@@ -290,23 +293,15 @@ func (f *Fabric) Transfer(from, to string, n int64, done func()) error {
 // TransferRoute starts a DMA of n bytes along a resolved route and calls
 // done when the last byte arrives. The flow occupies every link on the
 // path; completion is governed by the slowest (fair-share) link, plus
-// the path's fixed hop latency.
+// the path's fixed hop latency. The links join on a completion record
+// pooled on the fabric, so a transfer allocates nothing in steady state.
 func (f *Fabric) TransferRoute(rt *Route, n int64, done func()) error {
-	path, hopLat := rt.path, rt.lat
-	remaining := len(path)
-	complete := func() {
-		remaining--
-		if remaining == 0 {
-			if done != nil {
-				f.eng.Schedule(hopLat, done)
-			}
-		}
-	}
+	c := f.completion(rt, done)
 	if f.faults == nil {
-		// Healthy fast path: no fault queries, no extra allocation —
-		// bit-for-bit the historical behavior.
-		for _, ch := range path {
-			ch.Start(n, complete)
+		// Healthy fast path: no fault queries — bit-for-bit the
+		// historical behavior.
+		for _, ch := range rt.path {
+			ch.Start(n, c.fire)
 		}
 		return nil
 	}
@@ -314,18 +309,69 @@ func (f *Fabric) TransferRoute(rt *Route, n int64, done func()) error {
 	// any channel is touched; a degraded link stretches its own
 	// serialization by 1/factor (link-level retransmission at the
 	// reduced rate — the extra bytes also count as moved traffic).
+	// LinkState counts incidents, so each link is queried exactly once,
+	// in path order, and the loads wait on the record.
 	now := f.eng.Now()
-	loads := make([]int64, len(path))
-	for i, ch := range path {
-		var err error
-		if loads[i], err = f.linkLoad(ch, n, now); err != nil {
+	c.loads = c.loads[:0]
+	for _, ch := range rt.path {
+		load, err := f.linkLoad(ch, n, now)
+		if err != nil {
+			f.recycle(c)
 			return err
 		}
+		c.loads = append(c.loads, load)
 	}
-	for i, ch := range path {
-		ch.Start(loads[i], complete)
+	for i, ch := range rt.path {
+		ch.Start(c.loads[i], c.fire)
 	}
 	return nil
+}
+
+// completion joins one transfer's links: each link's drain calls fire
+// (linkDone bound once per record), and the last schedules done after
+// the route's hop latency.
+type completion struct {
+	f         *Fabric
+	remaining int
+	lat       sim.Duration
+	done      func()
+	loads     []int64
+	fire      func()
+}
+
+// completion takes a record from the fabric's pool for a transfer along
+// rt.
+func (f *Fabric) completion(rt *Route, done func()) *completion {
+	var c *completion
+	if n := len(f.completions); n > 0 {
+		c = f.completions[n-1]
+		f.completions = f.completions[:n-1]
+	} else {
+		c = &completion{f: f}
+		c.fire = c.linkDone
+	}
+	c.remaining, c.lat, c.done = len(rt.path), rt.lat, done
+	return c
+}
+
+// recycle returns a record to the pool.
+func (f *Fabric) recycle(c *completion) {
+	c.done = nil
+	f.completions = append(f.completions, c)
+}
+
+// linkDone is one link draining. The record is recycled when the last
+// link completes, before done is scheduled.
+func (c *completion) linkDone() {
+	c.remaining--
+	if c.remaining > 0 {
+		return
+	}
+	f, lat, done := c.f, c.lat, c.done
+	f.recycle(c)
+	if done != nil {
+		f.eng.Schedule(lat, done)
+	}
 }
 
 // linkLoad resolves one channel's effective payload under the fault
