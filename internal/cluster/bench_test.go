@@ -1,10 +1,10 @@
 package cluster
 
-// Steady-state cost of the cluster layer's hot paths. benchsnap gates
-// the allocs/op of these in CI (BENCH_cluster_baseline.json): the
-// router decision and the fabric transfer sit on every request of every
-// fleet experiment, so an accidental per-decision allocation multiplies
-// across millions of simulated arrivals.
+// Steady-state cost of the cluster layer's hot paths: the router
+// decision and the fabric transfer sit on every request of every fleet
+// experiment, so an accidental per-decision allocation multiplies
+// across millions of simulated arrivals. These benchmarks report the
+// timing; TestClusterHotPathAllocs pins their allocations at zero.
 
 import (
 	"testing"
@@ -79,9 +79,9 @@ func BenchmarkNetFabricTransfer(b *testing.B) {
 // Unlike the router/fabric micro-benches this one does not
 // ReportAllocs: a full fleet run allocates thousands of objects
 // including map overflow buckets, whose count depends on each map's
-// randomized hash seed and so drifts ±1 between processes — an exact
-// alloc gate on it would flake. benchsnap still gates the benchmark's
-// presence and records its timing shape.
+// randomized hash seed and so drifts ±1 between processes.
+// TestFleetAllocsPerRequest pins the per-request allocations instead,
+// as a difference of two load sizes that cancels set-up.
 func BenchmarkFleetRun(b *testing.B) {
 	benches, err := workload.Suite(workload.TestScale)
 	if err != nil {
