@@ -341,9 +341,9 @@ func TestBatchAccumulatorSteadyStateAllocs(t *testing.T) {
 	}
 	unbatched := measure(0)
 	batched := measure(200 * sim.Microsecond)
-	// The batched walk amortizes per-request step closures across
-	// members, so steady state must come out at or below the solo path
-	// plus the one-time accumulator budget.
+	// The batched walk shares one carrier's walk across its members, so
+	// steady state must come out at or below the solo path plus the
+	// one-time accumulator budget.
 	if slack := unbatched*0.05 + 32; batched > unbatched+slack {
 		t.Errorf("batched run allocates %.0f objects, unbatched %.0f (+%.0f allowed)",
 			batched, unbatched, slack)
