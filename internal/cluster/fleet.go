@@ -208,17 +208,13 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 		// request.
 		r.hostNames[h] = fmt.Sprintf("h%d", h)
 	}
+	// Arrivals are fed on demand, one pending per app, under the seqs
+	// an up-front schedule loop would have used (traffic.Spec.Feed).
+	r.remaining = spec.Requests * apps
 	for i := 0; i < apps; i++ {
 		i := i
-		start := sim.Duration(i) * f.cfg.Base.StartStagger
-		// One arrival handler per app: the body never reads its offset,
-		// so every arrival schedules the same func value instead of a
-		// fresh closure over the run state.
-		arrive := func() { r.arrive(i) }
-		for _, off := range spec.Arrivals(i) {
-			r.remaining++
-			f.eng.Schedule(start+off, arrive)
-		}
+		start := f.eng.Now().Add(sim.Duration(i) * f.cfg.Base.StartStagger)
+		spec.Feed(f.eng, i, start, func() { r.arrive(i) })
 	}
 	f.eng.Run()
 	for h, s := range f.hosts {

@@ -131,19 +131,39 @@ func BenchmarkEnqueueRestructure(b *testing.B) {
 	})
 }
 
-// TestEnqueueRestructureCachedAllocs pins the dispatch path's allocation
-// profile: a cached enqueue allocates a small constant number of objects
-// (event bookkeeping, output tensors), well below a per-dispatch
-// compilation. The absolute bound is deliberately loose — it catches the
-// cache being bypassed (a compiler run allocates far more), not minor
-// churn.
+// TestEnqueueRestructureCachedAllocs pins the steady-state allocations
+// of BenchmarkEnqueueRestructure's three dispatch paths: a cached
+// enqueue allocates a small constant number of objects (event
+// bookkeeping, output tensors), well below a per-dispatch compilation.
+// The bounds are the figures each path measures; an extra allocation
+// on any of them fails here. They skip under the race detector, whose
+// instrumented build allocates more on the compile paths (38 against
+// 34); the ratio check still runs.
 func TestEnqueueRestructureCachedAllocs(t *testing.T) {
 	f := newBenchFixture(t)
 	f.dispatch(t)
 	cached := testing.AllocsPerRun(50, func() { f.dispatch(t) })
+	recompile := testing.AllocsPerRun(50, func() {
+		c, err := drxc.Compile(f.kernel, drx.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.machine.ResetDRAM()
+		if _, _, err := drxc.Execute(c, f.machine, f.rawIn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	f.machine.SetFastPath(false)
 	baseline := testing.AllocsPerRun(50, func() { f.baselineDispatch(t) })
-	if cached > 40 {
-		t.Errorf("cached enqueue allocates %.0f objects/op, want <= 40", cached)
+	f.machine.SetFastPath(true)
+	for _, row := range []struct {
+		name  string
+		got   float64
+		bound float64
+	}{{"cached", cached, 15}, {"recompile", recompile, 34}, {"baseline", baseline, 34}} {
+		if row.got > row.bound && !raceEnabled {
+			t.Errorf("%s dispatch allocates %.0f objects/op, want <= %.0f", row.name, row.got, row.bound)
+		}
 	}
 	if cached*2 > baseline {
 		t.Errorf("cached enqueue (%.0f allocs) not well below per-dispatch compile (%.0f allocs)",

@@ -1330,30 +1330,26 @@ func (c *carrier) degradeHop() {
 }
 
 // drive is the shared load driver under Run, RunStream, and RunLoad:
-// app i's request j is admitted at i·StartStagger + offsets(i)[j], the
-// engine runs to completion, and every retirement invokes onDone.
-// deadline is app i's per-request latency budget (nil = none). Each app
-// schedules one arrival func and retires through one done func, so
-// neither costs an allocation per request. The first flow error (or a
-// deadlocked request train) is returned after the drain.
-func (s *System) drive(offsets func(app int) []sim.Duration, deadline func(app int) sim.Duration, onDone func(app int, r *request)) error {
-	remaining := 0
+// app i's request j is admitted at i·StartStagger plus spec's offset j
+// for app i, under app i's spec.DeadlineFor budget; the engine runs to
+// completion, and every retirement invokes onDone. Arrivals are fed on
+// demand (traffic.Spec.Feed): each app has one arrival pending at a
+// time, under the seqs an up-front schedule loop would have used, so
+// the pending set is in-flight work and the firing order is unchanged.
+// Each app arrives through one func and retires through one done func,
+// so neither costs an allocation per request. The first flow error (or
+// a deadlocked request train) is returned after the drain.
+func (s *System) drive(spec traffic.Spec, onDone func(app int, r *request)) error {
+	remaining := spec.Requests * len(s.apps)
 	for i, a := range s.apps {
 		i, a := i, a
-		start := sim.Duration(i) * s.cfg.StartStagger
-		dl := sim.Duration(0)
-		if deadline != nil {
-			dl = deadline(i)
-		}
+		dl := spec.DeadlineFor(i)
 		done := func(r *request) {
 			remaining--
 			onDone(i, r)
 		}
-		arrive := func() { s.admit(a, dl, done, nil) }
-		for _, off := range offsets(i) {
-			remaining++
-			s.Eng.Schedule(start+off, arrive)
-		}
+		start := s.Eng.Now().Add(sim.Duration(i) * s.cfg.StartStagger)
+		spec.Feed(s.Eng, i, start, func() { s.admit(a, dl, done, nil) })
 	}
 	s.Eng.Run()
 	if s.err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"dmx/internal/obs"
 	"dmx/internal/sim"
+	"dmx/internal/traffic"
 )
 
 // AppReport is one application's measured runtime decomposition — the
@@ -131,8 +132,7 @@ func (r RunReport) String() string {
 // fabric routes, queue accounting violations) are returned, not
 // panicked.
 func (s *System) Run() (RunReport, error) {
-	one := []sim.Duration{0}
-	err := s.drive(func(int) []sim.Duration { return one }, nil, func(int, *request) {})
+	err := s.drive(traffic.Spec{Arrival: traffic.ClosedLoop, Requests: 1}, func(int, *request) {})
 	if err != nil {
 		return RunReport{}, err
 	}

@@ -32,15 +32,11 @@ func (s *System) RunLoad(spec traffic.Spec) (traffic.LoadReport, error) {
 			al.Offered = spec.Rate
 		}
 	}
-	arrivals := make([][]sim.Duration, len(s.apps))
-	for i := range s.apps {
-		arrivals[i] = spec.Arrivals(i)
-	}
 	// Admission control is a serving-layer behavior: only RunLoad has a
 	// rejection channel in its report, so the limit gates here and not
 	// under Run/RunStream.
 	s.admitting = true
-	err := s.drive(func(app int) []sim.Duration { return arrivals[app] }, spec.DeadlineFor,
+	err := s.drive(spec,
 		func(app int, r *request) {
 			now := s.Eng.Now()
 			al := &rep.PerApp[app]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dmx/internal/sim"
+	"dmx/internal/traffic"
 )
 
 // Streamed execution: Sec. VII-A's throughput experiments assume
@@ -39,9 +40,8 @@ func (s *System) RunStream(requests int) (StreamReport, error) {
 	}
 	// A closed-loop burst: every request of app i is admitted at the
 	// app's stagger instant and the pipeline drains them back to back.
-	offsets := make([]sim.Duration, requests)
 	completions := make([][]sim.Time, len(s.apps))
-	err := s.drive(func(int) []sim.Duration { return offsets }, nil, func(app int, r *request) {
+	err := s.drive(traffic.Spec{Arrival: traffic.ClosedLoop, Requests: requests}, func(app int, r *request) {
 		completions[app] = append(completions[app], s.Eng.Now())
 	})
 	if err != nil {

@@ -53,6 +53,59 @@ func BenchmarkRestructureLibrary(b *testing.B) {
 	}
 }
 
+// TestRestructureLibraryAllocs pins BenchmarkRestructureLibrary's
+// steady-state allocations: one pass over the whole kernel library, on
+// the fast paths and on the element interpreter.
+func TestRestructureLibraryAllocs(t *testing.T) {
+	cfg := drx.DefaultConfig()
+	kernels := libraryKernels()
+	compiled := make([]*Compiled, len(kernels))
+	inputs := make([]map[string]*tensor.Tensor, len(kernels))
+	for i, k := range kernels {
+		c, err := CompileCached(k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled[i] = c
+		inputs[i] = randKernelInputs(4000+int64(i), k)
+	}
+	const bound = 216
+	for _, fast := range []bool{true, false} {
+		m, err := drx.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetFastPath(fast)
+		got := testing.AllocsPerRun(5, func() {
+			for j, c := range compiled {
+				if _, _, err := Execute(c, m, inputs[j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if got > bound {
+			t.Errorf("fast=%v: one library pass allocates %.0f objects, want <= %d", fast, got, bound)
+		}
+	}
+}
+
+// TestCompileUncachedAllocs pins an uncached compilation of
+// BenchmarkCompile's kernel: the per-enqueue cost the program cache
+// removes.
+func TestCompileUncachedAllocs(t *testing.T) {
+	cfg := drx.DefaultConfig()
+	k := restructure.MelSpectrogram(12, 64, 16)
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := Compile(k, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 75
+	if got > bound {
+		t.Errorf("uncached Compile allocates %.0f objects/op, want <= %d", got, bound)
+	}
+}
+
 // BenchmarkCompile contrasts a cache hit with a full compilation — the
 // per-enqueue cost the program cache removes from the dispatch path.
 func BenchmarkCompile(b *testing.B) {

@@ -49,8 +49,8 @@ func TestScheduleBatchEmptyAndErrors(t *testing.T) {
 	}
 }
 
-// The batch path must hit every queue tier: same-instant batches landing
-// in bottom, in a rung bucket, and in top must all preserve order.
+// Same-instant batches filed into a deep pending set, near the root and
+// far below it, must all fire in slice order.
 func TestScheduleBatchAcrossTiers(t *testing.T) {
 	e := NewEngine()
 	rng := benchRNG(11)

@@ -130,8 +130,8 @@ func BenchmarkEngineScheduleNearMonotone(b *testing.B) {
 // re-prediction regime where most timers never fire. Each iteration
 // cancels one ring timer (usually still live), schedules its
 // replacement plus one progress event, then fires events as needed to
-// hold occupancy — so the clock advances and the ladder keeps
-// spilling and reseeding under the churn.
+// hold occupancy — so the clock advances while the heap purges
+// canceled entries from the middle under the churn.
 func BenchmarkEngineScheduleHeavyCancel(b *testing.B) {
 	for _, p := range occupancies {
 		b.Run(fmt.Sprintf("pending=%d", p), func(b *testing.B) {

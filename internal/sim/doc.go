@@ -7,17 +7,21 @@
 // bit-for-bit), so the kernel is callback-based — no goroutines, no
 // wall-clock reads — and ties are broken by schedule order.
 //
-// Pending events live in a ladder queue (queue.go): tiered time
-// buckets with a sorted bottom rung, giving amortized O(1)
-// schedule/fire/cancel at any occupancy while realizing the exact
-// (time, seq) total order a binary heap would (enforced by a
-// differential fuzz harness against a reference heap engine).
-// Cancellation purges eagerly — no tombstones, so Pending counts live
+// Pending events live in an indexed 4-ary min-heap on (time, seq)
+// with the keys stored inline, so a sift compares siblings without
+// chasing pointers. Every event knows its heap index, so cancellation
+// purges eagerly in O(log n) — no tombstones, so Pending counts live
 // events exactly — and event nodes are recycled through per-engine
-// slabs, keeping the steady-state loop allocation-free at any
-// occupancy. ScheduleBatch files same-instant completion storms in one
-// queue walk; Reschedule is the timer-reset idiom with an in-place
-// fast path for the latest-scheduled event.
+// slabs, keeping the steady-state loop allocation-free. A differential
+// fuzz harness checks the realized order against a plain reference
+// heap that schedules everything up front. The pending set is meant to
+// be in-flight work: a producer that knows its events ahead (the
+// serving drivers' arrival timelines) claims their seqs with Reserve
+// and schedules each one only when its predecessor fires, keeping the
+// (time, seq) key, and so the firing order, of an up-front schedule.
+// ScheduleBatch schedules same-instant completion storms in slice
+// order; Reschedule is the timer-reset idiom with an in-place fast
+// path for the latest-scheduled event.
 //
 // Server's backlog ordering is pluggable (Discipline): FIFO's
 // power-of-two ring is the zero-allocation default, Priority and WFQ

@@ -12,20 +12,29 @@ import (
 // steady-state scheduling hot loop allocates nothing. gen increments on
 // every recycle, which is what keeps stale EventRef handles inert.
 //
-// loc/rungIdx/bucket/pos record where the event sits inside the ladder
-// queue (queue.go) so Cancel can purge it from its tier immediately.
+// The event's key (at, seq) lives in its heap entry, not here; pos is
+// the entry's index in the heap, kept current by every sift so Cancel
+// can purge the event in O(log n).
 type event struct {
-	at Time
-	// seq is the same-instant tie-break: FIFO among events at one time.
-	seq uint64
 	gen uint64 // recycle generation, validates EventRef handles
 	fn  func()
 	eng *Engine // owner, gives EventRef.Cancel its purge path
+	pos int     // index of the event's entry in Engine.heap
+}
 
-	loc     int8  // which ladder tier holds the event (locNone when popped)
-	rungIdx int16 // rung index when loc == locRung
-	bucket  int32 // bucket index when loc == locRung
-	pos     int32 // index within its tier's slice
+// entry is one slot of the pending-event heap. The key is stored
+// inline so a sift compares siblings without chasing event pointers.
+type entry struct {
+	at Time
+	// seq is the same-instant tie-break: FIFO among events at one time.
+	seq uint64
+	ev  *event
+}
+
+// before is the heap's total order: time, then schedule order. seq is
+// unique, so the order is strict.
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Slab sizing for event allocation. Slabs grow geometrically from
@@ -65,7 +74,7 @@ func (r EventRef) Cancel() {
 	if ev == nil || ev.gen != r.gen {
 		return
 	}
-	ev.eng.lq.remove(ev)
+	ev.eng.remove(ev.pos)
 	ev.eng.recycle(ev)
 }
 
@@ -75,12 +84,12 @@ func (r EventRef) Cancel() {
 // whole engines independently).
 type Engine struct {
 	now    Time
-	lq     ladder
-	seq    uint64
+	heap   []entry // pending events, a 4-ary min-heap on (at, seq)
+	seq    uint64  // next unissued seq
+	last   entry   // key of the event fired last (ev is nil)
 	nfired uint64
 	free   []*event // recycled events, reused by At
 	slab   int      // next slab size (geometric up to maxSlab)
-	batch  []*event // scratch for ScheduleBatch
 
 	// Obs, when non-nil, receives structured occupancy events from every
 	// Server and Channel bound to this engine (the engine itself emits
@@ -105,7 +114,7 @@ func (e *Engine) Fired() uint64 { return e.nfired }
 // fire unless canceled. Canceled events leave the count immediately
 // (Cancel purges them from the queue rather than leaving a tombstone),
 // so Pending never overcounts.
-func (e *Engine) Pending() int { return e.lq.n }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Schedule arranges for fn to run after delay. A negative delay panics:
 // the simulated causality would be violated.
@@ -119,63 +128,46 @@ func (e *Engine) Schedule(delay Duration, fn func()) EventRef {
 // At arranges for fn to run at absolute time t, which must not precede
 // the current clock.
 func (e *Engine) At(t Time, fn func()) EventRef {
+	e.check(t, fn)
+	ev := e.push(t, e.seq, fn)
+	e.seq++
+	return EventRef{ev: ev, gen: ev.gen, at: t}
+}
+
+// check panics on a callback the engine cannot schedule at t.
+func (e *Engine) check(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", t, e.now))
 	}
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	ev := e.alloc()
-	ev.at = t
-	ev.fn = fn
-	ev.seq = e.seq
-	e.seq++
-	e.lq.insert(ev)
-	return EventRef{ev: ev, gen: ev.gen, at: t}
 }
 
 // ScheduleBatch arranges for every callback in fns to run after delay,
 // in slice order — exactly equivalent to calling Schedule once per
 // callback (the events receive consecutive seqs at one instant, so
-// their firing order is the slice order), but the queue tier is
-// resolved once for the whole block. This is the path for completion
-// storms: a channel retiring a batch of simultaneous transfers, a
-// server admitting a burst of identical jobs. No refs are returned; use
-// Schedule when a cancelable handle is needed. fns may be reused by the
-// caller after the call returns.
+// their firing order is the slice order). This is the path for
+// completion storms: a channel retiring a batch of simultaneous
+// transfers, a server admitting a burst of identical jobs. No refs are
+// returned; use Schedule when a cancelable handle is needed. fns may be
+// reused by the caller after the call returns.
 func (e *Engine) ScheduleBatch(delay Duration, fns []func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	if len(fns) == 0 {
-		return
-	}
 	t := e.now.Add(delay)
-	e.batch = e.batch[:0]
 	for _, fn := range fns {
-		if fn == nil {
-			panic("sim: nil event callback")
-		}
-		ev := e.alloc()
-		ev.at = t
-		ev.fn = fn
-		ev.seq = e.seq
-		e.seq++
-		e.batch = append(e.batch, ev)
+		e.At(t, fn)
 	}
-	e.lq.insertBatch(e.batch)
-	for i := range e.batch {
-		e.batch[i] = nil
-	}
-	e.batch = e.batch[:0]
 }
 
 // Reschedule cancels ref (if still live) and schedules fn after delay,
 // returning the new handle: the timer-reset idiom (cancel + schedule)
 // in one call. When the new firing time equals ref's and ref's event
-// was the most recently scheduled one, the entry is updated in place —
-// provably order-identical to cancel+schedule, since no seq has been
-// issued in between — and no queue surgery happens at all.
+// holds the most recently issued seq, the entry is updated in place —
+// provably order-identical to cancel+schedule, since no seq lies
+// between the two — and no heap surgery happens at all.
 func (e *Engine) Reschedule(ref EventRef, delay Duration, fn func()) EventRef {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
@@ -184,12 +176,56 @@ func (e *Engine) Reschedule(ref EventRef, delay Duration, fn func()) EventRef {
 		panic("sim: nil event callback")
 	}
 	t := e.now.Add(delay)
-	if ev := ref.ev; ev != nil && ev.gen == ref.gen && ev.at == t && ev.seq == e.seq-1 {
-		ev.fn = fn
-		return ref
+	if ev := ref.ev; ev != nil && ev.gen == ref.gen {
+		if k := &e.heap[ev.pos]; k.at == t && k.seq == e.seq-1 {
+			ev.fn = fn
+			return ref
+		}
 	}
 	ref.Cancel()
 	return e.At(t, fn)
+}
+
+// Reservation is a block of seqs claimed ahead of use by Reserve. A
+// producer that knows how many events it will make reserves their seqs
+// up front and schedules each one later with At, say when its
+// predecessor fires: the events get exactly the (at, seq) keys an
+// up-front schedule loop would have given them, while only one of them
+// needs to sit in the heap at a time. Use a Reservation through one
+// variable: a copy would hand out the same seqs again.
+type Reservation struct {
+	eng       *Engine
+	next, end uint64 // unused seqs [next, end)
+}
+
+// Reserve claims the next n seqs for later use through the returned
+// Reservation. Seqs issued afterwards by Schedule and At follow the
+// block, exactly as if n events had been scheduled here.
+func (e *Engine) Reserve(n int) Reservation {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: negative reservation %d", n))
+	}
+	r := Reservation{eng: e, next: e.seq, end: e.seq + uint64(n)}
+	e.seq = r.end
+	return r
+}
+
+// At schedules fn at absolute time t under the block's next unused seq.
+// It panics when the block has no seq left (the zero Reservation has
+// none), on a nil callback, on a time before the clock, and on a key
+// that would precede the event fired last: that event would have fired
+// after it in an up-front schedule, so the order would change.
+func (r *Reservation) At(t Time, fn func()) {
+	if r.next >= r.end {
+		panic("sim: scheduling at a seq that was not reserved")
+	}
+	e := r.eng
+	e.check(t, fn)
+	if t == e.last.at && r.next < e.last.seq {
+		panic(fmt.Sprintf("sim: reserved seq %d at %v precedes the fired seq %d", r.next, t, e.last.seq))
+	}
+	e.push(t, r.next, fn)
+	r.next++
 }
 
 // alloc takes an event from the free list, growing it a slab at a time
@@ -226,13 +262,90 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// fire advances the clock to ev and runs its callback. It is the single
-// execution path shared by Step and RunUntil (there is no separate
-// purge loop anywhere: canceled events never reach the queue's head
-// because Cancel removes them immediately).
-func (e *Engine) fire(ev *event) {
-	e.now = ev.at
+// push files a fresh event under key (t, seq) and returns it.
+func (e *Engine) push(t Time, seq uint64, fn func()) *event {
+	ev := e.alloc()
+	ev.fn = fn
+	e.heap = append(e.heap, entry{at: t, seq: seq, ev: ev})
+	e.up(len(e.heap) - 1)
+	return ev
+}
+
+// up moves the entry at i toward the root until its parent precedes it.
+func (e *Engine) up(i int) {
+	h := e.heap
+	x := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.pos = i
+		i = p
+	}
+	h[i] = x
+	x.ev.pos = i
+}
+
+// down moves the entry at i toward the leaves until it precedes all of
+// its (up to four) children.
+func (e *Engine) down(i int) {
+	h := e.heap
+	n := len(h)
+	x := h[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&x) {
+			break
+		}
+		h[i] = h[m]
+		h[i].ev.pos = i
+		i = m
+	}
+	h[i] = x
+	x.ev.pos = i
+}
+
+// remove deletes the entry at i, filling the hole with the last entry
+// and sifting that whichever way restores the heap. The removed event
+// is not recycled here.
+func (e *Engine) remove(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap[n] = entry{}
+	e.heap = e.heap[:n]
+	if i == n {
+		return
+	}
+	e.heap[i] = last
+	if i > 0 && last.before(&e.heap[(i-1)/4]) {
+		e.up(i)
+	} else {
+		e.down(i)
+	}
+}
+
+// fire pops the earliest event, advances the clock to it, and runs its
+// callback. It is the single execution path shared by Step and
+// RunUntil; callers ensure the heap is not empty. Canceled events never
+// reach the root because Cancel removes them at once.
+func (e *Engine) fire() {
+	top := e.heap[0]
+	e.remove(0)
+	e.now = top.at
+	e.last = entry{at: top.at, seq: top.seq}
 	e.nfired++
+	ev := top.ev
 	fn := ev.fn
 	// Recycle before running the callback: fn frequently reschedules,
 	// and reusing this very event keeps the hot loop allocation-free.
@@ -246,29 +359,24 @@ func (e *Engine) fire(ev *event) {
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	ev := e.lq.pop()
-	if ev == nil {
+	if len(e.heap) == 0 {
 		return false
 	}
-	e.fire(ev)
+	e.fire()
 	return true
 }
 
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
-	for e.Step() {
+	for len(e.heap) > 0 {
+		e.fire()
 	}
 }
 
 // RunUntil executes events with time ≤ t, then advances the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	for {
-		ev := e.lq.peek()
-		if ev == nil || ev.at > t {
-			break
-		}
-		e.lq.pop()
-		e.fire(ev)
+	for len(e.heap) > 0 && e.heap[0].at <= t {
+		e.fire()
 	}
 	if t > e.now {
 		e.now = t

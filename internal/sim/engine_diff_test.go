@@ -6,17 +6,17 @@ import (
 	"testing"
 )
 
-// This file proves the ladder queue is a drop-in replacement for the
-// container/heap event queue it displaced: a reference heap engine
-// (refEngine, the pre-ladder implementation with tombstone cancels) and
-// the real Engine are driven side by side through random
-// schedule/cancel/batch/Step/RunUntil workloads, and every fired event
-// must match in (time, seq-order) — i.e. the two queues realize the
-// same total order.
+// This file is the engine's order oracle: a reference engine
+// (refEngine: container/heap on (at, seq), tombstone cancels, every
+// event scheduled the moment it is known) and the real Engine are
+// driven side by side through random
+// schedule/cancel/batch/reserved-arrival/Step/RunUntil workloads, and
+// every fired event must match in (time, seq-order) — i.e. the indexed
+// heap with its eager cancel purge, and the on-demand scheduling of
+// reserved seqs, realize the same total order as the plain reference.
 
-// refEvent/refEngine replicate the displaced implementation: a binary
-// heap ordered by (at, seq), cancellation via tombstone, lazy purge on
-// pop.
+// refEvent/refEngine are the reference: a binary heap ordered by
+// (at, seq), cancellation via tombstone, lazy purge on pop.
 type refEvent struct {
 	at       Time
 	seq      uint64
@@ -51,7 +51,11 @@ type refEngine struct {
 }
 
 func (e *refEngine) schedule(delay Duration, fn func()) *refEvent {
-	ev := &refEvent{at: e.now.Add(delay), seq: e.seq, fn: fn}
+	return e.at(e.now.Add(delay), fn)
+}
+
+func (e *refEngine) at(t Time, fn func()) *refEvent {
+	ev := &refEvent{at: t, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.queue, ev)
 	return ev
@@ -163,6 +167,34 @@ func (d *diffDriver) batch(delay Duration, n int) {
 	d.real.ScheduleBatch(delay, fns)
 }
 
+// arrivals feeds n events, gap apart from now+first, the way the
+// serving drivers feed a request stream: the real engine reserves n
+// seqs and each firing schedules its successor at the next one, while
+// the reference schedules all n up front. Same keys, so same order.
+func (d *diffDriver) arrivals(first, gap Duration, n int) {
+	base := d.nextID
+	d.nextID += n
+	res := d.real.Reserve(n)
+	start := d.real.Now().Add(first)
+	var feed func(j int)
+	feed = func(j int) {
+		res.At(start.Add(Duration(j)*gap), func() {
+			d.realTrace = append(d.realTrace, diffFire{id: base + j, at: d.real.Now()})
+			if j+1 < n {
+				feed(j + 1)
+			}
+		})
+	}
+	feed(0)
+	refStart := d.ref.now.Add(first)
+	for j := 0; j < n; j++ {
+		j := j
+		d.ref.at(refStart.Add(Duration(j)*gap), func() {
+			d.refTrace = append(d.refTrace, diffFire{id: base + j, at: d.ref.now})
+		})
+	}
+}
+
 // cancel cancels handle i%len on both sides (a no-op past the first
 // cancel or after firing, on both).
 func (d *diffDriver) cancel(i int) {
@@ -193,17 +225,21 @@ func (d *diffDriver) drain() {
 func (d *diffDriver) check() {
 	d.t.Helper()
 	if d.real.Now() != d.ref.now {
-		d.t.Fatalf("clock diverged: ladder %v, heap %v", d.real.Now(), d.ref.now)
+		d.t.Fatalf("clock diverged: engine %v, reference %v", d.real.Now(), d.ref.now)
 	}
 	if len(d.realTrace) != len(d.refTrace) {
-		d.t.Fatalf("fired %d events on ladder, %d on heap", len(d.realTrace), len(d.refTrace))
+		d.t.Fatalf("fired %d events on the engine, %d on the reference", len(d.realTrace), len(d.refTrace))
 	}
 	for i := range d.realTrace {
 		if d.realTrace[i] != d.refTrace[i] {
-			d.t.Fatalf("firing %d diverged: ladder %+v, heap %+v", i, d.realTrace[i], d.refTrace[i])
+			d.t.Fatalf("firing %d diverged: engine %+v, reference %+v", i, d.realTrace[i], d.refTrace[i])
 		}
 	}
 }
+
+// burstMin is the smallest frozen-clock burst op 8 schedules: enough
+// distinct timestamps to build a deep pending set with no Step between.
+const burstMin = 192
 
 // applyOps interprets a byte stream as a workload: the shared driver
 // for the fuzz target and the seeded regression corpus below.
@@ -220,7 +256,7 @@ func applyOps(t *testing.T, data []byte) {
 	}
 	for i < len(data) {
 		op := next()
-		switch op % 10 {
+		switch op % 11 {
 		case 0, 1: // plain schedule, spread over a wide range
 			delay := Duration(next())*17*Nanosecond + Duration(next())*Picosecond
 			d.schedule(delay, 0, false)
@@ -238,31 +274,34 @@ func applyOps(t *testing.T, data []byte) {
 		case 7:
 			d.runUntil(Duration(next()) * 11 * Nanosecond)
 		case 8:
-			// Frozen-clock burst: more than bottomSpillMax distinct
-			// timestamps in a picosecond-pitch span with no Step in
-			// between, the regime that forces reladderBottom.
-			n := bottomSpillMax + int(next()%64)
+			// Frozen-clock burst: distinct timestamps in a
+			// picosecond-pitch span with no Step in between.
+			n := burstMin + int(next()%64)
 			base := Duration(next()) * Nanosecond
 			for j := 0; j < n; j++ {
 				d.schedule(base+Duration(j)*Picosecond, 0, false)
 			}
 		case 9:
-			// Bounded multi-step: long enough to fully consume a burst's
-			// reladder rung in place, without the final refill a drain()
-			// would trigger — the state gap-timestamp schedules hit.
+			// Bounded multi-step: long enough to consume a burst, then
+			// leave the rest pending for later schedules to land among.
 			n := int(next()) * 4
 			for j := 0; j < n; j++ {
 				d.step()
 			}
+		case 10: // reserved-seq arrival stream, fed on demand
+			d.arrivals(Duration(next())*Nanosecond, Duration(next()%8)*3*Nanosecond, 1+int(next()%8))
 		}
 	}
 	d.drain()
 	d.check()
 }
 
-// FuzzLadderVsHeap drives the ladder queue and the reference heap side
-// by side; any divergence in firing order or clock is a crash. The
-// added seeds double as the regression corpus for plain `go test`.
+// FuzzLadderVsHeap drives the engine and the reference side by side;
+// any divergence in firing order or clock is a crash. The added seeds
+// double as the regression corpus for plain `go test`. (This harness
+// was written against the ladder queue that preceded the indexed heap;
+// the LadderVsHeap test names are kept so the suite's test IDs stay
+// stable.)
 func FuzzLadderVsHeap(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 20, 6, 6, 6})
@@ -274,76 +313,36 @@ func FuzzLadderVsHeap(f *testing.F) {
 		7, 40, 4, 0, 6, 1, 17, 34, 3, 7, 2, 6, 6, 6, 7, 255,
 	})
 	f.Add([]byte{8, 0, 4, 9, 10, 8, 63, 0, 9, 255, 0, 0, 50})
-	f.Add(drainedRungGapSeed())
+	f.Add(gapSeed())
+	// Reserved arrival streams interleaved with same-instant schedules,
+	// cancels and a bounded RunUntil.
+	f.Add([]byte{10, 0, 0, 7, 2, 0, 10, 5, 3, 4, 6, 0, 4, 6, 6, 5, 0, 7, 20, 10, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		applyOps(t, data)
 	})
 }
 
-// drainedRungGapSeed encodes the drained-reladder-rung panic repro
-// (REVIEW finding, fixed in queue.go) as an op stream: seed rung 0
-// from a spread-out far cluster, burst-schedule under a frozen clock
-// until the bottom re-ladders, drain exactly the burst so the reladder
-// rung sits fully consumed but undropped, then schedule into the gap
-// between that rung's end and rung 0's threshold.
-func drainedRungGapSeed() []byte {
+// gapSeed is a frozen-clock burst between a far cluster and a late
+// near schedule, as an op stream: 64 spread-out far schedules, two
+// steps, a 200-event burst 1ps apart from the frozen now, exactly 200
+// more steps, then a schedule into the gap between the burst and the
+// far cluster. (It once crashed a tiered queue; it stays as a corpus
+// entry because it exercises the gap between two dense clusters.)
+func gapSeed() []byte {
 	var s []byte
 	for k := byte(60); k < 124; k++ {
 		s = append(s, 0, k, 0) // 64 far schedules, 17ns apart
 	}
-	s = append(s, 6, 6)      // fire the parked event, seed rung 0, consume its first bucket
+	s = append(s, 6, 6)      // fire the parked event and the next one
 	s = append(s, 8, 8, 0)   // burst: 200 events 1ps apart from the frozen now
-	s = append(s, 9, 50)     // step 200×: drain the reladder rung in place
-	s = append(s, 0, 0, 100) // gap schedule: now+100ps, below rung 0's threshold
+	s = append(s, 9, 50)     // step 200×: drain the burst
+	s = append(s, 0, 0, 100) // gap schedule: now+100ps, before the far cluster
 	return s
-}
-
-// TestLadderDrainedRungGapInsert is the deterministic form of the
-// drained-rung regression: a re-laddered bottom rung that has been
-// fully consumed (cur past the last bucket) stays in the ladder until
-// the next refill, and its threshold equals its end — so an event in
-// the gap between that end and the shallower rung's threshold used to
-// be filed into a bucket behind the drained cursor, where the next
-// refill ran off the end of the bucket array. Both the single and the
-// batch insert path are driven through the gap; the heap reference
-// checks the realized order.
-func TestLadderDrainedRungGapInsert(t *testing.T) {
-	d := newDiffDriver(t)
-	// Far cluster: the first event parks in bottom and sets the
-	// horizon; the rest overflow to top, spread wide enough to seed a
-	// multi-bucket rung 0 with a ~50ns bucket width.
-	d.schedule(Microsecond, 0, false)
-	for i := 0; i < 64; i++ {
-		d.schedule(2*Microsecond+Duration(i)*50*Nanosecond, 0, false)
-	}
-	// Fire the parked event, then the first rung-0 event: rung 0 now
-	// has its threshold one bucket width past the frozen clock.
-	d.step()
-	d.step()
-	// Frozen-clock burst below every rung threshold: overgrows bottom
-	// past bottomSpillMax, re-laddering the live span into a new
-	// deepest rung only a couple hundred picoseconds wide.
-	const burst = bottomSpillMax + 8
-	for j := 0; j < burst; j++ {
-		d.schedule(Duration(j+1)*Picosecond, 0, false)
-	}
-	// Drain exactly the burst: the reladder rung ends fully consumed
-	// in place but is not dropped until the next refill.
-	for j := 0; j < burst; j++ {
-		d.step()
-	}
-	// Gap schedules: past the drained rung's end, below rung 0's
-	// threshold — one through Schedule, one through ScheduleBatch.
-	d.schedule(Nanosecond, 0, false)
-	d.batch(2*Nanosecond, 3)
-	d.drain()
-	d.check()
 }
 
 // TestLadderVsHeapRandom gives the differential harness broad coverage
 // in ordinary `go test` runs: many deterministic pseudo-random op
-// streams, including long ones that force multiple ladder epochs,
-// rung refinement, and heavy cancellation.
+// streams, reserved arrival streams among them.
 func TestLadderVsHeapRandom(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		seed := seed
@@ -359,11 +358,9 @@ func TestLadderVsHeapRandom(t *testing.T) {
 	}
 }
 
-// TestLadderVsHeapFrozenClockChurn drives the bottom re-ladder path:
-// schedule/cancel churn with no Steps keeps the clock frozen while
-// events pile up below the rung thresholds, forcing repeated
-// re-ladders before the final drain — which must still realize the
-// exact heap order.
+// TestLadderVsHeapFrozenClockChurn: schedule/cancel churn with no
+// Steps keeps the clock frozen while events pile up and are purged
+// from the middle of the heap before the final drain.
 func TestLadderVsHeapFrozenClockChurn(t *testing.T) {
 	d := newDiffDriver(t)
 	rng := benchRNG(0xf00d)
@@ -382,9 +379,8 @@ func TestLadderVsHeapFrozenClockChurn(t *testing.T) {
 }
 
 // TestLadderVsHeapHighOccupancy pushes both engines through a large
-// pending set (several epochs, forced rung spills) with interleaved
-// cancels and boundary RunUntils — the saturation regime the shape
-// benchmarks measure, checked for exact equivalence.
+// pending set with interleaved cancels and boundary RunUntils — the
+// saturation regime the shape benchmarks measure.
 func TestLadderVsHeapHighOccupancy(t *testing.T) {
 	d := newDiffDriver(t)
 	rng := benchRNG(0xdeadbeef)
@@ -402,6 +398,33 @@ func TestLadderVsHeapHighOccupancy(t *testing.T) {
 			d.step()
 		default:
 			d.schedule(Duration(rng.next()%2_000_000)*Picosecond, 0, rng.next()%4 == 0)
+		}
+	}
+	d.drain()
+	d.check()
+}
+
+// TestLadderVsHeapReservedArrivals runs many reserved streams at once,
+// with same-instant gaps and ties against ordinary schedules: the shape
+// of the on-demand arrival drivers, checked against the reference that
+// schedules every arrival up front.
+func TestLadderVsHeapReservedArrivals(t *testing.T) {
+	d := newDiffDriver(t)
+	rng := benchRNG(0xa11)
+	for i := 0; i < 3000; i++ {
+		switch rng.next() % 8 {
+		case 0:
+			d.arrivals(Duration(rng.next()%4)*Nanosecond, Duration(rng.next()%3)*Nanosecond, 1+int(rng.next()%32))
+		case 1:
+			d.runUntil(Duration(rng.next()%20) * Nanosecond)
+		case 2:
+			d.cancel(int(rng.next() % 512))
+		case 3:
+			d.batch(Duration(rng.next()%4)*Nanosecond, int(rng.next()%4))
+		case 4, 5:
+			d.step()
+		default:
+			d.schedule(Duration(rng.next()%8)*Nanosecond, int(rng.next()%3), rng.next()%2 == 0)
 		}
 	}
 	d.drain()

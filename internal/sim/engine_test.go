@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -110,6 +112,80 @@ func TestEnginePastSchedulePanics(t *testing.T) {
 		}
 	}()
 	e.At(Time(5*Nanosecond), func() {})
+}
+
+// A reserved seq keeps its place in the order however late it is
+// scheduled: the reserved event fires before a later-issued event at
+// the same instant, exactly as if it had been scheduled at Reserve.
+func TestReservedSeqKeepsItsPlace(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	res := e.Reserve(2)
+	e.Schedule(5*Nanosecond, func() { got = append(got, "plain") })
+	res.At(Time(Nanosecond), func() {
+		got = append(got, "r0")
+		res.At(Time(5*Nanosecond), func() { got = append(got, "r1") })
+	})
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d before the run, want 2 (one reserved event fed so far)", e.Pending())
+	}
+	e.Run()
+	if want := []string{"r0", "r1", "plain"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// Scheduling through a reservation panics when the seq it would use was
+// never reserved (the zero Reservation, or a block already used up), on
+// a time before the clock, on a nil callback, and on a key that would
+// fire before the event now running.
+func TestReservationPanics(t *testing.T) {
+	nop := func() {}
+	for _, tc := range []struct {
+		name, want string
+		call       func()
+	}{
+		{"zero reservation", "not reserved", func() {
+			var r Reservation
+			r.At(0, nop)
+		}},
+		{"block used up", "not reserved", func() {
+			r := NewEngine().Reserve(1)
+			r.At(0, nop)
+			r.At(0, nop)
+		}},
+		{"empty block", "not reserved", func() {
+			r := NewEngine().Reserve(0)
+			r.At(0, nop)
+		}},
+		{"negative size", "negative reservation", func() { NewEngine().Reserve(-1) }},
+		{"past time", "into the past", func() {
+			e := NewEngine()
+			r := e.Reserve(1)
+			e.RunUntil(Time(10 * Nanosecond))
+			r.At(Time(5*Nanosecond), nop)
+		}},
+		{"nil callback", "nil event callback", func() {
+			r := NewEngine().Reserve(1)
+			r.At(0, nil)
+		}},
+		{"behind the firing event", "precedes the fired seq", func() {
+			e := NewEngine()
+			r := e.Reserve(1)
+			e.Schedule(0, func() { r.At(0, nop) }) // reserved seq 0 < this event's seq 1
+			e.Run()
+		}},
+	} {
+		func() {
+			defer func() {
+				got := fmt.Sprint(recover())
+				if !strings.Contains(got, tc.want) {
+					t.Errorf("%s: panic %q, want one containing %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.call()
+		}()
+	}
 }
 
 // Property: regardless of insertion order, events fire in nondecreasing

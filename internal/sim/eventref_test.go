@@ -111,8 +111,8 @@ func TestCancelPurgeDoesNotAllocate(t *testing.T) {
 }
 
 // The schedule/fire loop must stay allocation-free at high occupancy
-// too: with a four-figure pending set the ladder cycles through spills,
-// rung refinement, and epoch reseeds, all on recycled storage.
+// too: with a four-figure pending set every schedule and fire sifts
+// through several heap levels, all on recycled storage.
 func TestEngineHighOccupancySteadyStateDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
 	rng := benchRNG(7)

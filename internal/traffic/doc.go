@@ -19,5 +19,8 @@
 // the Poisson process uses a splitmix64 generator seeded from
 // (Spec.Seed, app index), so the same spec always produces the same
 // request timeline regardless of app construction order or harness
-// parallelism.
+// parallelism. Spec.Arrivals yields a timeline an offset at a time, and
+// Spec.Feed schedules it on a sim.Engine on demand — one pending
+// arrival per app, under seqs reserved up front so the firing order is
+// that of scheduling the whole timeline at once.
 package traffic

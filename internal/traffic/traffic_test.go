@@ -1,6 +1,9 @@
 package traffic
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -88,7 +91,7 @@ func TestRejectedAndBatchesRenderOnlyWhenPresent(t *testing.T) {
 
 func TestClosedLoopArrivalsAreZero(t *testing.T) {
 	s := Spec{Arrival: ClosedLoop, Requests: 5}
-	for _, d := range s.Arrivals(0) {
+	for _, d := range collect(s, 0) {
 		if d != 0 {
 			t.Fatalf("closed-loop arrival offset %v, want 0", d)
 		}
@@ -97,7 +100,7 @@ func TestClosedLoopArrivalsAreZero(t *testing.T) {
 
 func TestOpenLoopArrivalsAreExactGrid(t *testing.T) {
 	s := Spec{Arrival: OpenLoop, Rate: 1000, Requests: 4}
-	got := s.Arrivals(0)
+	got := collect(s, 0)
 	for i, d := range got {
 		want := sim.Duration(i) * sim.Millisecond
 		if d != want {
@@ -108,8 +111,8 @@ func TestOpenLoopArrivalsAreExactGrid(t *testing.T) {
 
 func TestPoissonArrivalsDeterministicPerSeed(t *testing.T) {
 	s := Spec{Arrival: Poisson, Rate: 2000, Requests: 64, Seed: 7}
-	a := s.Arrivals(3)
-	b := s.Arrivals(3)
+	a := collect(s, 3)
+	b := collect(s, 3)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("arrival %d differs across identical calls: %v vs %v", i, a[i], b[i])
@@ -127,22 +130,32 @@ func TestPoissonArrivalsDeterministicPerSeed(t *testing.T) {
 	// timeline (streams are independent).
 	s2 := s
 	s2.Seed = 8
-	if same(a, s2.Arrivals(3)) {
+	if same(a, collect(s2, 3)) {
 		t.Error("different seeds produced identical timelines")
 	}
-	if same(a, s.Arrivals(4)) {
+	if same(a, collect(s, 4)) {
 		t.Error("different apps share one arrival timeline")
 	}
 }
 
 func TestPoissonMeanGapNearRate(t *testing.T) {
 	s := Spec{Arrival: Poisson, Rate: 1000, Requests: 4096, Seed: 42}
-	a := s.Arrivals(0)
+	a := collect(s, 0)
 	mean := a[len(a)-1].Seconds() / float64(len(a)-1)
 	want := 1.0 / s.Rate
 	if mean < want*0.9 || mean > want*1.1 {
 		t.Errorf("mean inter-arrival %.6g s, want within 10%% of %.6g s", mean, want)
 	}
+}
+
+// collect drains app's arrival iterator into a slice.
+func collect(s Spec, app int) []sim.Duration {
+	var out []sim.Duration
+	it := s.Arrivals(app)
+	for d, ok := it.Next(); ok; d, ok = it.Next() {
+		out = append(out, d)
+	}
+	return out
 }
 
 func same(a, b []sim.Duration) bool {
@@ -185,5 +198,126 @@ func TestFinalizeQuantileOrdering(t *testing.T) {
 	}
 	if a.Max != 1000*sim.Microsecond {
 		t.Errorf("Max = %v, want 1ms", a.Max)
+	}
+}
+
+// TestArrivalTimelinesPinned pins every arrival process byte for byte:
+// the SHA-256 of apps 0–4's offsets (2 000 each, little-endian int64
+// picoseconds, concatenated) at three seeds and two rates, recorded
+// from the slice-returning generator the iterator replaced.
+func TestArrivalTimelinesPinned(t *testing.T) {
+	const (
+		open50     = "7ac7ce367c6aad1e6f1cf6b68d6e7e9c29948f47c8e400b553360e44104219a7"
+		open120k   = "9a61a96f12d79ea85aa912f2388f696c0bac02669542365c2bfbb91f5e4c9358"
+		closedLoop = "f8c784aa6b57396e7c5e094c34d079d8252473e46e2f60593a921dbebf941fcc"
+	)
+	for _, tc := range []struct {
+		arrival Arrival
+		rate    float64
+		seed    uint64
+		want    string
+	}{
+		{OpenLoop, 50, 1, open50},
+		{OpenLoop, 50, 7, open50},
+		{OpenLoop, 50, 42, open50},
+		{OpenLoop, 120000, 1, open120k},
+		{OpenLoop, 120000, 7, open120k},
+		{OpenLoop, 120000, 42, open120k},
+		{Poisson, 50, 1, "60265dc840873b4fffc7e294e3d2a2f00bdb5448a1af7914fdf2e40fe83dfae3"},
+		{Poisson, 50, 7, "a3ba6831ebb919c7cf6189edf5494920fb1d7f26ce9e069fcde516dd6d70b1c0"},
+		{Poisson, 50, 42, "1515f398cb37900a11bc1c7e73d9b4c6041015f367cd1c37f7d6a652519b367b"},
+		{Poisson, 120000, 1, "353557fcc7c0c522e2c835bafebbfa3b20fed38de969b2b1dbe53589a8ab4606"},
+		{Poisson, 120000, 7, "bdd9b689ff4deb61494250b2835f6b65862c4053d7c49855e7be590bca128129"},
+		{Poisson, 120000, 42, "a2855fe215e2be5f5c7596aedb688f3746b38d3c79b2a575d0389e12abd700e1"},
+		{ClosedLoop, 50, 1, closedLoop},
+		{ClosedLoop, 50, 7, closedLoop},
+		{ClosedLoop, 50, 42, closedLoop},
+		{ClosedLoop, 120000, 1, closedLoop},
+		{ClosedLoop, 120000, 7, closedLoop},
+		{ClosedLoop, 120000, 42, closedLoop},
+	} {
+		s := Spec{Arrival: tc.arrival, Rate: tc.rate, Requests: 2000, Seed: tc.seed}
+		h := sha256.New()
+		var buf [8]byte
+		for app := 0; app < 5; app++ {
+			for _, d := range collect(s, app) {
+				binary.LittleEndian.PutUint64(buf[:], uint64(d))
+				h.Write(buf[:])
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
+			t.Errorf("%v rate %g seed %d: timeline digest %s, want %s", tc.arrival, tc.rate, tc.seed, got, tc.want)
+		}
+	}
+}
+
+// TestFeedSchedulesOnDemand checks Feed against the timeline it feeds:
+// every arrival fires at start plus its offset, in order, while at most
+// one arrival of the app is pending at any time.
+func TestFeedSchedulesOnDemand(t *testing.T) {
+	s := Spec{Arrival: Poisson, Rate: 5000, Requests: 300, Seed: 3}
+	want := collect(s, 2)
+	eng := sim.NewEngine()
+	start := sim.Time(7 * sim.Microsecond)
+	var got []sim.Duration
+	peak := 0
+	s.Feed(eng, 2, start, func() {
+		got = append(got, eng.Now().Sub(start))
+		if p := eng.Pending(); p > peak {
+			peak = p
+		}
+	})
+	eng.Run()
+	if len(got) != len(want) || !same(got, want) {
+		t.Fatalf("fed %d arrivals, want the %d-offset timeline in order", len(got), len(want))
+	}
+	if peak > 1 {
+		t.Fatalf("peak pending %d while feeding one app, want ≤ 1", peak)
+	}
+}
+
+// TestFeedKeepsUpFrontOrder pins what the reserved seqs buy: an engine
+// fed on demand fires exactly what an engine given every arrival up
+// front fires, in the same order, including events that tie with an
+// arrival's instant — scheduled after Feed but before the arrival is
+// fed, or from inside an arrival at its own instant.
+func TestFeedKeepsUpFrontOrder(t *testing.T) {
+	for _, s := range []Spec{
+		{Arrival: ClosedLoop, Requests: 6},
+		{Arrival: OpenLoop, Rate: 1e6, Requests: 6},
+		{Arrival: Poisson, Rate: 1e6, Requests: 6, Seed: 9},
+	} {
+		run := func(upFront bool) []string {
+			eng := sim.NewEngine()
+			var got []string
+			start := sim.Time(sim.Microsecond)
+			for app := 0; app < 2; app++ {
+				app, j := app, 0
+				fire := func() {
+					got = append(got, fmt.Sprintf("a%d.%d", app, j))
+					k := j
+					j++
+					eng.Schedule(0, func() { got = append(got, fmt.Sprintf("x%d.%d", app, k)) })
+				}
+				if upFront {
+					for _, off := range collect(s, app) {
+						eng.At(start.Add(off), fire)
+					}
+				} else {
+					s.Feed(eng, app, start, fire)
+				}
+			}
+			// Ties with every arrival instant, issued after both blocks.
+			for i, off := range collect(s, 0) {
+				i := i
+				eng.At(start.Add(off), func() { got = append(got, fmt.Sprintf("t%d", i)) })
+			}
+			eng.Run()
+			return got
+		}
+		want, got := run(true), run(false)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%v: fed on demand fired\n  %v\nscheduled up front fired\n  %v", s.Arrival, got, want)
+		}
 	}
 }
