@@ -117,75 +117,15 @@ func DefaultConfig(p Placement) Config { return dmxsys.DefaultConfig(p) }
 // DefaultDRX returns the paper's DRX ASIC configuration.
 func DefaultDRX() DRXConfig { return drx.DefaultConfig() }
 
-// Unified execution surface. Run is the single entry point behind which
-// the three historical front-ends (Simulate, SimulateStream,
-// SimulateLoad) are thin wrappers.
-type (
-	// RunSpec selects and parameterizes the execution mode: a
-	// single-request latency run (the zero value), a closed-loop
-	// stream, or a traffic-generated load. Build one directly or with
-	// SingleSpec/StreamSpec/LoadSpec.
-	RunSpec = dmxsys.RunSpec
-	// RunMode is the execution front-end selector of a RunSpec.
-	RunMode = dmxsys.RunMode
-	// Report is Run's union result: exactly one of Single, Stream, or
-	// Load is non-nil, matching the spec's mode.
-	Report = dmxsys.Report
-)
-
-// Execution modes.
-const (
-	ModeSingle = dmxsys.ModeSingle
-	ModeStream = dmxsys.ModeStream
-	ModeLoad   = dmxsys.ModeLoad
-)
-
-// SingleSpec is a one-request-per-app latency run (the zero RunSpec).
-func SingleSpec() RunSpec { return dmxsys.SingleSpec() }
-
-// StreamSpec is a closed-loop run of n requests per app.
-func StreamSpec(n int) RunSpec { return dmxsys.StreamSpec(n) }
-
-// LoadSpec is a traffic-driven serving run.
-func LoadSpec(spec TrafficSpec) RunSpec { return dmxsys.LoadSpec(spec) }
-
-// Run assembles a fresh system from cfg and the pipelines and executes
-// it under the spec, returning the mode's report. It is the unified
-// entry point: the zero spec reproduces Simulate, StreamSpec(n)
-// reproduces SimulateStream, and LoadSpec(t) reproduces SimulateLoad —
-// bit for bit. The same cfg, spec, and pipelines always produce an
-// identical report.
-func Run(cfg Config, spec RunSpec, pipelines ...*Pipeline) (Report, error) {
-	sys, err := dmxsys.New(cfg, pipelines)
-	if err != nil {
-		return Report{}, err
-	}
-	return sys.Execute(spec)
-}
-
 // Simulate runs one request through every pipeline concurrently on a
-// freshly assembled system and returns the aggregated report. It is
-// Run with SingleSpec, unwrapped.
+// freshly assembled system and returns the aggregated latency, energy
+// and stage-time report.
 func Simulate(cfg Config, pipelines ...*Pipeline) (RunReport, error) {
-	rep, err := Run(cfg, SingleSpec(), pipelines...)
+	sys, err := dmxsys.New(cfg, pipelines)
 	if err != nil {
 		return RunReport{}, err
 	}
-	return *rep.Single, nil
-}
-
-// StreamReport aggregates a streamed (back-to-back request) simulation.
-type StreamReport = dmxsys.StreamReport
-
-// SimulateStream issues a train of back-to-back requests per pipeline
-// and reports measured steady-state throughput (Sec. VII-A's continuous
-// arrival assumption). It is Run with StreamSpec(requests), unwrapped.
-func SimulateStream(cfg Config, requests int, pipelines ...*Pipeline) (StreamReport, error) {
-	rep, err := Run(cfg, StreamSpec(requests), pipelines...)
-	if err != nil {
-		return StreamReport{}, err
-	}
-	return *rep.Stream, nil
+	return sys.Run()
 }
 
 // Serving-layer surface: load generation with explicit arrival
@@ -265,14 +205,12 @@ func DefaultRetry() RetryPolicy { return faults.DefaultRetry() }
 // SimulateLoad drives the pipelines with the spec's arrival process on
 // a freshly assembled system and reports per-app offered vs achieved
 // throughput, latency quantiles, and failure accounting when faults
-// are configured. It is Run with LoadSpec(spec), unwrapped. The same
-// cfg, spec, and pipelines always produce an identical report.
+// are configured. A closed-loop spec is Sec. VII-A's continuous
+// arrival: Achieved is the measured steady-state throughput. It is
+// SimulateCluster on a fleet of one host. The same cfg, spec, and
+// pipelines always produce an identical report.
 func SimulateLoad(cfg Config, spec TrafficSpec, pipelines ...*Pipeline) (LoadReport, error) {
-	rep, err := Run(cfg, LoadSpec(spec), pipelines...)
-	if err != nil {
-		return LoadReport{}, err
-	}
-	return *rep.Load, nil
+	return SimulateCluster(FleetConfig{Hosts: 1, Base: cfg}, spec, pipelines...)
 }
 
 // Cluster-scale serving surface: N replicas of one Config composed
@@ -309,10 +247,10 @@ func ParseRouterPolicy(s string) (RouterPolicy, error) { return cluster.ParsePol
 // SimulateCluster builds a fleet from cfg and the pipelines, drives it
 // with the spec's arrival process through the cluster router, and rolls
 // the per-replica accounting up into one LoadReport that preserves
-// per-app tail-latency accounting. A one-host fleet with zero-valued
-// network and router configs reproduces SimulateLoad byte for byte; the
-// same cfg, spec, and pipelines always produce an identical report at
-// any sweep worker count.
+// per-app tail-latency accounting. Every load run goes through it:
+// SimulateLoad is the fleet of one host with zero-valued network and
+// router configs. The same cfg, spec, and pipelines always produce an
+// identical report at any sweep worker count.
 func SimulateCluster(cfg FleetConfig, spec TrafficSpec, pipelines ...*Pipeline) (LoadReport, error) {
 	f, err := cluster.New(cfg, pipelines)
 	if err != nil {

@@ -68,17 +68,20 @@ func TestFunctionalChainsThroughPublicAPI(t *testing.T) {
 	}
 }
 
-func TestSimulateStreamThroughPublicAPI(t *testing.T) {
+// A closed-loop load run is Sec. VII-A's continuous arrival: every
+// request released at once, the measured rate the steady state.
+func TestClosedLoopThroughPublicAPI(t *testing.T) {
 	suite, err := dmx.TestSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := dmx.SimulateStream(dmx.DefaultConfig(dmx.BumpInTheWire), 4, suite[1].Pipeline)
+	rep, err := dmx.SimulateLoad(dmx.DefaultConfig(dmx.BumpInTheWire),
+		dmx.TrafficSpec{Arrival: dmx.ClosedLoop, Requests: 4}, suite[1].Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.PerApp) != 1 || rep.PerApp[0].Throughput <= 0 {
-		t.Fatalf("bad stream report: %+v", rep)
+	if len(rep.PerApp) != 1 || rep.PerApp[0].Completed != 4 || rep.PerApp[0].Achieved <= 0 {
+		t.Fatalf("bad closed-loop report: %+v", rep)
 	}
 }
 

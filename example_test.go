@@ -22,11 +22,11 @@ func ExampleNewChain() {
 	// dmx: chain "broken" ends in a Motion; add the consuming Kernel
 }
 
-// ExampleRun drives one benchmark pipeline through the unified entry
-// point under Poisson load with seeded fault injection: DRX outages
-// degrade hops to CPU-mediated restructuring instead of failing them,
-// and the same seed always reproduces the same report.
-func ExampleRun() {
+// ExampleSimulateLoad drives one benchmark pipeline under Poisson load
+// with seeded fault injection: DRX outages degrade hops to CPU-mediated
+// restructuring instead of failing them, and the same seed always
+// reproduces the same report.
+func ExampleSimulateLoad() {
 	suite, err := dmx.TestSuite()
 	if err != nil {
 		panic(err)
@@ -37,16 +37,16 @@ func ExampleRun() {
 		panic(err)
 	}
 	cfg.Retry = dmx.DefaultRetry()
-	rep, err := dmx.Run(cfg, dmx.LoadSpec(dmx.TrafficSpec{
+	rep, err := dmx.SimulateLoad(cfg, dmx.TrafficSpec{
 		Arrival:  dmx.Poisson,
 		Rate:     4000,
 		Requests: 40,
 		Seed:     7,
-	}), suite[0].Pipeline)
+	}, suite[0].Pipeline)
 	if err != nil {
 		panic(err)
 	}
-	al := rep.Load.PerApp[0]
+	al := rep.PerApp[0]
 	fmt.Printf("issued %d, completed %d\n", al.Requests, al.Completed)
 	fmt.Printf("some completions degraded to CPU restructuring: %v\n", al.Degraded > 0)
 	fmt.Printf("outages alone never lose a request: %v\n", al.Abandoned == 0)
@@ -56,7 +56,7 @@ func ExampleRun() {
 	// outages alone never lose a request: true
 }
 
-// ExampleRun_continuousBatching turns on the serving layer's continuous
+// ExampleSimulateLoad_continuousBatching turns on the serving layer's continuous
 // batching and SLO-aware scheduling: arrivals of one application within
 // the batch window coalesce and walk the pipeline as a single unit (one
 // kernel launch and one DMA descriptor per leg instead of one per
@@ -64,7 +64,7 @@ func ExampleRun() {
 // earliest-deadline-first, and an admission limit bounds each app's
 // outstanding requests. Completions still split out per request, so
 // latency and deadline accounting stay per-request.
-func ExampleRun_continuousBatching() {
+func ExampleSimulateLoad_continuousBatching() {
 	suite, err := dmx.TestSuite()
 	if err != nil {
 		panic(err)
@@ -74,16 +74,16 @@ func ExampleRun_continuousBatching() {
 	cfg.BatchMax = 8
 	cfg.Sched = dmx.SchedEDF
 	cfg.AdmitLimit = 64
-	rep, err := dmx.Run(cfg, dmx.LoadSpec(dmx.TrafficSpec{
+	rep, err := dmx.SimulateLoad(cfg, dmx.TrafficSpec{
 		Arrival:  dmx.OpenLoop,
 		Rate:     50000,
 		Requests: 32,
 		Deadline: 80 * dmx.Millisecond,
-	}), suite[0].Pipeline)
+	}, suite[0].Pipeline)
 	if err != nil {
 		panic(err)
 	}
-	al := rep.Load.PerApp[0]
+	al := rep.PerApp[0]
 	fmt.Printf("completed %d of %d\n", al.Completed, al.Requests)
 	fmt.Printf("batches %d carrying %d requests\n", al.Batches, al.BatchedRequests)
 	fmt.Printf("rejected %d\n", al.Rejected)

@@ -170,7 +170,8 @@ func (f *Fleet) FaultCounts() faults.Counts {
 // tail-latency accounting: latency histograms merge bucket-for-bucket,
 // quantiles are re-derived from the merged histograms, and availability
 // spans the whole fleet. With one host and the zero-valued network and
-// router configs the report is byte-identical to System.RunLoad's.
+// router configs the report and the trace are byte-identical to
+// System.RunLoad's.
 func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 	if err := spec.Validate(); err != nil {
 		return traffic.LoadReport{}, err
@@ -313,9 +314,13 @@ func (r *fleetRun) arrive(i int) {
 	f.rt.outstanding[h]++
 	f.routed[h][i]++
 	r.parts[h][i].Requests++
-	f.eng.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
-		"cluster.router", r.hostNames[h], pipe.Name,
-		f.cfg.Router.Policy.String(), int64(f.rt.outstanding[h]))
+	if len(f.hosts) > 1 {
+		// A one-host router has no choice to record, and without the
+		// instant a one-host fleet's trace is RunLoad's byte for byte.
+		f.eng.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
+			"cluster.router", r.hostNames[h], pipe.Name,
+			f.cfg.Router.Policy.String(), int64(f.rt.outstanding[h]))
+	}
 	var a *arrival
 	if n := len(r.pool); n > 0 {
 		a = r.pool[n-1]

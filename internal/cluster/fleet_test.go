@@ -2,7 +2,7 @@ package cluster_test
 
 // Fleet acceptance gates. The load-bearing one is single-host byte
 // identity: a one-host fleet with the zero network and router configs
-// must reproduce System.RunLoad's LoadReport bytes exactly, across
+// must reproduce System.RunLoad's LoadReport and trace bytes exactly, across
 // placements and across the serving features (batching, admission
 // control, deadlines, fault injection with retry). The rest pin the
 // roll-up arithmetic, the router's placement/fault/admission behavior,
@@ -94,9 +94,24 @@ func TestFleetSingleHostByteIdentity(t *testing.T) {
 		}, traffic.Spec{Arrival: traffic.Poisson, Rate: 4000, Requests: 64, Seed: 3,
 			Deadline: 5 * sim.Millisecond}},
 	}
+	// Both runs record a trace: the Perfetto bytes must match as well
+	// as the report (a one-host router has no choice to record).
+	traced := func(tc func() dmxsys.Config) (dmxsys.Config, *obs.Recorder) {
+		cfg := tc()
+		cfg.Obs = obs.New()
+		return cfg, cfg.Obs
+	}
+	perfetto := func(rec *obs.Recorder) []byte {
+		var buf bytes.Buffer
+		if err := obs.WriteTrace(&buf, rec.Events()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			solo, err := dmxsys.New(tc.cfg(), []*dmxsys.Pipeline{b.Pipeline})
+			soloCfg, soloRec := traced(tc.cfg)
+			solo, err := dmxsys.New(soloCfg, []*dmxsys.Pipeline{b.Pipeline})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,9 +119,16 @@ func TestFleetSingleHostByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, got := fleetRun(t, cluster.FleetConfig{Hosts: 1, Base: tc.cfg()}, tc.spec, b.Pipeline)
+			fleetCfg, fleetRec := traced(tc.cfg)
+			_, got := fleetRun(t, cluster.FleetConfig{Hosts: 1, Base: fleetCfg}, tc.spec, b.Pipeline)
 			if got.String() != want.String() {
 				t.Errorf("one-host fleet diverged from RunLoad:\n--- fleet\n%s\n--- solo\n%s", got, want)
+			}
+			if g, w := fleetRec.Len(), soloRec.Len(); g != w {
+				t.Errorf("one-host fleet recorded %d trace events, RunLoad %d", g, w)
+			}
+			if !bytes.Equal(perfetto(fleetRec), perfetto(soloRec)) {
+				t.Error("one-host fleet trace bytes differ from RunLoad's")
 			}
 		})
 	}

@@ -18,9 +18,9 @@ import (
 // stage index), phase, lap tracker, fault state and queue reservations
 // move payloads, CPU work and DRX service scaled by n. An unbatched
 // request is a carrier of one; a closed batch (batch.go) is a carrier of
-// several. Run, RunStream, and RunLoad are thin front-ends over the same
-// machine: they differ only in the arrival offsets they feed the shared
-// drive loop.
+// several. Run and RunLoad are thin front-ends over the same machine:
+// they differ only in the arrival offsets they feed the shared drive
+// loop.
 //
 // Between events a carrier is parked in one phase: the protocol step it
 // resumes at when the engine, a service station, a host channel or a
@@ -77,7 +77,7 @@ import (
 // Errors (fabric transfer failures, queue accounting violations, DRX
 // timing failures) do not panic: the carrier records the first error on
 // the System via fail and stops advancing; the drive loop surfaces it
-// from Run/RunStream/RunLoad after the engine drains.
+// from Run or RunLoad after the engine drains.
 
 // component tags attribute elapsed time in the app report.
 type component int
@@ -1329,7 +1329,7 @@ func (c *carrier) degradeHop() {
 	c.after(s.driverDelay()+DMASetupLatency, phDegradeInSetup)
 }
 
-// drive is the shared load driver under Run, RunStream, and RunLoad:
+// drive is the shared load driver under Run and RunLoad:
 // app i's request j is admitted at i·StartStagger plus spec's offset j
 // for app i, under app i's spec.DeadlineFor budget; the engine runs to
 // completion, and every retirement invokes onDone. Arrivals are fed on

@@ -1,14 +1,15 @@
 package dmxsys_test
 
 // The flow.go state-machine refactor must not move a single event: the
-// acceptance gate is that RunStream's report values and rendered text
-// trace are byte-identical before and after for all five Table I
-// applications under every placement. This golden test pins that
-// equivalence: each (app, placement) cell's full dump — every rendered
-// trace line plus the StreamReport fields — is hashed, and the hashes
-// were captured from the pre-refactor nested-closure implementation.
-// Run with -update only to regenerate after an *intentional* timing
-// change.
+// acceptance gate is that a closed-loop train's report values and
+// rendered text trace are byte-identical before and after for all five
+// Table I applications under every placement. This golden test pins
+// that equivalence: each (app, placement) cell's full dump — every
+// rendered trace line plus the train's makespan, completion span and
+// rate — is hashed, and the hashes were captured from the pre-refactor
+// nested-closure implementation (then as a stream run, which a
+// closed-loop RunLoad reproduces value for value). Run with -update
+// only to regenerate after an *intentional* timing change.
 
 import (
 	"flag"
@@ -20,7 +21,9 @@ import (
 	"testing"
 
 	"dmx/internal/dmxsys"
+	"dmx/internal/obs"
 	"dmx/internal/sim"
+	"dmx/internal/traffic"
 	"dmx/internal/workload"
 )
 
@@ -28,8 +31,9 @@ var update = flag.Bool("update", false, "rewrite the stream golden file")
 
 const goldenRequests = 4
 
-// streamDump renders one streamed run as a stable text form: the exact
-// trace-line sequence followed by every StreamReport value.
+// streamDump renders one closed-loop train as a stable text form: the
+// exact trace-line sequence followed by the report values and the
+// train's first and last completion.
 func streamDump(t *testing.T, b *workload.Benchmark, p dmxsys.Placement) string {
 	t.Helper()
 	cfg := dmxsys.DefaultConfig(p)
@@ -37,19 +41,37 @@ func streamDump(t *testing.T, b *workload.Benchmark, p dmxsys.Placement) string 
 	cfg.Trace = func(at sim.Time, app, event string) {
 		fmt.Fprintf(&sb, "[%d] %s %s\n", int64(at), app, event)
 	}
+	cfg.Obs = obs.New()
 	s, err := dmxsys.New(cfg, []*dmxsys.Pipeline{b.Pipeline})
 	if err != nil {
 		t.Fatalf("%s/%v: %v", b.Name, p, err)
 	}
-	rep, err := s.RunStream(goldenRequests)
+	rep, err := s.RunLoad(traffic.Spec{Arrival: traffic.ClosedLoop, Requests: goldenRequests})
 	if err != nil {
 		t.Fatalf("%s/%v: %v", b.Name, p, err)
 	}
-	fmt.Fprintf(&sb, "placement=%v makespan=%d\n", rep.Placement, int64(rep.Makespan))
-	for _, a := range rep.PerApp {
-		fmt.Fprintf(&sb, "app=%s requests=%d first=%d last=%d throughput=%.9g\n",
-			a.App, a.Requests, int64(a.First), int64(a.Last), a.Throughput)
+	// A request retires at the end of its last phase-attribution span,
+	// and every request walks its own track.
+	retired := map[string]obs.Time{}
+	for _, ev := range cfg.Obs.Events() {
+		if ev.Kind == obs.KindSpan && ev.Type == obs.TypePhase {
+			retired[ev.Track] = max(retired[ev.Track], ev.TS+obs.Time(ev.Dur))
+		}
 	}
+	a := rep.PerApp[0]
+	if len(retired) != a.Completed {
+		t.Fatalf("%s/%v: %d request tracks for %d completions", b.Name, p, len(retired), a.Completed)
+	}
+	first, last := obs.Time(-1), obs.Time(0)
+	for _, end := range retired {
+		if first < 0 || end < first {
+			first = end
+		}
+		last = max(last, end)
+	}
+	fmt.Fprintf(&sb, "placement=%v makespan=%d\n", p, int64(rep.Makespan))
+	fmt.Fprintf(&sb, "app=%s requests=%d first=%d last=%d throughput=%.9g\n",
+		a.App, a.Requests, int64(first), int64(last), a.Achieved)
 	return sb.String()
 }
 
@@ -63,7 +85,7 @@ func hashDump(dump string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-func TestRunStreamGoldenAcrossAppsAndPlacements(t *testing.T) {
+func TestClosedLoopGoldenAcrossAppsAndPlacements(t *testing.T) {
 	benches, err := workload.Suite(workload.TestScale)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +137,7 @@ func TestRunStreamGoldenAcrossAppsAndPlacements(t *testing.T) {
 			continue
 		}
 		if got[k] != want[k] {
-			t.Errorf("%s: stream output changed: hash %s, golden %s", k, got[k], want[k])
+			t.Errorf("%s: closed-loop output changed: hash %s, golden %s", k, got[k], want[k])
 		}
 	}
 }

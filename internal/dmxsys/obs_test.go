@@ -6,6 +6,7 @@ import (
 
 	"dmx/internal/obs"
 	"dmx/internal/sweep"
+	"dmx/internal/traffic"
 )
 
 // captureTrace runs one traced simulation and returns the recorder and
@@ -189,7 +190,7 @@ func TestReportCarriesMetricsWhenTraced(t *testing.T) {
 	}
 }
 
-// Streamed execution gives every request its own trace track, so spans
+// A closed-loop train gives every request its own trace track, so spans
 // still nest and the trace still validates under pipelined requests.
 func TestStreamedTraceValidates(t *testing.T) {
 	cfg := DefaultConfig(BumpInTheWire)
@@ -198,7 +199,7 @@ func TestStreamedTraceValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunStream(6); err != nil {
+	if _, err := s.RunLoad(traffic.Spec{Arrival: traffic.ClosedLoop, Requests: 6}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -206,6 +207,6 @@ func TestStreamedTraceValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := obs.ValidateTrace(buf.Bytes()); err != nil {
-		t.Fatalf("streamed trace does not validate: %v", err)
+		t.Fatalf("closed-loop trace does not validate: %v", err)
 	}
 }

@@ -7,15 +7,17 @@ import (
 )
 
 // Load-generated execution: RunLoad drives the system with an explicit
-// arrival process (internal/traffic) instead of RunStream's closed-loop
-// burst. Open-loop and Poisson arrivals admit requests on their own
-// clock regardless of completions, so offered load above the pipeline's
-// capacity builds queueing delay — the latency-vs-offered-load curves
-// of the serving experiments.
+// arrival process (internal/traffic). A closed-loop train releases every
+// request at once and lets the pipeline pace completions — Sec. VII-A's
+// continuous arrival, whose Achieved rate is the measured steady-state
+// throughput. Open-loop and Poisson arrivals admit requests on their
+// own clock regardless of completions, so offered load above the
+// pipeline's capacity builds queueing delay — the latency-vs-offered-load
+// curves of the serving experiments.
 
 // RunLoad issues spec.Requests requests per application under the
 // spec's arrival process and simulates to completion. The system must
-// be freshly built (Run, RunStream, and RunLoad consume the engine).
+// be freshly built (Run and RunLoad consume the engine).
 func (s *System) RunLoad(spec traffic.Spec) (traffic.LoadReport, error) {
 	if err := spec.Validate(); err != nil {
 		return traffic.LoadReport{}, err
@@ -34,7 +36,7 @@ func (s *System) RunLoad(spec traffic.Spec) (traffic.LoadReport, error) {
 	}
 	// Admission control is a serving-layer behavior: only RunLoad has a
 	// rejection channel in its report, so the limit gates here and not
-	// under Run/RunStream.
+	// under Run.
 	s.admitting = true
 	err := s.drive(spec,
 		func(app int, r *request) {

@@ -62,8 +62,8 @@ type System struct {
 	carriers    []*carrier
 	tickets     []*ticket
 	// admitting is true while RunLoad drives the system; admission
-	// control applies only there (Run and RunStream issue fixed request
-	// sets whose reports have no rejection channel).
+	// control applies only there (Run issues a fixed request set whose
+	// report has no rejection channel).
 	admitting bool
 
 	// inj is the fault injector (nil = no faults). hazardous is true
@@ -75,8 +75,8 @@ type System struct {
 
 	// err is the first flow error (invalid fabric route, queue
 	// accounting violation, DRX timing failure). The request machine
-	// records it via fail instead of panicking; Run/RunStream/RunLoad
-	// surface it after the engine drains.
+	// records it via fail instead of panicking; Run and RunLoad surface
+	// it after the engine drains.
 	err error
 }
 
