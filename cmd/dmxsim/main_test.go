@@ -9,22 +9,39 @@ import (
 	"testing"
 
 	"dmx"
-	"dmx/internal/dmxsys"
 	"dmx/internal/obs"
+	"dmx/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-func opts() options {
-	return options{
-		app:       "sound-detection",
-		napps:     1,
-		placement: "bump",
-		gen:       3,
-		lanes:     128,
-		verbose:   true,
-		trace:     true,
+// oneShotArgs is a one-shot run of one app with the per-app breakdown
+// and the event trace.
+var oneShotArgs = []string{"-app", "sound-detection", "-apps", "1", "-placement", "bump",
+	"-gen", "3", "-lanes", "128", "-v", "-trace"}
+
+// parse parses a command line, failing the test on a parse error.
+func parse(t *testing.T, args ...string) options {
+	t.Helper()
+	o, err := parseArgs(args)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return o
+}
+
+// writeSpec saves a Spec document for -spec and returns its path.
+func writeSpec(t *testing.T, s dmx.Spec) string {
+	t.Helper()
+	doc, err := dmx.MarshalSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // The full CLI output — event trace, report, per-app breakdown, energy
@@ -33,7 +50,7 @@ func opts() options {
 // single-writer routing of the trace and the report.
 func TestRunOutputIsGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(opts(), &buf); err != nil {
+	if err := run(parse(t, oneShotArgs...), &buf); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "sound_bump.golden")
@@ -56,10 +73,10 @@ func TestRunOutputIsGolden(t *testing.T) {
 
 func TestRunOutputIsDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := run(opts(), &a); err != nil {
+	if err := run(parse(t, oneShotArgs...), &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(opts(), &b); err != nil {
+	if err := run(parse(t, oneShotArgs...), &b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -72,31 +89,26 @@ func TestRunOutputIsDeterministic(t *testing.T) {
 func TestClusterOnlyFlagsRejected(t *testing.T) {
 	cases := []struct {
 		name    string
-		mutate  func(*options)
+		args    []string
 		wantErr bool
 	}{
-		{"net-lat-single-host", func(o *options) { o.netLat = "2us" }, true},
-		{"net-core-single-host", func(o *options) { o.netCore = 50e9 }, true},
-		{"net-nic-single-host", func(o *options) { o.netNIC = 12.5e9 }, true},
-		{"host-admit-single-host", func(o *options) { o.hostAdmit = 8 }, true},
-		{"drain-single-host", func(o *options) { o.drain = "3/2ms" }, true},
-		{"net-multi-host-ok", func(o *options) {
-			o.hosts = 2
-			o.arrival = "poisson"
-			o.router = "score"
-			o.rate = 2000
-			o.requests = 4
-			o.netLat = "2us"
-			o.trace = false
-			o.verbose = false
-		}, false},
+		{"net-lat-single-host", []string{"-net-lat", "2us"}, true},
+		{"net-core-single-host", []string{"-net-core", "50e9"}, true},
+		{"net-nic-single-host", []string{"-net-nic", "12.5e9"}, true},
+		{"host-admit-single-host", []string{"-host-admit", "8"}, true},
+		{"drain-single-host", []string{"-drain", "3/2ms"}, true},
+		{"net-multi-host-ok", []string{"-app", "sound-detection", "-hosts", "2",
+			"-arrival", "poisson", "-router", "score", "-rate", "2000", "-requests", "4",
+			"-net-lat", "2us"}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := opts()
-			tc.mutate(&o)
+			args := tc.args
+			if tc.wantErr {
+				args = append(append([]string(nil), oneShotArgs...), tc.args...)
+			}
 			var buf bytes.Buffer
-			err := run(o, &buf)
+			err := run(parse(t, args...), &buf)
 			if tc.wantErr && err == nil {
 				t.Error("cluster-only flag accepted on a single-host run")
 			}
@@ -107,21 +119,46 @@ func TestClusterOnlyFlagsRejected(t *testing.T) {
 	}
 }
 
+// -drain's count is a whole number ≥ 1, read strictly: trailing text
+// or a fraction is an error, not a truncated count.
+func TestDrainRejectsMalformedCounts(t *testing.T) {
+	for _, bad := range []string{"3abc/2ms", "2.5", "0", "-1", "/2ms", "3/", "3/bogus", "3 /2ms"} {
+		if n, w, err := parseDrain(bad); err == nil {
+			t.Errorf("-drain %q accepted as %d/%v", bad, n, w)
+		}
+	}
+	for in, want := range map[string]struct {
+		n int
+		w sim.Duration
+	}{
+		"3/2ms": {3, 2 * sim.Millisecond},
+		"3":     {3, 0},
+	} {
+		n, w, err := parseDrain(in)
+		if err != nil || n != want.n || w != want.w {
+			t.Errorf("-drain %q = %d/%v, %v; want %d/%v", in, n, w, err, want.n, want.w)
+		}
+	}
+	// The whole command line refuses the malformed count on a fleet.
+	var buf bytes.Buffer
+	o := parse(t, "-app", "sound-detection", "-hosts", "2", "-arrival", "poisson",
+		"-rate", "2000", "-requests", "4", "-drain", "3abc/2ms")
+	if err := run(o, &buf); err == nil || !strings.Contains(err.Error(), "-drain") {
+		t.Errorf("-drain 3abc/2ms on a fleet: %v", err)
+	}
+}
+
 // -trace-out must emit a file that the validator accepts and that is
 // byte-identical across runs.
 func TestTraceOutValidatesAndIsStable(t *testing.T) {
 	dir := t.TempDir()
 	capture := func(name string) []byte {
-		o := opts()
-		o.trace = false
-		o.verbose = false
-		o.stats = true
-		o.traceOut = filepath.Join(dir, name)
+		path := filepath.Join(dir, name)
 		var buf bytes.Buffer
-		if err := run(o, &buf); err != nil {
+		if err := run(parse(t, "-app", "sound-detection", "-stats", "-trace-out", path), &buf); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(o.traceOut)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +173,7 @@ func TestTraceOutValidatesAndIsStable(t *testing.T) {
 	}
 }
 
-// applySpec must treat the document as the new base: fields it sets
+// -spec must treat the document as the new base: fields it sets
 // override flag defaults, while explicitly given flags still win, and
 // incoherent documents fail with a message naming the problem.
 func TestApplySpecMerge(t *testing.T) {
@@ -149,55 +186,44 @@ func TestApplySpecMerge(t *testing.T) {
 		Hosts: 2, Router: "least", HostAdmit: 16, NetNIC: 12.5e9, NetLat: "2us",
 	}
 	cases := []struct {
-		name     string
-		spec     dmx.Spec
-		explicit map[string]bool
-		check    func(t *testing.T, o options)
-		wantErr  string
+		name    string
+		spec    dmx.Spec
+		flags   []string
+		check   func(t *testing.T, o options)
+		wantErr string
 	}{
 		{"spec fields become base", spec, nil, func(t *testing.T, o options) {
-			if o.app != "personal-info-redaction" || o.scale != "test" || o.napps != 3 {
-				t.Errorf("workload: app=%q scale=%q napps=%d", o.app, o.scale, o.napps)
+			if o.app != "personal-info-redaction" {
+				t.Errorf("app = %q", o.app)
 			}
-			if o.placement != "integrated" || o.gen != 4 || o.lanes != 64 || o.discipline != "srs" {
-				t.Errorf("host: %q gen=%d lanes=%d disc=%q", o.placement, o.gen, o.lanes, o.discipline)
-			}
-			if o.batchWindow != "200us" || o.batchMax != 8 || o.admit != 32 {
-				t.Errorf("serving: window=%q max=%d admit=%d", o.batchWindow, o.batchMax, o.admit)
-			}
-			if o.faults != "transient=0.01" || o.faultSeed != 9 || o.retry != 2 || o.deadline != "500us" {
-				t.Errorf("faults: %q seed=%d retry=%d deadline=%q", o.faults, o.faultSeed, o.retry, o.deadline)
-			}
-			if o.arrival != "poisson" || o.rate != 2500 || o.requests != 48 || o.seed != 7 || o.slo != "30ms" {
-				t.Errorf("traffic: %q rate=%v req=%d seed=%d slo=%q", o.arrival, o.rate, o.requests, o.seed, o.slo)
-			}
-			if o.hosts != 2 || o.router != "least" || o.hostAdmit != 16 || o.netNIC != 12.5e9 || o.netLat != "2us" {
-				t.Errorf("cluster: hosts=%d router=%q hostAdmit=%d nic=%v lat=%q",
-					o.hosts, o.router, o.hostAdmit, o.netNIC, o.netLat)
+			if got := o.spec; !specEqual(got, spec) {
+				t.Errorf("merged spec\n%+v\nwant the document\n%+v", got, spec)
 			}
 		}, ""},
-		{"explicit flags win", spec, map[string]bool{"placement": true, "rate": true, "requests": true},
+		{"explicit flags win", spec, []string{"-placement", "bump", "-rate", "1000", "-requests", "16"},
 			func(t *testing.T, o options) {
-				if o.placement != "bump" || o.rate != 1000 || o.requests != 16 {
+				if o.spec.Placement != "bump" || o.spec.Rate != 1000 || o.spec.Requests != 16 {
 					t.Errorf("explicit flags overridden by spec: placement=%q rate=%v requests=%d",
-						o.placement, o.rate, o.requests)
+						o.spec.Placement, o.spec.Rate, o.spec.Requests)
 				}
-				if o.discipline != "srs" {
-					t.Errorf("non-explicit field not taken from spec: discipline=%q", o.discipline)
+				if o.spec.Discipline != "srs" {
+					t.Errorf("non-explicit field not taken from spec: discipline=%q", o.spec.Discipline)
 				}
 			}, ""},
 		{"sparse spec keeps defaults", dmx.Spec{Arrival: "open"}, nil, func(t *testing.T, o options) {
-			if o.arrival != "open" {
-				t.Errorf("arrival = %q", o.arrival)
+			s := o.spec
+			if s.Arrival != "open" {
+				t.Errorf("arrival = %q", s.Arrival)
 			}
-			if o.rate != 1000 || o.requests != 16 || o.placement != "bump" {
-				t.Errorf("defaults lost: rate=%v requests=%d placement=%q", o.rate, o.requests, o.placement)
+			if s.Rate != 1000 || s.Requests != 16 || s.Placement != "bump" || o.app != "all" || s.Apps != nil {
+				t.Errorf("defaults lost: rate=%v requests=%d placement=%q app=%q apps=%v",
+					s.Rate, s.Requests, s.Placement, o.app, s.Apps)
 			}
 		}, ""},
 		{"fuse hops carried", dmx.Spec{Arrival: "poisson", FuseHops: []dmx.FusePair{{App: 0, Hop: 0}}}, nil,
 			func(t *testing.T, o options) {
-				if len(o.fuse) != 1 || o.fuse[0] != (dmxsys.FusePair{App: 0, Hop: 0}) {
-					t.Errorf("fuse = %v", o.fuse)
+				if f := o.spec.FuseHops; len(f) != 1 || f[0] != (dmx.FusePair{App: 0, Hop: 0}) {
+					t.Errorf("fuse = %v", f)
 				}
 			}, ""},
 		{"multi-app rejected", dmx.Spec{Apps: []string{"a", "b"}, Arrival: "poisson"}, nil, nil, "one benchmark"},
@@ -205,9 +231,12 @@ func TestApplySpecMerge(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := options{app: "all", napps: 1, placement: "bump", gen: 3, lanes: 128,
-				rate: 1000, requests: 16, seed: 1, discipline: "fifo", router: "score", hosts: 1}
-			o, err := applySpec(tc.spec, base, tc.explicit)
+			o, err := parseArgs(append([]string{"-spec", writeSpec(t, tc.spec)}, tc.flags...))
+			if err == nil && tc.wantErr != "" {
+				// Document values are checked where every Spec is:
+				// in Resolve, on the way to the run.
+				_, _, _, err = o.spec.Resolve()
+			}
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("error %v, want mention of %q", err, tc.wantErr)
@@ -222,18 +251,21 @@ func TestApplySpecMerge(t *testing.T) {
 	}
 }
 
+// specEqual compares two specs by their documents.
+func specEqual(a, b dmx.Spec) bool {
+	da, errA := dmx.MarshalSpec(a)
+	db, errB := dmx.MarshalSpec(b)
+	return errA == nil && errB == nil && bytes.Equal(da, db)
+}
+
 // A fused spec must drive the whole CLI path: the fuse pairs land in
 // the config and the run completes.
 func TestRunWithFusedSpec(t *testing.T) {
-	o, err := applySpec(dmx.Spec{
+	o := parse(t, "-spec", writeSpec(t, dmx.Spec{
 		Apps: []string{"pir-ner"}, Scale: "test", Placement: "integrated",
 		Arrival: "poisson", Rate: 2000, Requests: 8, Seed: 3,
 		FuseHops: []dmx.FusePair{{App: 0, Hop: 0}},
-	}, options{app: "all", napps: 1, placement: "bump", gen: 3, lanes: 128,
-		rate: 1000, requests: 16, seed: 1, hosts: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	var buf bytes.Buffer
 	if err := run(o, &buf); err != nil {
 		t.Fatal(err)
@@ -243,7 +275,7 @@ func TestRunWithFusedSpec(t *testing.T) {
 	}
 	// The same spec with an illegal placement for fusion must surface
 	// the validation error.
-	o.placement = "bump"
+	o.spec.Placement = "bump"
 	if err := run(o, &buf); err == nil || !strings.Contains(err.Error(), "shared DRX") {
 		t.Errorf("fusion on bump: %v", err)
 	}

@@ -242,7 +242,10 @@ func (s Spec) Resolve() (FleetConfig, TrafficSpec, []*Pipeline, error) {
 		cfg.FuseHops = append([]FusePair(nil), s.FuseHops...)
 	}
 
-	// Fault plan and recovery, mirroring the dmxsim flag wiring.
+	// Fault plan and recovery.
+	if s.Retry < 0 {
+		return fail(fmt.Errorf("dmx: spec retry %d is negative", s.Retry))
+	}
 	if s.Faults != "" {
 		plan, err := ParseFaultPlan(s.Faults)
 		if err != nil {

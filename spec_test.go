@@ -125,6 +125,7 @@ func TestSpecResolveErrors(t *testing.T) {
 		{"bad duration", func(s *Spec) { s.SLO = "fast" }, "slo"},
 		{"bad router", func(s *Spec) { s.Router = "random" }, "policy"},
 		{"negative copies", func(s *Spec) { s.Copies = -1 }, "copies"},
+		{"negative retry", func(s *Spec) { s.Retry = -1 }, "retry"},
 		{"cluster-only on one host", func(s *Spec) { s.NetLat = "2us" }, "hosts > 1"},
 	}
 	for _, tc := range cases {
