@@ -23,7 +23,9 @@
 //
 // A fleet of one host with the zero-valued network and router configs
 // reproduces System.RunLoad bit for bit: same engine timeline, same
-// LoadReport bytes. That identity is pinned by a golden test and is
-// what makes the cluster layer a refactor-safe superset of the
-// single-host serving stack.
+// LoadReport bytes, same trace (a one-host router has no choice, so it
+// records no route instant for a delivery). That identity is pinned by
+// a test and is what makes the cluster layer a refactor-safe superset
+// of the single-host serving stack, and the one path every public load
+// run takes (dmx.SimulateLoad, Spec.Simulate, dmxsim).
 package cluster

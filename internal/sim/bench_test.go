@@ -102,10 +102,13 @@ func benchShape(b *testing.B, pending int, delay func(*benchRNG) Duration) {
 	}
 }
 
-// occupancies spans the regimes that matter: 1k pending is a busy
-// single-host run, 64k is the cluster-scale saturation regime the
-// roadmap's fleet work will hold the engine in.
-var occupancies = []int{1024, 65536}
+// occupancies spans the regimes that matter. The serving drivers feed
+// arrivals on demand, so the pending set is in-flight work: 32 covers
+// where the serving workloads run (tens of pending events — a
+// one-host Poisson run peaks near 20, a four-host batched fleet near
+// 40). 1k and 64k are up-front schedules and saturated fleets, where
+// the heap's depth starts to show.
+var occupancies = []int{32, 1024, 65536}
 
 func BenchmarkEngineScheduleUniform(b *testing.B) {
 	for _, p := range occupancies {
