@@ -1,6 +1,9 @@
 package dmx
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -178,5 +181,71 @@ func TestTuneRejectsBadSpecs(t *testing.T) {
 	ts.Base.Placement = "warp"
 	if _, err := Tune(ts); err == nil || !strings.Contains(err.Error(), "placement") {
 		t.Errorf("bad base placement: %v", err)
+	}
+}
+
+// TestTuneGolden pins the whole search, seed included, for three
+// scenarios: the stock tuning scenario, a one-app pir-ner document (the
+// spec CI tunes), and the same document started fused on the three
+// placements that can fuse its two hops, so the seed is a fused plan's
+// bound and the descent toggles fused pairs. The seed comes from the
+// plans' capacity bounds, so a drift in any bound that moves the seed,
+// the candidate order, or a score shows up here. Regenerate
+// deliberately with:
+//
+//	go test -run TestTuneGolden -update .
+func TestTuneGolden(t *testing.T) {
+	pirNER := tuneSpec()
+	pirNER.Base = Spec{
+		Apps:     []string{"pir-ner"},
+		Scale:    "test",
+		Arrival:  "poisson",
+		Rate:     120000,
+		Requests: 24,
+		Seed:     3,
+		SLO:      "200us",
+	}
+	fused := pirNER
+	fused.Base.FuseHops = []FusePair{{App: 0, Hop: 0}}
+	fused.Placements = []string{"integrated", "standalone", "pcie"}
+	var b strings.Builder
+	for _, sc := range []struct {
+		name string
+		ts   TuneSpec
+	}{{"stock", tuneSpec()}, {"pir-ner", pirNER}, {"pir-ner-fused", fused}} {
+		res, err := Tune(sc.ts)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		fmt.Fprintf(&b, "%s seed=%s capacity=%.9g evaluations=%d rounds=%d\n",
+			sc.name, res.SeedPlacement, res.SeedCapacity, res.Evaluations, res.Rounds)
+		for i, c := range res.Candidates {
+			fmt.Fprintf(&b, "%s #%d round=%d %s", sc.name, i+1, c.Round, specAxesLine(c.Spec))
+			if !c.OK {
+				fmt.Fprintf(&b, " infeasible: %s\n", c.Err)
+				continue
+			}
+			fmt.Fprintf(&b, " goodput=%.9g p99=%d completed=%d missed=%d rejected=%d abandoned=%d\n",
+				c.Goodput, int64(c.P99), c.Completed, c.Missed, c.Rejected, c.Abandoned)
+		}
+	}
+	golden := filepath.Join("testdata", "tune_golden.txt")
+	if *updateAPI {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	if len(got) != len(wantLines) {
+		t.Errorf("tune dump has %d lines, golden %d", len(got), len(wantLines))
+	}
+	for i := 0; i < len(got) && i < len(wantLines); i++ {
+		if got[i] != wantLines[i] {
+			t.Errorf("line %d:\n got %s\nwant %s", i+1, got[i], wantLines[i])
+		}
 	}
 }
