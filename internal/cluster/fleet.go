@@ -83,7 +83,7 @@ func New(cfg FleetConfig, pipelines []*dmxsys.Pipeline) (*Fleet, error) {
 		)
 		if len(cfg.PerHost) == 0 {
 			// Homogeneous replicas share one immutable plan: layout,
-			// warmed DRX timings, scheduling tables, capacity bounds.
+			// warmed DRX timings, scheduling tables.
 			if shared == nil {
 				shared, err = dmxsys.NewPlan(cfg.Base, pipelines)
 			}
@@ -110,12 +110,26 @@ func New(cfg FleetConfig, pipelines []*dmxsys.Pipeline) (*Fleet, error) {
 	apps := f.plans[0].Apps()
 	caps := make([][]float64, cfg.Hosts)
 	f.routed = make([][]int, cfg.Hosts)
+	// Only score routing across several hosts reads the capacity bounds,
+	// so only it pays for deriving them: once per distinct plan (a
+	// homogeneous fleet's hosts share one). Other routers see zeros.
+	derive := cfg.Router.Policy == PolicyScore && cfg.Hosts > 1
+	var bounds []dmxsys.Capacity
 	for h := range caps {
 		caps[h] = make([]float64, apps)
-		for a := 0; a < apps; a++ {
-			caps[h][a] = f.plans[h].Capacity(a).PerSecond
-		}
 		f.routed[h] = make([]int, apps)
+		if !derive {
+			continue
+		}
+		if h == 0 || f.plans[h] != f.plans[h-1] {
+			var err error
+			if bounds, err = f.plans[h].Capacities(); err != nil {
+				return nil, fmt.Errorf("cluster: host %d: capacity: %w", h, err)
+			}
+		}
+		for a, c := range bounds {
+			caps[h][a] = c.PerSecond
+		}
 	}
 	f.rt = newRouter(cfg.Router, caps, apps)
 	f.net = newNetFabric(cfg.Net, f.eng, cfg.Hosts)

@@ -39,15 +39,19 @@ func chainedBench(t *testing.T) *workload.Benchmark {
 	return nil
 }
 
-// capOf is app 0's analytic capacity bound under cfg (req/s), used to
-// scale offered load so tests stay fast and deterministic.
+// capOf is app 0's capacity bound under cfg (req/s), used to scale
+// offered load so tests stay fast and deterministic.
 func capOf(t *testing.T, cfg dmxsys.Config, pipe *dmxsys.Pipeline) float64 {
 	t.Helper()
 	p, err := dmxsys.NewPlan(cfg, []*dmxsys.Pipeline{pipe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.Capacity(0).PerSecond
+	caps, err := p.Capacities()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return caps[0].PerSecond
 }
 
 func fleetRun(t *testing.T, cfg cluster.FleetConfig, spec traffic.Spec, pipes ...*dmxsys.Pipeline) (*cluster.Fleet, traffic.LoadReport) {
@@ -244,12 +248,15 @@ func TestRouterDrain(t *testing.T) {
 
 func TestRouterPlacementScore(t *testing.T) {
 	b := chainedBench(t)
+	// All-CPU is the slow host: bump and Multi-Axl tie on this bench
+	// (both are bound by the same accelerator), so only a host without
+	// accelerators separates the bounds the router reads.
 	fast := dmxsys.DefaultConfig(dmxsys.BumpInTheWire)
-	slow := dmxsys.DefaultConfig(dmxsys.MultiAxl)
+	slow := dmxsys.DefaultConfig(dmxsys.AllCPU)
 	capFast := capOf(t, fast, b.Pipeline)
 	capSlow := capOf(t, slow, b.Pipeline)
 	if capFast <= capSlow {
-		t.Skipf("bench does not separate placements (bump %g vs multiaxl %g req/s)", capFast, capSlow)
+		t.Fatalf("bench does not separate placements (bump %g vs all-cpu %g req/s)", capFast, capSlow)
 	}
 	// Light load keeps outstanding near zero, so the score reduces to
 	// the capacity bound and every arrival should prefer the host whose
@@ -261,6 +268,7 @@ func TestRouterPlacementScore(t *testing.T) {
 		PerHost: []dmxsys.Config{slow, fast},
 	}, spec, b.Pipeline)
 	routed := f.Routed()
+	t.Logf("bump %.0f req/s got %d arrivals, all-cpu %.0f req/s got %d", capFast, routed[1][0], capSlow, routed[0][0])
 	if routed[1][0] <= 3*routed[0][0] {
 		t.Errorf("score routing sent %d requests to the favored host, %d to the slow one",
 			routed[1][0], routed[0][0])

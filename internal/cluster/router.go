@@ -14,8 +14,8 @@ type Policy uint8
 const (
 	// PolicyScore is placement-aware headroom routing: each arrival goes
 	// to the host maximizing cap(host, app) / (outstanding + 1), where
-	// cap is the app's analytic capacity bound on that host's plan
-	// (dmxsys.Plan.Capacity). On a homogeneous fleet it degrades to
+	// cap is the app's capacity bound on that host's plan
+	// (dmxsys.Plan.Capacities). On a homogeneous fleet it degrades to
 	// least-outstanding; on a heterogeneous one it weights hosts by how
 	// well their DRX placement serves the pipeline.
 	PolicyScore Policy = iota
@@ -74,7 +74,8 @@ type RouterConfig struct {
 // decisions are part of the deterministic event timeline.
 type router struct {
 	cfg RouterConfig
-	// caps[h][app] is app's capacity bound on host h (req/s).
+	// caps[h][app] is app's capacity bound on host h (req/s); all zero
+	// unless the policy is PolicyScore over more than one host.
 	caps [][]float64
 	// outstanding[h] counts requests assigned to h and not yet retired.
 	outstanding []int

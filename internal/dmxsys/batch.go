@@ -22,8 +22,8 @@ import (
 // request. DRX restructuring and CPU fallback work stream the payload,
 // so a batch costs n× their per-request service — coalescing wins
 // nothing there, and link serialization is byte-proportional either
-// way. Occupancy accounting charges the batch totals, so the capacity
-// bound sees exactly the per-request amortization.
+// way. Occupancy accounting charges the batch totals, so the measured
+// bottleneck sees exactly the per-request amortization.
 //
 // Completions split back out per member: each member's latency runs
 // from its own arrival (so early members pay the residual window as

@@ -2,9 +2,9 @@ package dmxsys_test
 
 // The per-hop DRX service times are resolved once, at plan time, onto
 // each hop. These gates pin that the resolution is exact: every hop's
-// stored time equals the process-wide timing of its kernel, and the
-// plan-time tables built from it — capacity bounds and fusion
-// candidates — are byte-identical to the values recorded in
+// stored time equals the process-wide timing of its kernel, and what is
+// built from it — the capacity bounds Capacities derives and the fusion
+// candidates — is byte-identical to the values recorded in
 // testdata/hop_parity.txt.
 
 import (
@@ -63,7 +63,7 @@ func TestPlanHopDRXMatchesTiming(t *testing.T) {
 				}
 			}
 		}
-		writeParity(&sb, p.String(), plan)
+		writeParity(t, &sb, p.String(), plan)
 
 		// The fused variant: the first legal pair of every app, so the
 		// split of the merged program (which reads the hop times) is
@@ -84,7 +84,7 @@ func TestPlanHopDRXMatchesTiming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		writeParity(&sb, p.String()+"+fused", fplan)
+		writeParity(t, &sb, p.String()+"+fused", fplan)
 	}
 
 	golden := filepath.Join("testdata", "hop_parity.txt")
@@ -110,9 +110,13 @@ func TestPlanHopDRXMatchesTiming(t *testing.T) {
 }
 
 // writeParity renders a plan's capacity bounds and fusion candidates.
-func writeParity(sb *strings.Builder, label string, plan *dmxsys.Plan) {
-	for i := 0; i < plan.Apps(); i++ {
-		c := plan.Capacity(i)
+func writeParity(t *testing.T, sb *strings.Builder, label string, plan *dmxsys.Plan) {
+	t.Helper()
+	caps, err := plan.Capacities()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for i, c := range caps {
 		fmt.Fprintf(sb, "%s capacity app=%s per_request=%d resource=%s per_second=%.9g\n",
 			label, plan.Pipeline(i).Name, int64(c.PerRequest), c.Resource, c.PerSecond)
 	}

@@ -1,15 +1,20 @@
 package dmxsys_test
 
-// The Plan/Instantiate split's own gates: the analytic capacity bound
-// must agree exactly with the occupancy the request machine measures
-// (they are the same charges, computed statically vs. dynamically), and
-// the process-wide DRX timing cache must never serve one host's times
-// to a host with different DRX hardware.
+// The Plan/Instantiate split's own gates: the capacity bound derived
+// from one request of each app walking alone must agree exactly with
+// the occupancy a run of every app at once measures, deriving it must
+// not touch the serving-side configuration, and the process-wide DRX
+// timing cache must never serve one host's times to a host with
+// different DRX hardware.
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"dmx/internal/dmxsys"
+	"dmx/internal/faults"
+	"dmx/internal/obs"
 	"dmx/internal/sim"
 	"dmx/internal/workload"
 )
@@ -46,8 +51,12 @@ func TestPlanCapacityMatchesMeasured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			caps, err := plan.Capacities()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, ar := range rep.Apps {
-				c := plan.Capacity(i)
+				c := caps[i]
 				if c.PerRequest <= 0 || c.PerSecond <= 0 {
 					t.Fatalf("app %d: degenerate capacity %+v", i, c)
 				}
@@ -55,6 +64,78 @@ func TestPlanCapacityMatchesMeasured(t *testing.T) {
 					t.Errorf("app %d: measured bottleneck %v on %q, plan predicts %v on %q",
 						i, ar.Bottleneck, ar.BottleneckResource, c.PerRequest, c.Resource)
 				}
+			}
+		})
+	}
+}
+
+// TestCapacitiesIsolated pins that deriving the bounds neither reads
+// nor perturbs the serving-side configuration: a plan carrying an
+// enabled fault plan, a retry policy, a batch window, a recorder and a
+// text Trace hook derives exactly the plain plan's bounds, the recorder
+// stays empty and the hook never fires (DESIGN.md §7, no perturbation).
+// Four goroutines deriving from one shared plan must agree; the race
+// job runs this too.
+func TestCapacitiesIsolated(t *testing.T) {
+	pipes := suitePipelines(t)
+	for _, p := range []dmxsys.Placement{
+		dmxsys.MultiAxl, dmxsys.Integrated, dmxsys.Standalone,
+		dmxsys.PCIeIntegrated, dmxsys.BumpInTheWire, dmxsys.AllCPU,
+	} {
+		t.Run(p.String(), func(t *testing.T) {
+			// A slow DRX clock makes the DRX units the bottleneck wherever
+			// they serve hops, so charging them twice would show.
+			cfg := dmxsys.DefaultConfig(p)
+			cfg.DRX.ClockHz /= 20
+			plain, err := dmxsys.NewPlan(cfg, pipes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.Capacities()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Nine restructures in ten fault and are retried up to eight
+			// times: a walk under this plan charges its DRX units several
+			// times over and reports a different bottleneck.
+			fp := stressPlan(3)
+			fp.DRXMTBF = 0
+			fp.TransientProb = 0.9
+			cfg.Faults = fp
+			cfg.Retry = faults.DefaultRetry()
+			cfg.Retry.MaxAttempts = 8
+			cfg.BatchWindow = 200 * sim.Microsecond
+			rec := obs.New()
+			cfg.Obs = rec
+			lines := 0
+			cfg.Trace = func(sim.Time, string, string) { lines++ }
+			noisy, err := dmxsys.NewPlan(cfg, pipes)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var wg sync.WaitGroup
+			got := make([][]dmxsys.Capacity, 4)
+			errs := make([]error, len(got))
+			for g := range got {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					got[g], errs[g] = noisy.Capacities()
+				}(g)
+			}
+			wg.Wait()
+			for g := range got {
+				if errs[g] != nil {
+					t.Fatal(errs[g])
+				}
+				if !reflect.DeepEqual(got[g], want) {
+					t.Errorf("goroutine %d derived %+v, plain plan %+v", g, got[g], want)
+				}
+			}
+			if n := rec.Len(); n != 0 || lines != 0 {
+				t.Errorf("deriving bounds emitted %d events and %d trace lines", n, lines)
 			}
 		})
 	}

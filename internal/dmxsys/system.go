@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"dmx/internal/cpu"
 	"dmx/internal/drx"
 	"dmx/internal/drxc"
 	"dmx/internal/energy"
@@ -141,9 +140,8 @@ type appInstance struct {
 
 	// remAtKernel[k] / remAtHop[k] are the precomputed station service
 	// demands still ahead of a request when it submits stage k's kernel
-	// / hop k's restructure — the SchedSRS scheduling keys, derived from
-	// the same per-stage model as the capacity bound (nil for AllCPU,
-	// which has no contended stations).
+	// / hop k's restructure — the SchedSRS scheduling keys (nil for
+	// AllCPU, which has no contended stations).
 	remAtKernel []sim.Duration
 	remAtHop    []sim.Duration
 
@@ -269,10 +267,11 @@ func (a *appInstance) bottleneck() (sim.Duration, string) {
 }
 
 // Plan is the shareable immutable half of a System: validated layout
-// (switch/device/card packing), warmed DRX timings, scheduling tables,
-// and analytic capacity bounds — everything that depends only on
-// (Config, pipelines). One Plan materializes any number of cheap
-// replicas via Instantiate; New is the single-host shorthand.
+// (switch/device/card packing), warmed DRX timings and scheduling
+// tables — everything that depends only on (Config, pipelines). One
+// Plan materializes any number of cheap replicas via Instantiate; New
+// is the single-host shorthand. Capacity bounds are derived on demand
+// (Capacities), by walking requests through a private replica.
 type Plan struct {
 	cfg   Config
 	pipes []*Pipeline
@@ -303,8 +302,6 @@ type planApp struct {
 	remAtHop    []sim.Duration
 	maxBatch    int
 	fusion      []hopFusion
-
-	cap Capacity
 }
 
 // fuseRole tags a hop's part in a fused pair.
@@ -347,8 +344,8 @@ func (p *Plan) Apps() int { return len(p.pipes) }
 func (p *Plan) Pipeline(i int) *Pipeline { return p.pipes[i] }
 
 // NewPlan validates the configuration and pipelines and computes the
-// shareable half of a System: layout, warmed DRX timings, scheduling
-// tables, and capacity bounds.
+// shareable half of a System: layout, warmed DRX timings and
+// scheduling tables.
 func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -443,8 +440,8 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 
 		// Resolve this app's fused pairs: compile the merged program, time
 		// it, and split its service across the pair proportionally to the
-		// unfused times. Must precede the SRS tables and the capacity
-		// bound, which both consume the split.
+		// unfused times. Must precede the SRS tables, which consume the
+		// split.
 		for _, fp := range cfg.FuseHops {
 			if fp.App != i {
 				continue
@@ -525,7 +522,6 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 			}
 		}
 
-		pa.cap = p.appCapacity(i, &pa)
 		p.apps = append(p.apps, pa)
 	}
 	return p, nil
@@ -949,12 +945,7 @@ func (s *System) cpuJob(ops int64, bytes int64, done func()) {
 
 // restructureWork computes the CPU channel work for one kernel.
 func (s *System) restructureWork(k *restructure.Kernel) (ops, bytes int64) {
-	return restructureWorkFor(s.cfg.CPU, k)
-}
-
-// restructureWorkFor is the model-level form shared with the plan-time
-// capacity bound.
-func restructureWorkFor(m *cpu.Model, k *restructure.Kernel) (ops, bytes int64) {
+	m := s.cfg.CPU
 	for _, st := range k.Stages {
 		stats := st.Stats(k)
 		ops += stats.Ops

@@ -33,7 +33,7 @@ const (
 	// clusterRequests is the per-point request count.
 	clusterRequests = 192
 	// clusterOverdrive is the offered rate in multiples of a single
-	// host's analytic capacity bound: high enough that even 8 replicas
+	// host's capacity bound: high enough that even 8 replicas
 	// stay saturated for the whole run.
 	clusterOverdrive = 16.0
 	// clusterCoreHosts provisions the network core in units of one
@@ -58,7 +58,7 @@ type ClusterPoint struct {
 // ClusterCurve is one benchmark's host-count sweep.
 type ClusterCurve struct {
 	Bench string
-	// CapOne is one host's analytic capacity bound (req/s), the y-axis
+	// CapOne is one host's capacity bound (req/s), the y-axis
 	// unit the curve is read against.
 	CapOne float64
 	Points []ClusterPoint
@@ -125,7 +125,11 @@ func Cluster() (*ClusterResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cap1 := plan.Capacity(0).PerSecond
+		caps, err := plan.Capacities()
+		if err != nil {
+			return nil, err
+		}
+		cap1 := caps[0].PerSecond
 		for _, h := range clusterHosts {
 			jobs = append(jobs, clusterJob{bench: b, hosts: h, cap1: cap1})
 		}

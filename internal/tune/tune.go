@@ -3,12 +3,13 @@
 // admission limit, retry budget, and cross-hop kernel fusion — for the
 // combination that maximizes throughput under the latency SLO.
 //
-// The search is greedy coordinate descent seeded by the analytic
-// capacity model: the starting placement is the one whose per-app
-// capacity bounds (dmxsys.Plan.Capacity, the same charges the request
-// machine records at run time) sum highest, so simulation time is spent
-// refining a configuration the cost model already believes in rather
-// than exploring placements it can rule out statically. Every candidate
+// The search is greedy coordinate descent seeded by the capacity
+// model: the starting placement is the one whose per-app capacity
+// bounds sum highest. dmxsys.Plan.Capacities derives them by walking
+// one request of each app through the request machine, so they are the
+// occupancy a run records, and simulation time is spent refining a
+// configuration the cost model already believes in rather than
+// exploring placements one cheap walk per app rules out. Every candidate
 // is then evaluated exactly — a full deterministic cluster simulation on
 // the sweep worker pool — and the result is reproducible byte for byte
 // at any worker count: candidate generation, deduplication, and
@@ -156,7 +157,7 @@ type Result struct {
 	// completed (excluding the seed).
 	Evaluations, Rounds int
 	// SeedPlacement is the placement the capacity model chose, and
-	// SeedCapacity its summed analytic per-app bound in req/s.
+	// SeedCapacity its summed per-app bound in req/s.
 	SeedPlacement dmxsys.Placement
 	SeedCapacity  float64
 }
@@ -188,7 +189,7 @@ func Run(in Input) (Result, error) {
 		maxRounds = 4
 	}
 
-	// Seed: the placement whose analytic capacity bound sums highest.
+	// Seed: the placement whose capacity bounds sum highest.
 	// Ties break toward the earlier entry in the placement list, so the
 	// seed is deterministic.
 	var res Result
@@ -207,9 +208,13 @@ func Run(in Input) (Result, error) {
 		if err != nil {
 			continue
 		}
+		caps, err := plan.Capacities()
+		if err != nil {
+			return Result{}, fmt.Errorf("tune: %v capacity: %w", p, err)
+		}
 		total := 0.0
-		for i := range in.Pipes {
-			total += plan.Capacity(i).PerSecond
+		for _, c := range caps {
+			total += c.PerSecond
 		}
 		if total > res.SeedCapacity {
 			res.SeedCapacity, res.SeedPlacement = total, p
