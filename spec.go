@@ -167,7 +167,9 @@ func (s Spec) Resolve() (FleetConfig, TrafficSpec, []*Pipeline, error) {
 		return FleetConfig{}, TrafficSpec{}, nil, err
 	}
 
-	// Workload selection.
+	// Workload scale and copies. The suite itself is built last, once
+	// every scalar field has checked out: a paper-scale build costs about
+	// a second, too long to wait for a one-line error.
 	scale := workload.PaperScale
 	switch s.Scale {
 	case "", "paper":
@@ -176,22 +178,12 @@ func (s Spec) Resolve() (FleetConfig, TrafficSpec, []*Pipeline, error) {
 	default:
 		return fail(fmt.Errorf("dmx: spec scale %q (want \"paper\" or \"test\")", s.Scale))
 	}
-	benches, err := specBenchmarks(s.Apps, scale)
-	if err != nil {
-		return fail(err)
-	}
 	copies := s.Copies
 	if copies == 0 {
 		copies = 1
 	}
 	if copies < 0 {
 		return fail(fmt.Errorf("dmx: spec copies %d is negative", copies))
-	}
-	pipes := make([]*Pipeline, 0, copies*len(benches))
-	for i := 0; i < copies; i++ {
-		for _, b := range benches {
-			pipes = append(pipes, b.Pipeline)
-		}
 	}
 
 	// Host configuration.
@@ -222,12 +214,6 @@ func (s Spec) Resolve() (FleetConfig, TrafficSpec, []*Pipeline, error) {
 			return fail(err)
 		}
 		cfg.Sched = sched
-	}
-	if cfg.Sched == SchedPriority {
-		cfg.AppPriority = make([]int, len(pipes))
-		for i := range cfg.AppPriority {
-			cfg.AppPriority[i] = i
-		}
 	}
 	if s.BatchWindow != "" {
 		w, err := faults.ParseDuration(s.BatchWindow)
@@ -331,6 +317,24 @@ func (s Spec) Resolve() (FleetConfig, TrafficSpec, []*Pipeline, error) {
 			return fail(fmt.Errorf("dmx: spec net_lat: %w", err))
 		}
 		fc.Net.Latency = d
+	}
+
+	// Workload selection.
+	benches, err := specBenchmarks(s.Apps, scale)
+	if err != nil {
+		return fail(err)
+	}
+	pipes := make([]*Pipeline, 0, copies*len(benches))
+	for i := 0; i < copies; i++ {
+		for _, b := range benches {
+			pipes = append(pipes, b.Pipeline)
+		}
+	}
+	if fc.Base.Sched == SchedPriority {
+		fc.Base.AppPriority = make([]int, len(pipes))
+		for i := range fc.Base.AppPriority {
+			fc.Base.AppPriority[i] = i
+		}
 	}
 	return fc, ts, pipes, nil
 }

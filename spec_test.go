@@ -126,6 +126,9 @@ func TestSpecResolveErrors(t *testing.T) {
 		{"bad router", func(s *Spec) { s.Router = "random" }, "policy"},
 		{"negative copies", func(s *Spec) { s.Copies = -1 }, "copies"},
 		{"negative retry", func(s *Spec) { s.Retry = -1 }, "retry"},
+		// Scalar fields are checked before the suite is built, so a bad
+		// retry wins over an unknown app.
+		{"retry before apps", func(s *Spec) { s.Apps, s.Retry = []string{"no-such-app"}, -1 }, "retry"},
 		{"cluster-only on one host", func(s *Spec) { s.NetLat = "2us" }, "hosts > 1"},
 	}
 	for _, tc := range cases {
