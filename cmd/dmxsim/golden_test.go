@@ -29,6 +29,13 @@ var loadCells = []struct {
 		"-arrival", "poisson", "-rate", "40000", "-requests", "48", "-seed", "7",
 		"-batch-window", "200us", "-batch-max", "8",
 		"-faults", "drx=2ms/500us,transient=0.02,link=5ms/200us/0.25,stall=5ms/200us", "-fault-seed", "42"}},
+	// The Fig. 10 text log on stdout, rendered from the same event
+	// stream the Perfetto recorder writes to -trace-out.
+	{"batched-faulted-trace", []string{"-app", "sound-detection", "-placement", "bump",
+		"-arrival", "poisson", "-rate", "40000", "-requests", "48", "-seed", "7",
+		"-batch-window", "200us", "-batch-max", "8",
+		"-faults", "drx=2ms/500us,transient=0.02,link=5ms/200us/0.25,stall=5ms/200us", "-fault-seed", "42",
+		"-trace"}},
 	{"fleet-3host-net", []string{"-app", "sound-detection", "-placement", "bump",
 		"-hosts", "3", "-router", "score", "-arrival", "poisson", "-rate", "120000", "-requests", "96", "-seed", "7",
 		"-net-core", "50e9", "-net-nic", "12.5e9", "-net-lat", "2us"}},
