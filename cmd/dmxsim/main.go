@@ -237,13 +237,17 @@ func run(o options, out io.Writer) error {
 		return fmt.Errorf("-trace is single-host only; use -trace-out or -stats on a fleet")
 	}
 	cfg := &fc.Base
-	if o.trace {
-		cfg.Trace = func(at sim.Time, app, event string) {
-			fmt.Fprintf(out, "  [%12v] %-24s %s\n", at, app, event)
-		}
-	}
-	if o.traceOut != "" || o.stats {
+	if o.trace || o.traceOut != "" || o.stats {
 		cfg.Obs = obs.New()
+	}
+	if o.trace {
+		// The Fig. 10 log is a text rendering of the event stream, so
+		// it always agrees with -trace-out and -stats.
+		cfg.Obs.OnEvent = func(ev *obs.Event) {
+			if line, ok := obs.RenderText(ev); ok {
+				fmt.Fprintf(out, "  [%12v] %-24s %s\n", sim.Time(ev.TS), ev.App, line)
+			}
+		}
 	}
 	header := func() {
 		where := ""

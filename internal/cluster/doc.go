@@ -23,6 +23,11 @@
 // outstanding cap provides cluster-level admission control on top of
 // each host's own AdmitLimit.
 //
+// Each host retires its requests through System.Admit's callback into
+// the host's own traffic.Tally; requests the router turns away land in
+// one more tally, and traffic.Spec.Report rolls them all up exactly as
+// System.RunLoad rolls up its single tally.
+//
 // A fleet of one host with the zero-valued network and router configs
 // reproduces System.RunLoad bit for bit: same engine timeline, same
 // LoadReport bytes, same trace (a one-host router has no choice, so it

@@ -14,12 +14,12 @@ import (
 type FleetConfig struct {
 	// Hosts is the replica count (≥ 1).
 	Hosts int
-	// Base is the shared host configuration. Its Obs recorder (or Trace
-	// hook, single-host only) becomes the whole fleet's event sink.
+	// Base is the shared host configuration. Its Obs recorder becomes
+	// the whole fleet's event sink.
 	Base dmxsys.Config
 	// PerHost, when non-empty, overrides Base per replica (length must
 	// equal Hosts) — a heterogeneous fleet mixing placements or DRX
-	// geometries. Trace sinks still come from Base.
+	// geometries. The event sink still comes from Base.
 	PerHost []dmxsys.Config
 	// Net models the inter-host network; the zero value disables it.
 	Net NetConfig
@@ -66,12 +66,9 @@ func New(cfg FleetConfig, pipelines []*dmxsys.Pipeline) (*Fleet, error) {
 	if len(cfg.PerHost) != 0 && len(cfg.PerHost) != cfg.Hosts {
 		return nil, fmt.Errorf("cluster: PerHost has %d entries for %d hosts", len(cfg.PerHost), cfg.Hosts)
 	}
-	if cfg.Hosts > 1 && cfg.Base.Trace != nil {
-		return nil, fmt.Errorf("cluster: the text Trace hook is single-host only; use Base.Obs for fleet traces")
-	}
 	for h := range cfg.PerHost {
-		if cfg.PerHost[h].Obs != nil || cfg.PerHost[h].Trace != nil {
-			return nil, fmt.Errorf("cluster: set trace sinks on Base, not PerHost[%d]", h)
+		if cfg.PerHost[h].Obs != nil {
+			return nil, fmt.Errorf("cluster: set the trace sink on Base, not PerHost[%d]", h)
 		}
 	}
 	f := &Fleet{cfg: cfg, eng: sim.NewEngine()}
@@ -179,46 +176,36 @@ func (f *Fleet) FaultCounts() faults.Counts {
 
 // Run drives the fleet under spec's arrival process and rolls the
 // per-replica accounting up into one cluster-wide LoadReport. Every
-// request retires into exactly one per-(host, app) partial row (or the
-// router's rejection row), and the merged report preserves per-app
-// tail-latency accounting: latency histograms merge bucket-for-bucket,
-// quantiles are re-derived from the merged histograms, and availability
-// spans the whole fleet. With one host and the zero-valued network and
-// router configs the report and the trace are byte-identical to
-// System.RunLoad's.
+// request retires into exactly one tally: its host's, or the router's
+// when the router turned it away. Spec.Report merges them, so per-app
+// tail-latency accounting survives the roll-up: latency histograms
+// merge bucket-for-bucket, quantiles are re-derived from the merged
+// histograms, and availability spans the whole fleet. With one host and
+// the zero-valued network and router configs the report and the trace
+// are byte-identical to System.RunLoad's.
 func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 	if err := spec.Validate(); err != nil {
 		return traffic.LoadReport{}, err
 	}
 	nh := len(f.hosts)
 	apps := f.plans[0].Apps()
-	rep := traffic.LoadReport{Arrival: spec.Arrival, Seed: spec.Seed}
-	rep.PerApp = make([]traffic.AppLoad, apps)
-
-	// Partial accounting rows: one per (host, app), plus one router row
-	// per app holding router-level rejections. MergeApps sums them.
 	r := &fleetRun{
 		f:         f,
-		parts:     make([][]traffic.AppLoad, nh),
-		firsts:    make([][]sim.Time, nh),
-		lasts:     make([][]sim.Time, nh),
-		routerAL:  make([]traffic.AppLoad, apps),
+		tallies:   make([]*traffic.Tally, nh+1),
 		hostNames: make([]string, nh),
 		pipes:     make([]*dmxsys.Pipeline, apps),
 		deadlines: make([]sim.Duration, apps),
 	}
+	names := make([]string, apps)
 	for i := 0; i < apps; i++ {
 		r.pipes[i] = f.plans[0].Pipeline(i)
 		r.deadlines[i] = spec.DeadlineFor(i)
-		r.routerAL[i].App = r.pipes[i].Name
+		names[i] = r.pipes[i].Name
+	}
+	for h := range r.tallies {
+		r.tallies[h] = traffic.NewTally(names)
 	}
 	for h := 0; h < nh; h++ {
-		r.parts[h] = make([]traffic.AppLoad, apps)
-		r.firsts[h] = make([]sim.Time, apps)
-		r.lasts[h] = make([]sim.Time, apps)
-		for i := 0; i < apps; i++ {
-			r.parts[h][i].App = r.pipes[i].Name
-		}
 		// Router trace peers, formatted once rather than per routed
 		// request.
 		r.hostNames[h] = fmt.Sprintf("h%d", h)
@@ -236,54 +223,22 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 		if err := s.Err(); err != nil {
 			return traffic.LoadReport{}, fmt.Errorf("cluster: host %d: %w", h, err)
 		}
+		s.TallyBatches(r.tallies[h])
 	}
 	if r.remaining != 0 {
 		return traffic.LoadReport{}, fmt.Errorf("cluster: %d requests never completed (deadlocked fleet)", r.remaining)
 	}
-	rep.Makespan = sim.Duration(f.eng.Now())
-
-	// Per-partial rates, then the roll-up. Offered splits across the
-	// partials in proportion to the requests each actually received
-	// (router rejections included), so the merged row sums back to the
-	// spec rate and a one-host fleet reports it exactly.
-	for i := 0; i < apps; i++ {
-		counts := make([]int, nh+1)
-		for h := 0; h < nh; h++ {
-			counts[h] = r.parts[h][i].Requests
-		}
-		counts[nh] = r.routerAL[i].Requests
-		if spec.Arrival != traffic.ClosedLoop {
-			shares := traffic.SplitRate(spec.Rate, counts)
-			for h := 0; h < nh; h++ {
-				r.parts[h][i].Offered = shares[h]
-			}
-			r.routerAL[i].Offered = shares[nh]
-		}
-		rows := make([]traffic.AppLoad, 0, nh+1)
-		for h := 0; h < nh; h++ {
-			al := &r.parts[h][i]
-			if span := r.lasts[h][i].Sub(r.firsts[h][i]).Seconds(); al.Completed > 1 && span > 0 {
-				al.Achieved = float64(al.Completed-1) / span
-			}
-			al.Batches, al.BatchedRequests = f.hosts[h].BatchStats(i)
-			rows = append(rows, *al)
-		}
-		rows = append(rows, r.routerAL[i])
-		rep.PerApp[i] = traffic.MergeApps(rows...)
-	}
-	rep.Finalize()
-	return rep, nil
+	return spec.Report(sim.Duration(f.eng.Now()), r.tallies...), nil
 }
 
-// fleetRun is one Run's state: the accounting rows the arrivals retire
-// into and the pool of arrival records. It lives and dies with Run, so
-// fleets that sweep runs concurrently never share a pool.
+// fleetRun is one Run's state: the tallies the arrivals retire into and
+// the pool of arrival records. It lives and dies with Run, so fleets
+// that sweep runs concurrently never share a pool.
 type fleetRun struct {
-	f         *Fleet
-	parts     [][]traffic.AppLoad // [host][app] partial rows
-	firsts    [][]sim.Time
-	lasts     [][]sim.Time
-	routerAL  []traffic.AppLoad // [app] router-level rejections
+	f *Fleet
+	// tallies holds one tally per host, then the router's own
+	// rejections last.
+	tallies   []*traffic.Tally
 	hostNames []string
 	pipes     []*dmxsys.Pipeline
 	deadlines []sim.Duration
@@ -301,10 +256,10 @@ type arrival struct {
 	app      int
 	at       sim.Time
 	deadline sim.Duration
-	ret      dmxsys.Retired
+	ret      traffic.Retired
 
 	deliverFn func()
-	retiredFn func(dmxsys.Retired)
+	retiredFn func(traffic.Retired)
 	finishFn  func()
 }
 
@@ -318,8 +273,7 @@ func (r *fleetRun) arrive(i int) {
 	if h < 0 {
 		// Every host drained or at its admission cap: the router turns
 		// the request away itself.
-		r.routerAL[i].Requests++
-		r.routerAL[i].Rejected++
+		r.tallies[len(f.hosts)].Retire(i, traffic.Retired{Outcome: traffic.OutcomeRejected}, now, 0)
 		f.eng.Obs.Instant(obs.Time(now), obs.TypeRoute, 0,
 			"cluster.router", "", pipe.Name, f.cfg.Router.Policy.String(), -1)
 		r.remaining--
@@ -327,7 +281,6 @@ func (r *fleetRun) arrive(i int) {
 	}
 	f.rt.outstanding[h]++
 	f.routed[h][i]++
-	r.parts[h][i].Requests++
 	if len(f.hosts) > 1 {
 		// A one-host router has no choice to record, and without the
 		// instant a one-host fleet's trace is RunLoad's byte for byte.
@@ -358,7 +311,7 @@ func (a *arrival) deliver() {
 
 // retired is the host's retirement callback: the response leg back to
 // the router, when the fleet has a network.
-func (a *arrival) retired(ret dmxsys.Retired) {
+func (a *arrival) retired(ret traffic.Retired) {
 	a.ret = ret
 	f := a.r.f
 	if f.net == nil {
@@ -375,44 +328,15 @@ func (a *arrival) retired(ret dmxsys.Retired) {
 }
 
 // finish runs when the response arrives back at the router: the
-// router's outstanding slot frees, the request lands in its (host, app)
-// row, and the record returns to the pool.
+// router's outstanding slot frees, the request lands in its host's
+// tally, and the record returns to the pool. Latency and the deadline
+// run from the cluster arrival, so network time counts against the
+// budget exactly like queueing time.
 func (a *arrival) finish() {
-	r, h, i, ret, at, dl := a.r, a.host, a.app, a.ret, a.at, a.deadline
-	r.pool = append(r.pool, a)
+	r, h := a.r, a.host
 	r.f.rt.outstanding[h]--
-	end := r.f.eng.Now()
-	al := &r.parts[h][i]
-	al.Retries += ret.Retries
-	al.Timeouts += ret.Timeouts
 	r.remaining--
-	switch ret.Outcome {
-	case traffic.OutcomeRejected:
-		al.Rejected++
-		return
-	case traffic.OutcomeAbandoned:
-		al.Abandoned++
-		return
-	}
-	// End-to-end latency and deadline: measured from the cluster
-	// arrival, so network time counts against the budget exactly like
-	// queueing time.
-	lat := obs.Duration(end.Sub(at))
-	al.Latency.Add(lat)
-	if ret.Outcome == traffic.OutcomeDegraded {
-		al.Degraded++
-		al.DegradedLat.Add(lat)
-	} else {
-		al.CleanLat.Add(lat)
-	}
-	if dl != 0 && end > at.Add(dl) {
-		al.Missed++
-	}
-	if al.Completed == 0 || end < r.firsts[h][i] {
-		r.firsts[h][i] = end
-	}
-	if end > r.lasts[h][i] {
-		r.lasts[h][i] = end
-	}
-	al.Completed++
+	a.ret.Start = a.at
+	r.tallies[h].Retire(a.app, a.ret, r.f.eng.Now(), a.deadline)
+	r.pool = append(r.pool, a)
 }

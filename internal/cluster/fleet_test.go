@@ -343,11 +343,6 @@ func TestFleetConfigErrors(t *testing.T) {
 			PerHost: []dmxsys.Config{base}}},
 		{"negative-net", cluster.FleetConfig{Hosts: 2, Base: base,
 			Net: cluster.NetConfig{NICBytesPerSec: -1}}},
-		{"multi-host-trace-hook", func() cluster.FleetConfig {
-			cfg := base
-			cfg.Trace = func(sim.Time, string, string) {}
-			return cluster.FleetConfig{Hosts: 2, Base: cfg}
-		}()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

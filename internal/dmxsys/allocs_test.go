@@ -5,11 +5,13 @@ package dmxsys_test
 // resolved when the plan and its replicas are built, and every step of
 // the walk resumes the carrier through one callback bound per pooled
 // shell (or a pooled guard ticket under faults), with fabric transfers
-// joining on pooled completion records. A request's steady-state walk
-// allocates only its own request record plus the engine's share of
-// growing its event queue for the up-front arrival schedule. A closure,
-// lookup or route build creeping back in moves these counts by at least
-// one per request and trips the bound.
+// joining on pooled completion records. Arrivals are fed on demand, so
+// the engine's event heap stays as small as the work in flight and does
+// not grow with the load. A request's steady-state walk allocates only
+// its own request record: each case measures 1.00 allocation per
+// request. A closure, lookup or route build creeping back into a step
+// of the walk costs one allocation per step, several per request, and
+// trips the bound; one extra allocation per request would not.
 
 import (
 	"testing"

@@ -3,6 +3,7 @@ package dmxsys
 import (
 	"dmx/internal/faults"
 	"dmx/internal/sim"
+	"dmx/internal/traffic"
 )
 
 // Capacity is the steady-state throughput bound of one app on one
@@ -32,7 +33,7 @@ type Capacity struct {
 // perturbs a traced run. A flow error is returned.
 func (p *Plan) Capacities() ([]Capacity, error) {
 	q := *p
-	q.cfg.Obs, q.cfg.Trace = nil, nil
+	q.cfg.Obs = nil
 	q.cfg.Faults, q.cfg.Retry = nil, faults.RetryPolicy{}
 	q.cfg.BatchWindow = 0
 	s, err := q.Instantiate(sim.NewEngine(), HostOpts{})
@@ -45,7 +46,7 @@ func (p *Plan) Capacities() ([]Capacity, error) {
 		// the previous app's completions must not tip it into polling.
 		s.irqTimes = s.irqTimes[:0]
 		retired := false
-		s.admit(a, 0, func(*request) { retired = true }, nil)
+		s.admit(a, 0, func(traffic.Retired) { retired = true })
 		s.Eng.Run()
 		if s.err != nil {
 			return nil, s.err

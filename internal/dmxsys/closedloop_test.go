@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"dmx/internal/sim"
+	"dmx/internal/obs"
 	"dmx/internal/traffic"
 )
 
@@ -107,8 +107,11 @@ func TestClosedLoopValidation(t *testing.T) {
 func TestTraceFollowsFig10Sequence(t *testing.T) {
 	cfg := DefaultConfig(BumpInTheWire)
 	var events []string
-	cfg.Trace = func(_ sim.Time, app, event string) {
-		events = append(events, event)
+	cfg.Obs = obs.New()
+	cfg.Obs.OnEvent = func(ev *obs.Event) {
+		if line, ok := obs.RenderText(ev); ok {
+			events = append(events, line)
+		}
 	}
 	s, err := New(cfg, pipelines(1))
 	if err != nil {
@@ -151,7 +154,8 @@ func TestTraceDoesNotPerturbTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(BumpInTheWire)
-	cfg.Trace = func(sim.Time, string, string) {}
+	cfg.Obs = obs.New()
+	cfg.Obs.OnEvent = func(ev *obs.Event) { obs.RenderText(ev) }
 	traced, err := New(cfg, pipelines(2))
 	if err != nil {
 		t.Fatal(err)

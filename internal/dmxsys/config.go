@@ -152,17 +152,11 @@ type Config struct {
 	// arrows, per-app phase attribution spans, and link occupancy
 	// counters. Feed the recorded stream to obs.WriteTrace for a
 	// Perfetto-loadable trace or obs.Aggregate for metrics (RunReport
-	// carries the aggregate automatically). Tracing never perturbs
-	// timing: emission only appends, and a nil recorder costs one branch.
+	// carries the aggregate automatically); for the Fig. 10 text log,
+	// render each event through obs.RenderText from the recorder's
+	// OnEvent hook. Tracing never perturbs timing: emission only
+	// appends, and a nil recorder costs one branch.
 	Obs *obs.Recorder
-	// Trace, when set, receives one line per protocol event (kernel
-	// start/finish, DMA, restructuring, queue operations) with the
-	// virtual timestamp — the Fig. 10 interaction sequence as a log. It
-	// is a text renderer over the structured stream (obs.RenderText
-	// streamed through the recorder's OnEvent hook); when only Trace is
-	// set, the System creates the recorder internally. Tracing does not
-	// perturb timing.
-	Trace func(at sim.Time, app, event string)
 	// Sched is the service discipline of every contended station. The
 	// zero value (SchedFIFO) preserves the classic arrival-order
 	// behavior exactly.

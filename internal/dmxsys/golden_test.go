@@ -22,7 +22,6 @@ import (
 
 	"dmx/internal/dmxsys"
 	"dmx/internal/obs"
-	"dmx/internal/sim"
 	"dmx/internal/traffic"
 	"dmx/internal/workload"
 )
@@ -38,10 +37,12 @@ func streamDump(t *testing.T, b *workload.Benchmark, p dmxsys.Placement) string 
 	t.Helper()
 	cfg := dmxsys.DefaultConfig(p)
 	var sb strings.Builder
-	cfg.Trace = func(at sim.Time, app, event string) {
-		fmt.Fprintf(&sb, "[%d] %s %s\n", int64(at), app, event)
-	}
 	cfg.Obs = obs.New()
+	cfg.Obs.OnEvent = func(ev *obs.Event) {
+		if line, ok := obs.RenderText(ev); ok {
+			fmt.Fprintf(&sb, "[%d] %s %s\n", int64(ev.TS), ev.App, line)
+		}
+	}
 	s, err := dmxsys.New(cfg, []*dmxsys.Pipeline{b.Pipeline})
 	if err != nil {
 		t.Fatalf("%s/%v: %v", b.Name, p, err)

@@ -16,6 +16,7 @@ import (
 	"dmx/internal/faults"
 	"dmx/internal/obs"
 	"dmx/internal/sim"
+	"dmx/internal/traffic"
 	"dmx/internal/workload"
 )
 
@@ -71,9 +72,10 @@ func TestPlanCapacityMatchesMeasured(t *testing.T) {
 
 // TestCapacitiesIsolated pins that deriving the bounds neither reads
 // nor perturbs the serving-side configuration: a plan carrying an
-// enabled fault plan, a retry policy, a batch window, a recorder and a
-// text Trace hook derives exactly the plain plan's bounds, the recorder
-// stays empty and the hook never fires (DESIGN.md §7, no perturbation).
+// enabled fault plan, a retry policy, a batch window and a recorder
+// rendering the text log from its OnEvent hook derives exactly the
+// plain plan's bounds, the recorder stays empty and the hook never
+// renders a line (DESIGN.md §7, no perturbation).
 // Four goroutines deriving from one shared plan must agree; the race
 // job runs this too.
 func TestCapacitiesIsolated(t *testing.T) {
@@ -107,9 +109,13 @@ func TestCapacitiesIsolated(t *testing.T) {
 			cfg.Retry.MaxAttempts = 8
 			cfg.BatchWindow = 200 * sim.Microsecond
 			rec := obs.New()
-			cfg.Obs = rec
 			lines := 0
-			cfg.Trace = func(sim.Time, string, string) { lines++ }
+			rec.OnEvent = func(ev *obs.Event) {
+				if _, ok := obs.RenderText(ev); ok {
+					lines++
+				}
+			}
+			cfg.Obs = rec
 			noisy, err := dmxsys.NewPlan(cfg, pipes)
 			if err != nil {
 				t.Fatal(err)
@@ -161,9 +167,9 @@ func TestPlanReplicasIndependent(t *testing.T) {
 	}
 	var aDone, bDone int
 	for i := 0; i < 6; i++ {
-		a.Admit(0, 0, func(dmxsys.Retired) { aDone++ })
+		a.Admit(0, 0, func(traffic.Retired) { aDone++ })
 	}
-	bSys.Admit(0, 0, func(dmxsys.Retired) { bDone++ })
+	bSys.Admit(0, 0, func(traffic.Retired) { bDone++ })
 	eng.Run()
 	if a.Err() != nil || bSys.Err() != nil {
 		t.Fatal(a.Err(), bSys.Err())

@@ -47,9 +47,8 @@ type System struct {
 	// (identifying them by name breaks under host prefixes).
 	drxServers []*sim.Server
 
-	// rec is the structured event sink (nil = tracing disabled). It is
-	// cfg.Obs, or an internal recorder when only the text Trace hook is
-	// configured.
+	// rec is the structured event sink (nil = tracing disabled): the
+	// host's HostOpts.Obs, else cfg.Obs.
 	rec *obs.Recorder
 
 	// carrierPool recycles retired carrier shells (members slice and
@@ -60,10 +59,6 @@ type System struct {
 	carrierPool []*carrier
 	carriers    []*carrier
 	tickets     []*ticket
-	// admitting is true while RunLoad drives the system; admission
-	// control applies only there (Run issues a fixed request set whose
-	// report has no rejection channel).
-	admitting bool
 
 	// inj is the fault injector (nil = no faults). hazardous is true
 	// when faults or a retry policy are active; every fault/retry check
@@ -553,28 +548,12 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 		nSwitches: p.nSwitches,
 		nDRX:      p.nDRX,
 	}
-	// Wire the structured trace sink. A text-only Trace hook gets an
-	// internal recorder; the classic line log is a streamed rendering of
-	// the structured events (obs.RenderText), so both sinks always agree.
+	// Wire the structured trace sink.
 	s.rec = opts.Obs
 	if s.rec == nil {
 		s.rec = cfg.Obs
 	}
-	if s.rec == nil && cfg.Trace != nil {
-		s.rec = obs.New()
-	}
 	if s.rec != nil {
-		if trace := cfg.Trace; trace != nil {
-			prev := s.rec.OnEvent
-			s.rec.OnEvent = func(ev *obs.Event) {
-				if prev != nil {
-					prev(ev)
-				}
-				if line, ok := obs.RenderText(ev); ok {
-					trace(sim.Time(ev.TS), ev.App, line)
-				}
-			}
-		}
 		eng.Obs = s.rec
 	}
 

@@ -3,11 +3,13 @@ package obs
 import "fmt"
 
 // RenderText renders one event as the classic one-line Fig. 10 trace —
-// the format the pre-structured `Config.Trace` hook printed. It is the
-// single text renderer over the event stream: only protocol instants
-// produce lines (spans, flows, and counters are for the Perfetto sink
-// and the metrics aggregator), so a streamed rendering reproduces the
-// historical line sequence exactly.
+// the log `dmxsim -trace` prints, by calling it from the recorder's
+// OnEvent hook. It is the single text renderer over the event stream:
+// only protocol instants produce lines (spans, flows, and counters are
+// for the Perfetto sink and the metrics aggregator), so a streamed
+// rendering reproduces the historical line sequence exactly, and a text
+// log always agrees with the Perfetto trace and metrics of the same
+// recorder.
 func RenderText(ev *Event) (string, bool) {
 	if ev.Kind != KindInstant {
 		return "", false

@@ -44,9 +44,10 @@ func RoundRobin(j, hosts int) int { return j % hosts }
 
 // SplitRate apportions one application's offered rate across replicas
 // in proportion to how many of its requests each actually received
-// (router rejections count as a replica of their own). The shares sum
-// exactly to rate·(counts[i]/total) and, with a single nonzero count,
-// reduce to rate itself — preserving the single-host report.
+// (router rejections count as a replica of their own): share i is
+// rate·counts[i]/total. A replica that received every request gets rate
+// itself, exactly — rate·c/c can round off it — which is what keeps a
+// one-host report equal to its host's row.
 func SplitRate(rate float64, counts []int) []float64 {
 	total := 0
 	for _, c := range counts {
@@ -57,7 +58,11 @@ func SplitRate(rate float64, counts []int) []float64 {
 		return out
 	}
 	for i, c := range counts {
-		out[i] = rate * float64(c) / float64(total)
+		if c == total {
+			out[i] = rate
+		} else {
+			out[i] = rate * float64(c) / float64(total)
+		}
 	}
 	return out
 }

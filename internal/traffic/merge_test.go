@@ -87,4 +87,12 @@ func TestRoundRobinAndSplitRate(t *testing.T) {
 	if got := SplitRate(123.456, []int{37, 0})[0]; got != 123.456 {
 		t.Errorf("single-receiver share = %g, want 123.456 exactly", got)
 	}
+	// rate·c/c rounds off rate for these: 0.1·3/3 is 0.10000000000000002.
+	for _, rate := range []float64{0.1, 0.3, 1.1, 7.7, 123.456, 1e-3} {
+		for n := 1; n < 200; n++ {
+			if got := SplitRate(rate, []int{0, n, 0}); got[1] != rate || got[0] != 0 || got[2] != 0 {
+				t.Fatalf("SplitRate(%g, [0 %d 0]) = %v, want [0 %g 0]", rate, n, got, rate)
+			}
+		}
+	}
 }
