@@ -1,6 +1,8 @@
 package accel
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -106,10 +108,7 @@ func TestGzipIncompressibleRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	plain := make([]byte, 4096)
 	rng.Read(plain)
-	gz, err := Compress(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gz := gzipBytes(t, plain)
 	spec := NewGzipDecompress(len(plain))
 	out, err := spec.Run(map[string]*tensor.Tensor{"gz": tensor.FromBytes(gz, len(gz))})
 	if err != nil {
@@ -329,6 +328,83 @@ func TestEncodeRLESplitsAtCountCap(t *testing.T) {
 	if bs := EncodeRLE(yuv); len(bs) != 10 || bs[0] != 0xff || bs[1] != 0xff || bs[5] != 1 || bs[7] != 1 {
 		t.Errorf("run of 65535 then a new pixel: %v", bs)
 	}
+}
+
+// TestRLEWriterMatchesEncodeRLE streams each frame through RLEWriter
+// and wants EncodeRLE's bytes: a single pixel, runs at and across the
+// 65 535 cap, and edges that redraw the colour already showing, which
+// must extend the run rather than start a record.
+func TestRLEWriterMatchesEncodeRLE(t *testing.T) {
+	fill := func(px []byte, n int, y, u, v byte) []byte {
+		for i := 0; i < n; i++ {
+			px = append(px, y, u, v)
+		}
+		return px
+	}
+	// Edges every few pixels from a two-colour palette, as the video
+	// generator draws them: about half of them redraw the same colour.
+	rng := rand.New(rand.NewSource(3))
+	var redraw []byte
+	y, u, v := byte(16), byte(128), byte(128)
+	for p := 0; p < 5000; p++ {
+		if rng.Intn(4) == 0 {
+			c := byte(40 * rng.Intn(2))
+			y, u, v = c, c+1, c+2
+		}
+		redraw = append(redraw, y, u, v)
+	}
+	for name, px := range map[string][]byte{
+		"single pixel":            {7, 8, 9},
+		"run at the cap":          fill(nil, 65535, 9, 9, 9),
+		"run past the cap":        fill(nil, 2*65535+3, 9, 9, 9),
+		"new colour at the cap":   fill(fill(nil, 65535, 9, 9, 9), 2, 1, 9, 9),
+		"edge redraws the colour": fill(fill(fill(nil, 3, 5, 5, 5), 4, 5, 5, 5), 1, 6, 5, 5),
+		"redrawn edges":           redraw,
+	} {
+		want := EncodeRLE(tensor.FromBytes(px, len(px)/3, 3))
+		var got bytes.Buffer
+		enc := NewRLEWriter(&got)
+		for i := 0; i < len(px); i += 3 {
+			enc.Pixel(px[i], px[i+1], px[i+2])
+		}
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: streamed %d bytes %v..., EncodeRLE %d bytes %v...", name, got.Len(), head(got.Bytes()), len(want), head(want))
+		}
+	}
+}
+
+func head(b []byte) []byte { return b[:min(len(b), 10)] }
+
+// TestRLEWriterKeepsFirstError: a failed Write stops the stream and
+// Close reports it.
+func TestRLEWriterKeepsFirstError(t *testing.T) {
+	w := &failAfter{n: 1}
+	enc := NewRLEWriter(w)
+	for c := byte(0); c < 4; c++ {
+		enc.Pixel(c, c, c)
+	}
+	if err := enc.Close(); !errors.Is(err, errSinkFull) {
+		t.Errorf("Close = %v, want %v", err, errSinkFull)
+	}
+	if w.writes != 2 {
+		t.Errorf("%d writes reached the sink, want 2 (one accepted, one refused)", w.writes)
+	}
+}
+
+var errSinkFull = errors.New("sink full")
+
+// failAfter accepts n writes and refuses every later one.
+type failAfter struct{ n, writes int }
+
+func (f *failAfter) Write(b []byte) (int, error) {
+	f.writes++
+	if f.writes > f.n {
+		return 0, errSinkFull
+	}
+	return len(b), nil
 }
 
 func TestEncodeRLERejectsNonUint8(t *testing.T) {

@@ -46,19 +46,6 @@ func NewGzipDecompress(outBytes int) *Spec {
 	}
 }
 
-// Compress produces a gzip blob for the workload generator.
-func Compress(plain []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(plain); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // NewHashJoin builds the join accelerator: an inner (build-side) table
 // of innerRows seeded random keys with int32 values is built once; each
 // probe key that hits emits its matched value, misses emit -1, and the

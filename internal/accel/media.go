@@ -3,6 +3,7 @@ package accel
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 
@@ -57,12 +58,14 @@ func NewVideoDecode(pixels int) *Spec {
 	}
 }
 
-// EncodeRLE produces a bitstream NewVideoDecode accepts, for the workload
-// generator: consecutive equal YUV pixels collapse into one record, and a
-// run longer than 65 535 pixels (the u16 count) splits across records.
-// yuv must be a Uint8 [pixels, 3] tensor, any view layout; EncodeRLE
-// panics on any other dtype or shape, since a decoded frame is always
-// Uint8 and there is no lossless byte for a wider element.
+// EncodeRLE encodes a whole decoded frame into the bitstream
+// NewVideoDecode accepts: consecutive equal YUV pixels collapse into one
+// record, and a run longer than 65 535 pixels (the u16 count) splits
+// across records. It is the reference RLEWriter is tested against; the
+// workload generator streams through RLEWriter instead of staging the
+// frame. yuv must be a Uint8 [pixels, 3] tensor, any view layout;
+// EncodeRLE panics on any other dtype or shape, since a decoded frame is
+// always Uint8 and there is no lossless byte for a wider element.
 func EncodeRLE(yuv *tensor.Tensor) []byte {
 	if yuv.DType() != tensor.Uint8 || yuv.Rank() != 2 || yuv.Dim(1) != 3 {
 		panic(fmt.Sprintf("accel: EncodeRLE: want a uint8 [pixels 3] tensor, got %s %v", yuv.DType(), yuv.Shape()))
@@ -79,6 +82,49 @@ func EncodeRLE(yuv *tensor.Tensor) []byte {
 		i += 3 * run
 	}
 	return out
+}
+
+// RLEWriter run-length encodes pixels as they are drawn, writing the
+// same bitstream EncodeRLE makes of the finished frame, one 5-byte
+// record per Write, so no frame is ever held in memory. Write errors
+// are sticky: after the first nothing more is written, and Close
+// returns it.
+type RLEWriter struct {
+	w   io.Writer
+	rec [5]byte // the open run's record: count (u16 LE), y, u, v
+	run int
+	err error
+}
+
+// NewRLEWriter returns an encoder writing its bitstream to w.
+func NewRLEWriter(w io.Writer) *RLEWriter { return &RLEWriter{w: w} }
+
+// Pixel appends one pixel: it extends the open run, or writes that run's
+// record and opens a new one when the colour changes or the count is at
+// its 65 535 cap.
+func (e *RLEWriter) Pixel(y, u, v byte) {
+	if e.run > 0 && e.run < 65535 && y == e.rec[2] && u == e.rec[3] && v == e.rec[4] {
+		e.run++
+		return
+	}
+	e.flush()
+	e.rec[2], e.rec[3], e.rec[4] = y, u, v
+	e.run = 1
+}
+
+// Close writes the open run's record and returns the first write error.
+func (e *RLEWriter) Close() error {
+	e.flush()
+	e.run = 0
+	return e.err
+}
+
+func (e *RLEWriter) flush() {
+	if e.run == 0 || e.err != nil {
+		return
+	}
+	e.rec[0], e.rec[1] = byte(e.run), byte(e.run>>8)
+	_, e.err = e.w.Write(e.rec[:])
 }
 
 // NewObjectDetect builds the DNN object-detection accelerator: a seeded

@@ -4,8 +4,9 @@ package cluster_test
 // handler is one func value per app, a routed request rides a pooled
 // arrival record whose callbacks are bound once, and the host underneath
 // walks it without per-step closures, so a routed request allocates
-// only the host's request record plus its share of the engine's event
-// queue growth.
+// only the host's request record: it measures 1.00 allocation per
+// request, and the bound is 1.5, so one extra allocation per request
+// trips it.
 
 import (
 	"testing"
@@ -37,8 +38,8 @@ func TestFleetAllocsPerRequest(t *testing.T) {
 	large := testing.AllocsPerRun(5, func() { run(2 * n) })
 	got := (large - small) / n
 	t.Logf("%.2f allocations per request", got)
-	const bound = 4
+	const bound = 1.5
 	if got > bound {
-		t.Errorf("%.2f allocations per request, bound %d", got, bound)
+		t.Errorf("%.2f allocations per request, bound %.1f", got, bound)
 	}
 }

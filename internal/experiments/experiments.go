@@ -30,8 +30,9 @@ func geomean(xs []float64) float64 {
 
 // baseSuite caches the paper-scale suite so every figure shares one set
 // of Benchmarks. The expensive part of a build — the corpus probes that
-// size the video bitstream and the hash-join gzip — is memoized inside
-// workload; the cache saves the per-construction accelerator set-up.
+// count the video bitstream's and the hash-join gzip's bytes as their
+// generators stream them — is memoized inside workload; the cache saves
+// the per-construction accelerator set-up.
 var baseSuite struct {
 	once    sync.Once
 	benches []*workload.Benchmark
@@ -39,7 +40,9 @@ var baseSuite struct {
 }
 
 // suite returns n app instances cycling through the five benchmarks in
-// Table I order.
+// Table I order. The first call builds the paper-scale suite and so
+// pays the streamed corpus probes; every later one shares its
+// Benchmarks.
 func suite(n int) ([]*workload.Benchmark, error) {
 	baseSuite.once.Do(func() {
 		baseSuite.benches, baseSuite.err = workload.Suite(workload.PaperScale)
@@ -57,8 +60,9 @@ func suite(n int) ([]*workload.Benchmark, error) {
 
 // Warm front-loads the process-wide cache a parallel sweep would
 // otherwise serialize on: the paper-scale benchmark suite, whose first
-// build pays the corpus probes (about a second, nearly all of it the
-// hash-join gzip). DRX kernel timings fill on demand: timing walks the
+// build pays the corpus probes (about a second, nearly all of it
+// deflating the hash-join table; the probes count bytes as they stream
+// and hold no corpus). DRX kernel timings fill on demand: timing walks the
 // compiled program without moving data, so the figures pay a few
 // milliseconds per distinct kernel and configuration. Calling Warm is
 // optional: every generator computes what it needs on demand.

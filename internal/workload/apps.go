@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"compress/gzip"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strconv"
@@ -89,6 +91,23 @@ func videoSizes(sc Scale) videoGeom {
 	return videoGeom{pixels: 1920 * 1080 * 2, regions: 3600, classes: 16} // ~12 MB YUV batch (2 frames)
 }
 
+// videoCorpus is the video app's input stream: seeded frames,
+// run-length encoded as they are drawn.
+func videoCorpus(g videoGeom) corpus {
+	return func(w io.Writer) error {
+		rng := rand.New(rand.NewSource(22))
+		enc := accel.NewRLEWriter(w)
+		var y, u, v byte = 16, 128, 128
+		for p := 0; p < g.pixels; p++ {
+			if rng.Intn(64) == 0 { // new "object edge"
+				y, u, v = byte(rng.Intn(236)+16), byte(rng.Intn(225)+16), byte(rng.Intn(225)+16)
+			}
+			enc.Pixel(y, u, v)
+		}
+		return enc.Close()
+	}
+}
+
 // VideoSurveillance: video decode → (color convert, normalize, NCHW,
 // quantize) → object detection.
 func VideoSurveillance(sc Scale) (*Benchmark, error) {
@@ -102,22 +121,10 @@ func VideoSurveillance(sc Scale) (*Benchmark, error) {
 	yuvBytes := int64(g.pixels * 3)
 	nchwBytes := int64(g.pixels * 3)
 
-	gen := func() (map[string]*tensor.Tensor, error) {
-		rng := rand.New(rand.NewSource(22))
-		px := make([]byte, 0, g.pixels*3)
-		var y, u, v byte = 16, 128, 128
-		for p := 0; p < g.pixels; p++ {
-			if rng.Intn(64) == 0 { // new "object edge"
-				y, u, v = byte(rng.Intn(236)+16), byte(rng.Intn(225)+16), byte(rng.Intn(225)+16)
-			}
-			px = append(px, y, u, v)
-		}
-		bs := accel.EncodeRLE(tensor.FromBytes(px, g.pixels, 3))
-		return map[string]*tensor.Tensor{"bitstream": tensor.FromBytes(bs, len(bs))}, nil
-	}
+	gen := videoCorpus(g)
 	// Bitstream size is data-dependent; the latency model reads it off
-	// one generator run per process.
-	bsBytes, err := probeSize("video-surveillance", sc, "bitstream", gen)
+	// one counted run per process.
+	bsBytes, err := probeSize("video-surveillance", sc, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +145,7 @@ func VideoSurveillance(sc Scale) (*Benchmark, error) {
 			InputBytes:  bsBytes,
 			OutputBytes: int64(g.regions * g.classes * 4),
 		},
-		Inputs: gen,
+		Inputs: streamInputs("bitstream", bsBytes, gen),
 	}
 	b.Exec = chain(b,
 		[]map[string]*tensor.Tensor{{
@@ -321,23 +328,8 @@ func DatabaseHashJoin(sc Scale) (*Benchmark, error) {
 	join := accel.NewHashJoin(g.nrows, g.payBytes, g.innerRows, g.keySpace, 505)
 	pack := restructure.ColumnPack(g.nrows, g.keyDigits, g.amtDigits, g.payBytes)
 
-	gen := func() (map[string]*tensor.Tensor, error) {
-		rng := rand.New(rand.NewSource(55))
-		raw := make([]byte, 0, rowBytes)
-		for r := 0; r < g.nrows; r++ {
-			raw = appendPadded(raw, int64(rng.Int31n(g.keySpace)), g.keyDigits)
-			raw = appendPadded(raw, int64(rng.Int31n(10_000_000)), g.amtDigits)
-			for p := 0; p < g.payBytes; p++ {
-				raw = append(raw, byte(rng.Intn(256)))
-			}
-		}
-		blob, err := accel.Compress(raw)
-		if err != nil {
-			return nil, err
-		}
-		return map[string]*tensor.Tensor{"gz": tensor.FromBytes(blob, len(blob))}, nil
-	}
-	gzBytes, err := probeSize("database-hash-join", sc, "gz", gen)
+	gen := tableCorpus(g)
+	gzBytes, err := probeSize("database-hash-join", sc, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +351,7 @@ func DatabaseHashJoin(sc Scale) (*Benchmark, error) {
 			InputBytes:  gzBytes,
 			OutputBytes: int64(g.nrows * 4),
 		},
-		Inputs: gen,
+		Inputs: streamInputs("gz", gzBytes, gen),
 	}
 	b.Exec = chain(b,
 		[]map[string]*tensor.Tensor{nil},
@@ -373,6 +365,45 @@ func DatabaseHashJoin(sc Scale) (*Benchmark, error) {
 			passthrough("keys", "keys", "amounts", "amounts", "paycol", "paycol"),
 		})
 	return b, nil
+}
+
+// tableCorpus is the hash-join app's input stream: the seeded table,
+// gzipped as writeTable draws it.
+func tableCorpus(g dbGeom) corpus {
+	return func(w io.Writer) error {
+		zw := gzip.NewWriter(w)
+		if err := writeTable(g, zw); err != nil {
+			return err
+		}
+		return zw.Close()
+	}
+}
+
+// tableChunkRows is how many rows writeTable stages per Write: deflate's
+// output does not depend on how its input is split, so this bounds the
+// staging buffer without moving a byte of the gzip stream.
+const tableChunkRows = 4096
+
+// writeTable writes the hash-join's seeded raw table to w, row by row
+// in chunks of tableChunkRows.
+func writeTable(g dbGeom, w io.Writer) error {
+	rowlen := g.keyDigits + g.amtDigits + g.payBytes
+	rng := rand.New(rand.NewSource(55))
+	chunk := make([]byte, 0, min(g.nrows, tableChunkRows)*rowlen)
+	for r := 0; r < g.nrows; r++ {
+		chunk = appendPadded(chunk, int64(rng.Int31n(g.keySpace)), g.keyDigits)
+		chunk = appendPadded(chunk, int64(rng.Int31n(10_000_000)), g.amtDigits)
+		for p := 0; p < g.payBytes; p++ {
+			chunk = append(chunk, byte(rng.Intn(256)))
+		}
+		if (r+1)%tableChunkRows == 0 || r == g.nrows-1 {
+			if _, err := w.Write(chunk); err != nil {
+				return err
+			}
+			chunk = chunk[:0]
+		}
+	}
+	return nil
 }
 
 // appendPadded appends the decimal digits of v ≥ 0, left-padded with

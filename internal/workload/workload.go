@@ -88,8 +88,10 @@ func keys(m map[string]*tensor.Tensor) []string {
 // the sweep worker pool (a plain loop at one worker); each seeds its own
 // RNGs, so the result is identical to a sequential build. Construction
 // is cheap except for the first paper-scale build in a process, which
-// pays the two corpus probes (probeSize) — almost all of it the
-// hash-join table's gzip.
+// pays the two corpus probes (probeSize) — almost all of it deflating
+// the hash-join table. The probes stream each corpus into a byte
+// counter, so they cost time, not memory: no table, blob or frame is
+// held.
 func Suite(sc Scale) ([]*Benchmark, error) {
 	builders := []func(Scale) (*Benchmark, error){
 		VideoSurveillance, SoundDetection, BrainStimulation,
