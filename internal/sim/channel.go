@@ -31,9 +31,8 @@ type Channel struct {
 	// free recycles retired Transfers: the channel hot loop (start,
 	// advance, complete, restart) then runs without allocating.
 	free []*Transfer
-	// finished and dones are scratch for complete(), reused across calls.
+	// finished is scratch for complete(), reused across calls.
 	finished []*Transfer
-	dones    []func()
 
 	// TotalBytes accumulates every byte the channel has carried; the
 	// energy model charges transfer energy against it.
@@ -227,21 +226,15 @@ func (c *Channel) complete() {
 	}
 	c.reschedule()
 	// Callbacks run after bookkeeping so they may start new transfers on
-	// this same channel re-entrantly. The completion storm — several
-	// transfers retiring at one instant — goes through the engine's
-	// batch path: one queue walk schedules every callback, in Start
-	// order (identical firing order to a Schedule-per-callback loop).
-	dones := c.dones[:0]
+	// this same channel re-entrantly. Each is scheduled now, in Start
+	// order, so several transfers retiring at one instant fire in Start
+	// order.
+	now := c.eng.Now()
 	for _, t := range finished {
 		if t.done != nil {
-			dones = append(dones, t.done)
+			c.eng.At(now, t.done)
 		}
 		c.recycle(t)
 	}
-	c.eng.ScheduleBatch(0, dones)
-	for i := range dones {
-		dones[i] = nil
-	}
-	c.dones = dones[:0]
 	c.finished = finished[:0]
 }

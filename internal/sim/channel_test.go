@@ -157,3 +157,24 @@ func TestChannelInvalidConstruction(t *testing.T) {
 	}()
 	NewChannel(e, "bad", 0)
 }
+
+// A channel retiring several equal transfers at one instant schedules
+// every completion at that instant: all fire, in Start order.
+func TestChannelSimultaneousCompletionBatch(t *testing.T) {
+	e := NewEngine()
+	ch := NewChannel(e, "c", 1e9)
+	var got []int
+	for i := 0; i < 5; i++ {
+		i := i
+		ch.Start(1<<20, func() { got = append(got, i) })
+	}
+	e.Run()
+	if len(got) != 5 {
+		t.Fatalf("completed %d transfers, want 5", len(got))
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("completions out of Start order: %v", got)
+		}
+	}
+}

@@ -9,19 +9,22 @@
 //
 // Pending events live in an indexed 4-ary min-heap on (time, seq)
 // with the keys stored inline, so a sift compares siblings without
-// chasing pointers. Every event knows its heap index, so cancellation
-// purges eagerly in O(log n) — no tombstones, so Pending counts live
-// events exactly — and event nodes are recycled through per-engine
-// slabs, keeping the steady-state loop allocation-free. A differential
-// fuzz harness checks the realized order against a plain reference
-// heap that schedules everything up front. The pending set is meant to
-// be in-flight work: a producer that knows its events ahead (the
-// serving drivers' arrival timelines) claims their seqs with Reserve
-// and schedules each one only when its predecessor fires, keeping the
-// (time, seq) key, and so the firing order, of an up-front schedule.
-// ScheduleBatch schedules same-instant completion storms in slice
-// order; Reschedule is the timer-reset idiom with an in-place fast
-// path for the latest-scheduled event.
+// chasing pointers, plus a one-entry next-event slot beside it: an
+// event that precedes every pending one (typically a callback's
+// zero-delay successor) waits there and fires without touching the
+// heap. The slot always precedes every heap entry, so the firing order
+// is the heap's (time, seq) order exactly. Every event knows its heap
+// index (or that it sits in the slot), so cancellation purges eagerly
+// in O(log n) — no tombstones, so Pending counts live events exactly —
+// and event nodes are recycled through per-engine slabs, keeping the
+// steady-state loop allocation-free. A differential fuzz harness checks
+// the realized order against a plain reference heap that schedules
+// everything up front. The pending set is meant to be in-flight work:
+// a producer that knows its events ahead (the serving drivers' arrival
+// timelines) claims their seqs with Reserve and schedules each one only
+// when its predecessor fires, keeping the (time, seq) key, and so the
+// firing order, of an up-front schedule. Reschedule is the timer-reset
+// idiom with an in-place fast path for the latest-scheduled event.
 //
 // Server's backlog ordering is pluggable (Discipline): FIFO's
 // power-of-two ring is the zero-allocation default, Priority and WFQ

@@ -40,11 +40,6 @@ type Server struct {
 	begin  []Time
 	fire   []func()
 	free   []int
-
-	// batchFires is scratch for SubmitBatch: the completion closures of
-	// the jobs a burst admits straight into service, handed to the
-	// engine's batch scheduling path in one call.
-	batchFires []func()
 }
 
 // NewServer creates a FIFO server with the given number of service
@@ -200,50 +195,6 @@ func (h *Hold) Release() {
 		s.sampleQueue()
 		s.start(next)
 	}
-}
-
-// SubmitBatch enqueues one job per callback in dones, all under one
-// tenant class with one service time: the completion-storm shape a
-// batched admission produces (a coalesced request batch dispatched to a
-// station at one instant). It is exactly equivalent to calling
-// SubmitClass once per callback in slice order, but the jobs that find
-// free slots have their completion timers scheduled through the
-// engine's batch path — one queue walk for the whole burst, and since
-// the timers share one firing time and consecutive seqs, the firing
-// order is the slice order. Jobs beyond the free slots wait under the
-// discipline as usual. dones may be reused by the caller after return.
-func (s *Server) SubmitBatch(class int, service Duration, dones []func()) {
-	if service < 0 {
-		panic(fmt.Sprintf("sim: negative service time %v", service))
-	}
-	now := s.eng.Now()
-	fires := s.batchFires[:0]
-	for _, done := range dones {
-		j := Job{Class: class, Service: service, done: done, enqueued: now, seq: s.seq}
-		s.seq++
-		if s.busy < s.slots {
-			// Admit without scheduling yet; the timers go out as one
-			// batch below. Slot assignment matches start(): lowest free
-			// slot first.
-			s.busy++
-			slot := s.free[len(s.free)-1]
-			s.free = s.free[:len(s.free)-1]
-			s.job[slot] = j
-			s.begin[slot] = now
-			fires = append(fires, s.fire[slot])
-			continue
-		}
-		s.disc.Push(j)
-		if n := s.disc.Len(); n > s.MaxQueue {
-			s.MaxQueue = n
-		}
-		s.sampleQueue()
-	}
-	s.eng.ScheduleBatch(service, fires)
-	for i := range fires {
-		fires[i] = nil
-	}
-	s.batchFires = fires[:0]
 }
 
 // sampleQueue emits the queue-depth counter series (one sample per
