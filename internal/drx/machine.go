@@ -41,19 +41,26 @@ type Machine struct {
 }
 
 // progMeta is the per-program execution metadata Run derives once: the
-// encoded byte size (for the icache admission check) and, for every
-// LoopBegin at index i, the index of its matching LoopEnd — so the
+// encoded byte size (for the icache admission check), for every
+// LoopBegin at index i the index of its matching LoopEnd — so the
 // interpreter's hot loop does not rescan the instruction stream on every
-// outer-loop iteration.
+// outer-loop iteration — and what a timing walk needs to decide whether
+// it may collapse the program's loops (see timing.go).
 type progMeta struct {
 	encLen  int
 	loopEnd []int32
+	// maxTrip is the largest loop count; wraps reports whether some
+	// CfgStream's addresses could leave the linear range under it.
+	maxTrip int64
+	wraps   bool
 }
 
 // SetFastPath enables or disables the bulk unit-stride operand paths
-// (on by default). The fast paths are bit-identical to the element
-// interpreter — cycle accounting included — so this switch exists only
-// for the differential checkers and benchmarks that prove it.
+// (on by default) and, for Time, the closed-form loops. Both are
+// bit-identical to the reference walk — cycle accounting included — so
+// this switch exists only for the differential checkers and benchmarks
+// that prove it: with it off, Run moves every element one at a time and
+// Time walks every loop iteration.
 func (m *Machine) SetFastPath(on bool) { m.noFast = !on }
 
 // stream is one configured address generator.
@@ -191,12 +198,18 @@ func (m *Machine) ReadDRAM(addr, n int64) ([]byte, error) {
 // metadata (encoded size, loop table) is memoized on first execution.
 func (m *Machine) Run(p *isa.Program) (Result, error) { return m.run(p, false) }
 
-// Time walks a program exactly as Run does — same control flow, stream
-// and loop state, operand and range checks, and cycle accounting — but
+// Time walks a program as Run does — same control flow, stream and
+// loop state, operand and range checks, and cycle accounting — but
 // moves no element data: DRAM and the scratchpad are neither read nor
 // written. DRX timing is data-independent, so Time returns the Result
 // Run would over any DRAM contents, and fails exactly when Run would
-// (the error text may differ). See timing.go.
+// (the error text may differ). A hardware loop of more than three trips
+// is walked at iterations 0, 1 and N−1 only, with iteration 1's counter
+// delta standing in for the iterations between, unless the machine has
+// an OnDMA hook, its fast paths are off, or the program's addresses
+// could wrap. Skipped iterations leave the scalar registers as they
+// were; nothing reads those but SAdd and SMul, so no Result or error
+// can tell. See timing.go.
 func (m *Machine) Time(p *isa.Program) (Result, error) { return m.run(p, true) }
 
 // run is the one interpreter behind Run and Time.
@@ -213,6 +226,7 @@ func (m *Machine) run(p *isa.Program, timing bool) (Result, error) {
 	ex.m = m
 	ex.meta = meta
 	ex.timing = timing
+	ex.collapse = timing && !m.noFast && m.OnDMA == nil && !meta.wraps && !m.streamsWrap(meta.maxTrip)
 	if err := ex.block(p.Instrs, 0, len(p.Instrs)); err != nil {
 		return Result{}, fmt.Errorf("drx: %s: %w", p.Name, err)
 	}
@@ -239,10 +253,14 @@ func (m *Machine) progMetaFor(p *isa.Program) (*progMeta, error) {
 		case isa.LoopBegin:
 			stack[depth] = int32(i)
 			depth++
+			meta.maxTrip = max(meta.maxTrip, int64(in.N))
 		case isa.LoopEnd:
 			depth--
 			meta.loopEnd[stack[depth]] = int32(i)
 		}
+	}
+	for _, in := range p.Instrs {
+		meta.wraps = meta.wraps || in.Op == isa.CfgStream && mayWrap(in.Base, in.Strides, meta.maxTrip)
 	}
 	if m.meta == nil {
 		m.meta = make(map[*isa.Program]*progMeta)
@@ -260,10 +278,12 @@ type execution struct {
 	// timing walks without moving data: operand spans are range-checked
 	// as a whole and element transfers are skipped (Machine.Time).
 	timing bool
-	res    Result
-	halted bool
-	depth  int
-	idx    [isa.MaxLoopDepth]int32
+	// collapse walks a timed loop in closed form (timing.go).
+	collapse bool
+	res      Result
+	halted   bool
+	depth    int
+	idx      [isa.MaxLoopDepth]int32
 }
 
 // loopIdx is the live loop index stack, outermost first.
@@ -294,8 +314,14 @@ func (ex *execution) block(instrs []isa.Instr, from, to int) error {
 			ex.depth++
 			for i := int32(0); i < in.N && !ex.halted; i++ {
 				ex.idx[ex.depth-1] = i
+				before := ex.res
 				if err := ex.block(instrs, pc+1, end); err != nil {
 					return err
+				}
+				if i == 1 && ex.collapse && in.N > 3 {
+					// Iterations 2 … N−2 each repeat iteration 1's delta.
+					ex.res.repeat(before, int64(in.N)-3)
+					i = in.N - 2
 				}
 			}
 			ex.depth--

@@ -17,6 +17,68 @@ import "dmx/internal/isa"
 // non-negative stream base, so a program can push the arithmetic past
 // int64; only then does the walk fall back to the per-element checks,
 // which compute exactly the (wrapping) expressions the element loops do.
+//
+// Nor does a timing walk need every iteration of a hardware loop. It
+// walks iterations 0, 1 and N−1 of a loop of N > 3 trips and adds
+// (N−3) times iteration 1's Result delta for the iterations between.
+//
+//   - The counters. Each instruction adds an amount fixed by its
+//     operands and its streams' dtype and element stride; a Barrier
+//     joins the two domains to their max, which commutes with adding
+//     one amount to both. Stream state at the top of the body is the
+//     same from iteration 1 on, so from there every iteration adds the
+//     same delta, nested (collapsed) loops included. Iteration 0 may
+//     differ — a barrier entered with unequal domains, a CfgStream that
+//     re-bases a stream after the body's first use of it — so it is
+//     walked, and iteration 1 is measured, not assumed.
+//   - The range checks. Each check is an interval test on an address
+//     affine in the loop indices, so the pass set is convex: the checks
+//     of iterations 1 and N−1 bound those of 2 … N−2, and nested
+//     collapsed loops check the corners of their index box. Time thus
+//     still fails exactly when Run does.
+//
+// The second argument needs addresses that do not wrap. progMetaFor
+// rules a program out when some CfgStream base plus its strides times
+// the largest loop count could reach spanLimit; run checks the streams
+// a machine carries in from earlier programs the same way. A machine
+// with an OnDMA hook (which must see every Dma) or with its fast paths
+// off (the reference walk) also walks every iteration.
+
+// mayWrap reports whether a stream at base (never negative: Validate)
+// with the given per-level strides could address outside ±spanLimit at
+// loop indices below trips. Each term is below 2^62 and is added only
+// while reach is below spanLimit, so reach itself never wraps.
+func mayWrap(base int64, strides []int32, trips int64) bool {
+	reach := base
+	for _, s := range strides {
+		if reach >= spanLimit {
+			break
+		}
+		reach += max(int64(s), -int64(s)) * trips
+	}
+	return reach >= spanLimit
+}
+
+// streamsWrap applies mayWrap to the streams already configured.
+func (m *Machine) streamsWrap(trips int64) bool {
+	for i := range m.streams {
+		if s := &m.streams[i]; s.configured && mayWrap(s.base, s.strides, trips) {
+			return true
+		}
+	}
+	return false
+}
+
+// repeat adds k more copies of the counter delta since before.
+func (r *Result) repeat(before Result, k int64) {
+	r.ComputeCycles += k * (r.ComputeCycles - before.ComputeCycles)
+	r.MemCycles += k * (r.MemCycles - before.MemCycles)
+	r.CtrlCycles += k * (r.CtrlCycles - before.CtrlCycles)
+	r.Instrs += k * (r.Instrs - before.Instrs)
+	r.BytesLoaded += k * (r.BytesLoaded - before.BytesLoaded)
+	r.BytesStored += k * (r.BytesStored - before.BytesStored)
+	r.DMABytes += k * (r.DMABytes - before.DMABytes)
+}
 
 // scratchOK reports whether scratchpad element i exists.
 func (m *Machine) scratchOK(i int64) bool {

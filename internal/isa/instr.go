@@ -93,8 +93,15 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("isa: %s: instr %d: trans %dx%d", p.Name, i, in.N, in.M)
 			}
 		case SLi, SAdd, SMul:
-			if in.Dst < 0 || in.Dst >= NumScalarRegs {
-				return fmt.Errorf("isa: %s: instr %d: scalar reg %d out of range", p.Name, i, in.Dst)
+			// sli writes Dst only; sadd and smul also read Src1 and Src2.
+			regs := []int32{in.Dst, in.Src1, in.Src2}
+			if in.Op == SLi {
+				regs = regs[:1]
+			}
+			for _, r := range regs {
+				if r < 0 || r >= NumScalarRegs {
+					return fmt.Errorf("isa: %s: instr %d: scalar reg %d out of range", p.Name, i, r)
+				}
 			}
 		default:
 			if in.Op.IsVector() {

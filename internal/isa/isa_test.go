@@ -77,6 +77,32 @@ func TestValidateRejectsBadStreamID(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadScalarRegs checks every register operand of the
+// scalar ops, sources included: an out-of-range source would otherwise
+// reach the machine as an out-of-range index.
+func TestValidateRejectsBadScalarRegs(t *testing.T) {
+	for _, in := range []Instr{
+		{Op: SLi, Dst: NumScalarRegs},
+		{Op: SAdd, Dst: 0, Src1: 99, Src2: 0},
+		{Op: SAdd, Dst: 0, Src1: 0, Src2: NumScalarRegs},
+		{Op: SMul, Dst: 0, Src1: -1, Src2: 0},
+		{Op: SMul, Dst: -1, Src1: 0, Src2: 0},
+	} {
+		p := &Program{Name: "bad", Instrs: []Instr{in, {Op: Halt}}}
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "scalar reg") {
+			t.Errorf("%v: want scalar-reg error, got %v", in, err)
+		}
+	}
+	ok := &Program{Name: "ok", Instrs: []Instr{
+		{Op: SAdd, Dst: NumScalarRegs - 1, Src1: 0, Src2: NumScalarRegs - 1},
+		{Op: SLi, Dst: 0, Src1: 99, Src2: -1}, // sli reads no sources
+		{Op: Halt},
+	}}
+	if err := ok.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	p := sampleProgram()
 	data, err := Encode(p)
