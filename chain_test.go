@@ -7,6 +7,7 @@ import (
 	"dmx"
 	"dmx/internal/accel"
 	"dmx/internal/restructure"
+	"dmx/internal/tensor"
 )
 
 func soundParts(t *testing.T) (*dmx.AccelSpec, *dmx.AccelSpec, *dmx.RestructureKernel) {
@@ -90,5 +91,67 @@ func TestBuilderCopyIsIndependent(t *testing.T) {
 	p1.Name = "mutated"
 	if p2.Name != "copy" {
 		t.Error("pipelines share state")
+	}
+}
+
+// userKernel is an ad-hoc f32[512,512]→f32[512,512] restructuring kernel
+// named "user-kernel": the name and geometry, and so the Signature, are
+// the same whatever stage it runs.
+func userKernel(stage restructure.Stage) *dmx.RestructureKernel {
+	return &dmx.RestructureKernel{
+		Name: "user-kernel",
+		Params: []restructure.Param{
+			{Name: "in", DType: tensor.Float32, Shape: []int{512, 512}, Dir: restructure.In},
+			{Name: "out", DType: tensor.Float32, Shape: []int{512, 512}, Dir: restructure.Out},
+		},
+		Stages: []restructure.Stage{stage},
+	}
+}
+
+// TestSameSignatureKernelsTimedApart chains two user kernels that share
+// a name and geometry but not their stages — a copy Map and a Transpose
+// — and simulates them in either order: each must report its own DRX
+// restructure time, not the first one's.
+func TestSameSignatureKernelsTimedApart(t *testing.T) {
+	fft, svm, _ := soundParts(t)
+	const bytes = 512 * 512 * 4
+	kernels := map[string]func() *dmx.RestructureKernel{
+		"copy": func() *dmx.RestructureKernel {
+			return userKernel(&restructure.MapStage{
+				Out: "out", Ins: []string{"in"},
+				Accs: []restructure.Access{restructure.IdentityAccess(2)},
+				Expr: restructure.InN(0),
+			})
+		},
+		"transpose": func() *dmx.RestructureKernel {
+			return userKernel(&restructure.TransposeStage{Out: "out", In: "in", Perm: []int{1, 0}})
+		},
+	}
+	restructureTime := func(name string) dmx.Duration {
+		pipe, err := dmx.NewChain(name).
+			Kernel(fft, 64*128*4).
+			Motion(kernels[name](), bytes, bytes).
+			Kernel(svm, bytes).
+			IO(64*128*4, 64*4).
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := dmx.Simulate(dmx.DefaultConfig(dmx.BumpInTheWire), pipe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Apps[0].RestructureTime
+	}
+	copyFirst := restructureTime("copy")
+	transposeSecond := restructureTime("transpose")
+	transposeFirst := restructureTime("transpose")
+	copySecond := restructureTime("copy")
+	if copyFirst != copySecond || transposeFirst != transposeSecond {
+		t.Fatalf("restructure time depends on order: copy %v then %v, transpose %v then %v",
+			copyFirst, copySecond, transposeSecond, transposeFirst)
+	}
+	if copyFirst == transposeFirst {
+		t.Fatalf("copy and transpose both restructure in %v: one kernel's DRX time served the other", copyFirst)
 	}
 }

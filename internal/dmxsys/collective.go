@@ -98,7 +98,7 @@ func (cs *CollectiveSystem) reduceDelay(onDRX bool, fanIn int, done func()) {
 	}
 	k := restructure.SumReduce(fanIn, int(cs.cfg.Bytes/4))
 	if onDRX {
-		d, err := s.drxServiceTime(k)
+		d, err := drxTimeOf(s.cfg.DRX, k)
 		if err != nil {
 			s.fail(fmt.Errorf("dmxsys: collective DRX timing: %w", err))
 			return
@@ -135,11 +135,59 @@ func (cs *CollectiveSystem) switchGroups() [][]string {
 func (cs *CollectiveSystem) fanout(src string, dsts []string, done func()) {
 	s := cs.sys
 	for i, dst := range dsts {
-		dst := dst
 		s.Eng.Schedule(DMASetupLatency*sim.Duration(i+1), func() {
 			s.transferOrFail(src, dst, cs.cfg.Bytes, done)
 		})
 	}
+}
+
+// multicast sends the payload from accelerator 0 down the relay tree
+// over bump-in-the-wire DRXs: a direct fanout under the source's own
+// switch, and one copy to the relay of every other switch, which then
+// re-broadcasts under its own switch — cross-switch uplinks carry one
+// payload per switch instead of one per destination. done runs once per
+// accelerator other than the source.
+func (cs *CollectiveSystem) multicast(groups [][]string, done func()) {
+	s := cs.sys
+	src := cs.devs[0]
+	for _, group := range groups {
+		if group[0] == src {
+			cs.fanout(src, group[1:], done)
+			continue
+		}
+		relay := group[0]
+		s.Eng.Schedule(DMASetupLatency, func() {
+			s.transferOrFail(src, relay, cs.cfg.Bytes, func() {
+				done()
+				cs.fanout(relay, group[1:], done)
+			})
+		})
+	}
+}
+
+// hostScatter is the baseline's delivery from host memory (Sec. VII-C):
+// for each accelerator from first on, sequentially, the driver memcpys
+// the payload into a DMA buffer, initiates the transfer and takes its
+// completion. done runs once per accelerator.
+func (cs *CollectiveSystem) hostScatter(first int, done func()) {
+	s := cs.sys
+	var next func(i int)
+	next = func(i int) {
+		if i >= len(cs.devs) {
+			return
+		}
+		s.cpuJob(1, 2*cs.cfg.Bytes, func() { // driver buffer copy
+			s.Eng.Schedule(DMASetupLatency, func() {
+				s.transferOrFail(pcie.Root, cs.devs[i], cs.cfg.Bytes, func() {
+					s.Eng.Schedule(s.driverDelay(), func() {
+						done()
+						next(i + 1)
+					})
+				})
+			})
+		})
+	}
+	next(first)
 }
 
 // transferOrFail starts a fabric DMA, recording a flow error on an
@@ -150,82 +198,45 @@ func (s *System) transferOrFail(from, to string, n int64, done func()) {
 	}
 }
 
-// Broadcast runs a one-to-many transfer from accelerator 0 to all others
-// and returns the completion latency.
-func (cs *CollectiveSystem) Broadcast() (sim.Duration, error) {
+// run starts a collective whose result must land on want accelerators,
+// after the initial driver round trip and DMA setup, drains the engine,
+// and returns the instant the last delivery landed. start gets the
+// callback each delivery invokes once.
+func (cs *CollectiveSystem) run(op string, want int, start func(done func())) (sim.Duration, error) {
 	s := cs.sys
-	n := len(cs.devs)
-	remaining := n - 1
+	left := want
 	var finished sim.Time
-	complete := func() {
-		remaining--
-		if remaining == 0 {
+	done := func() {
+		left--
+		if left == 0 {
 			finished = s.Eng.Now()
 		}
 	}
-	if cs.cfg.UseDMX {
-		// Hierarchical multicast over bump-in-the-wire DRXs: the source
-		// restructures once, forwards one copy to a relay DRX on every
-		// remote switch, and each relay re-broadcasts under its own
-		// switch — cross-switch uplinks carry one payload per switch
-		// instead of one per destination.
-		groups := cs.switchGroups()
-		s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-			func(after func()) { after() }(func() {
-				for _, group := range groups {
-					group := group
-					if group[0] == cs.devs[0] {
-						// Source's own switch: direct local fanout.
-						cs.fanout(cs.devs[0], group[1:], complete)
-						continue
-					}
-					// Remote switch: relay receives, then re-broadcasts.
-					relay := group[0]
-					s.Eng.Schedule(DMASetupLatency, func() {
-						s.transferOrFail(cs.devs[0], relay, cs.cfg.Bytes, func() {
-							complete()
-							cs.fanout(relay, group[1:], complete)
-						})
-					})
-				}
-			})
-		})
-	} else {
-		// Baseline (Sec. VII-C): source → CPU memory, restructure on the
-		// host, then for each destination the driver memcpys the payload
-		// into a DMA buffer and initiates the transfer, sequentially.
-		s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-			s.transferOrFail(cs.devs[0], pcie.Root, cs.cfg.Bytes, func() {
-				func(after func()) { after() }(func() {
-					var next func(i int)
-					next = func(i int) {
-						if i >= n {
-							return
-						}
-						s.cpuJob(1, 2*cs.cfg.Bytes, func() { // driver buffer copy
-							s.Eng.Schedule(DMASetupLatency, func() {
-								s.transferOrFail(pcie.Root, cs.devs[i], cs.cfg.Bytes, func() {
-									s.Eng.Schedule(s.driverDelay(), func() {
-										complete()
-										next(i + 1)
-									})
-								})
-							})
-						})
-					}
-					next(1)
-				})
-			})
-		})
-	}
+	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() { start(done) })
 	s.Eng.Run()
 	if s.err != nil {
 		return 0, s.err
 	}
-	if remaining != 0 {
-		return 0, fmt.Errorf("dmxsys: broadcast never completed (%d transfers pending)", remaining)
+	if left != 0 {
+		return 0, fmt.Errorf("dmxsys: %s never completed (%d deliveries pending)", op, left)
 	}
 	return sim.Duration(finished), nil
+}
+
+// Broadcast runs a one-to-many transfer from accelerator 0 to all others
+// and returns the completion latency. DMX multicasts down the relay
+// tree; the baseline DMAs the source's payload to host memory,
+// restructures it there and scatters it from the host.
+func (cs *CollectiveSystem) Broadcast() (sim.Duration, error) {
+	return cs.run("broadcast", len(cs.devs)-1, func(done func()) {
+		if cs.cfg.UseDMX {
+			cs.multicast(cs.switchGroups(), done)
+			return
+		}
+		cs.sys.transferOrFail(cs.devs[0], pcie.Root, cs.cfg.Bytes, func() {
+			cs.hostScatter(1, done)
+		})
+	})
 }
 
 // AllReduce runs scatter-reduce + all-gather across the accelerators and
@@ -233,135 +244,63 @@ func (cs *CollectiveSystem) Broadcast() (sim.Duration, error) {
 func (cs *CollectiveSystem) AllReduce() (sim.Duration, error) {
 	s := cs.sys
 	n := len(cs.devs)
-	var finished sim.Time
-	if cs.cfg.UseDMX {
-		// Hierarchical reduction: each switch's members send partials to
-		// the local relay DRX, which reduces; relays forward their
-		// partials to the root relay for the final reduction; the result
-		// multicasts back through the same tree.
+	if !cs.cfg.UseDMX {
+		// Baseline: every accelerator DMAs to the host, the CPU sums and
+		// restructures, then the driver scatters the result to all.
+		return cs.run("all-reduce", n, func(done func()) {
+			arrived := 0
+			for _, src := range cs.devs {
+				s.transferOrFail(src, pcie.Root, cs.cfg.Bytes, func() {
+					arrived++
+					if arrived == n {
+						cs.reduceDelay(false, n, func() { cs.hostScatter(0, done) })
+					}
+				})
+			}
+		})
+	}
+	// Hierarchical reduction: each switch's members send partials to the
+	// local relay DRX, which reduces; relays forward their partials to
+	// the root relay (accelerator 0) for the final reduction; the result
+	// multicasts back through the same tree.
+	return cs.run("all-reduce", n-1, func(done func()) {
 		groups := cs.switchGroups()
-		rootRelay := cs.devs[0]
+		root := cs.devs[0]
 		arrivedAtRoot := 0
-		gathered := 0
-		complete := func() {
-			gathered++
-			if gathered == n-1 {
-				finished = s.Eng.Now()
+		atRoot := func() {
+			arrivedAtRoot++
+			if arrivedAtRoot == len(groups) {
+				cs.reduceDelay(true, len(groups), func() { cs.multicast(groups, done) })
 			}
 		}
-		broadcastResult := func() {
-			for _, group := range groups {
-				group := group
-				if group[0] == rootRelay {
-					cs.fanout(rootRelay, group[1:], complete)
-					continue
+		for _, group := range groups {
+			relay := group[0]
+			localArrived := 0
+			localDone := func() {
+				localArrived++
+				if localArrived < len(group)-1 {
+					return
 				}
-				relay := group[0]
-				s.Eng.Schedule(DMASetupLatency, func() {
-					s.transferOrFail(rootRelay, relay, cs.cfg.Bytes, func() {
-						complete()
-						cs.fanout(relay, group[1:], complete)
+				cs.reduceDelay(true, len(group), func() {
+					if relay == root {
+						atRoot()
+						return
+					}
+					s.Eng.Schedule(DMASetupLatency, func() {
+						s.transferOrFail(relay, root, cs.cfg.Bytes, atRoot)
 					})
 				})
 			}
-		}
-		rootReduce := func() {
-			cs.reduceDelay(true, len(groups), broadcastResult)
-		}
-		s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-			for _, group := range groups {
-				group := group
-				relay := group[0]
-				localArrived := 0
-				localDone := func() {
-					localArrived++
-					if localArrived < len(group)-1 {
-						return
-					}
-					// Local partials reduced at the relay DRX.
-					cs.reduceDelay(true, len(group), func() {
-						if relay == rootRelay {
-							arrivedAtRoot++
-							if arrivedAtRoot == len(groups) {
-								rootReduce()
-							}
-							return
-						}
-						s.Eng.Schedule(DMASetupLatency, func() {
-							s.transferOrFail(relay, rootRelay, cs.cfg.Bytes, func() {
-								arrivedAtRoot++
-								if arrivedAtRoot == len(groups) {
-									rootReduce()
-								}
-							})
-						})
-					})
-				}
-				if len(group) == 1 {
-					// Lone member: its "local reduction" is itself.
-					localArrived = -1
-					localDone()
-					continue
-				}
-				for _, dev := range group[1:] {
-					dev := dev
-					s.Eng.Schedule(DMASetupLatency, func() {
-						s.transferOrFail(dev, relay, cs.cfg.Bytes, localDone)
-					})
-				}
+			if len(group) == 1 {
+				// A lone member's "local reduction" is itself.
+				localDone()
+				continue
 			}
-		})
-		s.Eng.Run()
-		if s.err != nil {
-			return 0, s.err
-		}
-		if finished == 0 {
-			return 0, fmt.Errorf("dmxsys: all-reduce never completed")
-		}
-		return sim.Duration(finished), nil
-	}
-	// Baseline: every accelerator DMAs to the host, the CPU sums and
-	// restructures, then the driver memcpys and scatters sequentially.
-	arrived := 0
-	gathered := 0
-	s.Eng.Schedule(s.driverDelay()+DMASetupLatency, func() {
-		for i := 0; i < n; i++ {
-			src := cs.devs[i]
-			s.transferOrFail(src, pcie.Root, cs.cfg.Bytes, func() {
-				arrived++
-				if arrived == n {
-					cs.reduceDelay(false, n, func() {
-						var next func(j int)
-						next = func(j int) {
-							if j >= n {
-								return
-							}
-							s.cpuJob(1, 2*cs.cfg.Bytes, func() {
-								s.Eng.Schedule(DMASetupLatency, func() {
-									s.transferOrFail(pcie.Root, cs.devs[j], cs.cfg.Bytes, func() {
-										s.Eng.Schedule(s.driverDelay(), func() {
-											gathered++
-											if gathered == n {
-												finished = s.Eng.Now()
-											}
-											next(j + 1)
-										})
-									})
-								})
-							})
-						}
-						next(0)
-					})
-				}
-			})
+			for _, dev := range group[1:] {
+				s.Eng.Schedule(DMASetupLatency, func() {
+					s.transferOrFail(dev, relay, cs.cfg.Bytes, localDone)
+				})
+			}
 		}
 	})
-	s.Eng.Run()
-	if s.err != nil {
-		return 0, s.err
-	}
-	if finished == 0 {
-		return 0, fmt.Errorf("dmxsys: all-reduce never completed")
-	}
-	return sim.Duration(finished), nil
 }

@@ -160,25 +160,6 @@ func TestEnergyBumpWireHasMoreDRXThanStandalone(t *testing.T) {
 	}
 }
 
-func TestDRXServiceTimeCached(t *testing.T) {
-	s, err := New(DefaultConfig(BumpInTheWire), pipelines(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := restructure.RecordFrame(256, 256)
-	d1, err := s.DRXServiceTime(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := s.DRXServiceTime(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 || d1 <= 0 {
-		t.Errorf("cached DRX times differ or non-positive: %v vs %v", d1, d2)
-	}
-}
-
 func TestDRXMuchFasterThanCPURestructure(t *testing.T) {
 	// The core claim: restructuring on DRX beats the host by a wide
 	// margin for a solo app.

@@ -4,14 +4,18 @@ import (
 	"runtime"
 	"testing"
 
+	"dmx/internal/drx"
+	"dmx/internal/drxc"
 	"dmx/internal/restructure"
 )
 
 // TestDRXTimeForAllocsIndependentOfTensorSize pins what timing a kernel
-// costs in memory: drxTimeFor walks the compiled program rather than
+// costs in memory: a DRX timing walks the compiled program rather than
 // executing it over materialized inputs, so its allocations — objects
-// and bytes — must not grow with the kernel's tensors. Each pair is one
-// kernel family at a tiny and at a multi-megabyte geometry.
+// and bytes — must not grow with the kernel's tensors. drxc.Time walks
+// a program once and then answers from its memo, so this measures the
+// walk itself, on a fresh machine per call. Each pair is one kernel
+// family at a tiny and at a multi-megabyte geometry.
 func TestDRXTimeForAllocsIndependentOfTensorSize(t *testing.T) {
 	dcfg := DefaultConfig(BumpInTheWire).DRX
 	pairs := [][2]*restructure.Kernel{
@@ -24,12 +28,19 @@ func TestDRXTimeForAllocsIndependentOfTensorSize(t *testing.T) {
 	// has megabytes of input.
 	const ceiling = 256 << 10
 	measure := func(k *restructure.Kernel) (objects float64, bytes uint64) {
+		c, err := drxc.CompileCached(k, dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		time := func() {
-			if _, err := drxTimeFor(dcfg, k); err != nil {
+			m, err := drx.New(c.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Time(c.Prog); err != nil {
 				t.Fatal(err)
 			}
 		}
-		time() // compile through the program cache
 		objects = testing.AllocsPerRun(5, time)
 		const runs = 5
 		var before, after runtime.MemStats

@@ -4,8 +4,8 @@ package dmxsys_test
 // from one request of each app walking alone must agree exactly with
 // the occupancy a run of every app at once measures, deriving it must
 // not touch the serving-side configuration, and the process-wide DRX
-// timing cache must never serve one host's times to a host with
-// different DRX hardware.
+// program cache, which also holds each program's timing, must never
+// serve one host's times to a host with different DRX hardware.
 
 import (
 	"reflect"
@@ -201,26 +201,24 @@ func TestDRXClockCacheRegression(t *testing.T) {
 	slow := fast
 	slow.DRX.ClockHz = fast.DRX.ClockHz / 4
 
-	fastSys, err := dmxsys.New(fast, []*dmxsys.Pipeline{kernel})
-	if err != nil {
+	if _, err := dmxsys.New(fast, []*dmxsys.Pipeline{kernel}); err != nil {
 		t.Fatal(err)
 	}
-	ft, err := fastSys.DRXServiceTime(k)
+	ft, err := dmxsys.DRXTimeOf(fast.DRX, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Built second, so a mis-keyed cache would serve it the fast host's
-	// entry for the same kernel signature.
-	slowSys, err := dmxsys.New(slow, []*dmxsys.Pipeline{kernel})
-	if err != nil {
+	// entry for the same kernel.
+	if _, err := dmxsys.New(slow, []*dmxsys.Pipeline{kernel}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := slowSys.DRXServiceTime(k)
+	st, err := dmxsys.DRXTimeOf(slow.DRX, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st <= ft {
 		t.Fatalf("quarter-clock DRX served %q in %v, fast host in %v: cached time crossed hosts",
-			k.Signature(), st, ft)
+			k.Name, st, ft)
 	}
 }

@@ -2,7 +2,6 @@ package dmxsys
 
 import (
 	"fmt"
-	"sync"
 
 	"dmx/internal/drx"
 	"dmx/internal/drxc"
@@ -766,25 +765,6 @@ func New(cfg Config, pipelines []*Pipeline) (*System, error) {
 	return p.Instantiate(sim.NewEngine(), HostOpts{})
 }
 
-// drxTimeCache memoizes simulated DRX durations across System builds:
-// experiments sweep placements and concurrency over the same kernels,
-// and the machine-level simulation is deterministic per (kernel
-// signature, hardware config). The sync.Map makes the cache safe under
-// the harness's parallel sweeps; a duplicated concurrent compute stores
-// the same deterministic value, so last-write-wins is harmless.
-var drxTimeCache sync.Map // drxTimeKey → sim.Duration
-
-// drxTimeKey identifies a (kernel, DRX hardware) timing in the
-// process-wide cache. The full drx.Config is embedded in the key: a
-// fleet may mix per-host DRX geometries, and hosts differing in any
-// field — clock, lanes, scratchpad, instruction cache, DRAM size or
-// bandwidth — must never cross-serve each other's cached times, while
-// N identical replicas all hit the same entry.
-type drxTimeKey struct {
-	sig string
-	cfg drx.Config
-}
-
 // FusionCandidate is one legal adjacent-hop fusion under the plan's
 // placement, with the analytic DRX service times a search seeds from:
 // fusing trades (Unfused − Fused) of execution plus one saved driver
@@ -834,34 +814,19 @@ func (p *Plan) FusionCandidates() []FusionCandidate {
 	return out
 }
 
-// drxTimeOf resolves a kernel's DRX duration through the process-wide
-// cache, timing it on a miss. It is the single place a timing is
-// computed: NewPlan resolves every hop's time through it, and it never
-// touches plan state, so it is safe after NewPlan and under parallel
-// sweep workers.
+// drxTimeOf compiles a restructuring kernel for a DRX configuration
+// through drxc's process-wide program cache and times it without moving
+// data. DRX cycle accounting depends only on the program — element
+// counts, strides, dtypes, lanes — never on the bytes it moves, so
+// drxc.Time walks the compiled program instead of executing it over
+// materialized inputs. That is the paper's own method: its end-to-end
+// emulation is driven by measured cycle latencies. The cache keys on the
+// kernel's fingerprint and the full drx.Config, and drxc.Time walks each
+// cached program once, so repeat calls cost a lookup, hosts with
+// different DRX geometries never share a time, and neither do kernels
+// that differ only in their stages. It never touches plan state, so it
+// is safe after NewPlan and under parallel sweep workers.
 func drxTimeOf(dcfg drx.Config, k *restructure.Kernel) (sim.Duration, error) {
-	key := drxTimeKey{sig: k.Signature(), cfg: dcfg}
-	if d, ok := drxTimeCache.Load(key); ok {
-		return d.(sim.Duration), nil
-	}
-	d, err := drxTimeFor(dcfg, k)
-	if err != nil {
-		return 0, err
-	}
-	drxTimeCache.Store(key, d)
-	return d, nil
-}
-
-// drxTimeFor compiles a restructuring kernel for a DRX configuration
-// and times it without moving data. DRX cycle accounting depends only on
-// the program — element counts, strides, dtypes, lanes — never on the
-// bytes it moves, so drxc.Time walks the compiled program instead of
-// executing it over materialized inputs. That is the paper's own method:
-// its end-to-end emulation is driven by measured cycle latencies. The
-// compile goes through drxc's process-wide program cache (shared with
-// dmxrt's enqueue path), and the walk is entirely local state, so
-// concurrent calls (for distinct or even equal kernels) are race-free.
-func drxTimeFor(dcfg drx.Config, k *restructure.Kernel) (sim.Duration, error) {
 	c, err := drxc.CompileCached(k, dcfg)
 	if err != nil {
 		return 0, fmt.Errorf("dmxsys: compiling %s for DRX: %w", k.Name, err)
@@ -871,18 +836,6 @@ func drxTimeFor(dcfg drx.Config, k *restructure.Kernel) (sim.Duration, error) {
 		return 0, fmt.Errorf("dmxsys: timing %s on DRX: %w", k.Name, err)
 	}
 	return sim.FromSeconds(res.Seconds(dcfg.ClockHz)), nil
-}
-
-// drxServiceTime resolves an ad-hoc kernel's DRX duration (collective
-// reductions, reports, tests) through the process-wide cache. Pipeline
-// hops never come here: their times sit on the hop (appInstance.hopDRX).
-func (s *System) drxServiceTime(k *restructure.Kernel) (sim.Duration, error) {
-	return drxTimeOf(s.cfg.DRX, k)
-}
-
-// DRXServiceTime exposes the cached DRX duration for reports and tests.
-func (s *System) DRXServiceTime(k *restructure.Kernel) (sim.Duration, error) {
-	return s.drxServiceTime(k)
 }
 
 // driverDelay models completion signaling NAPI-style (Sec. V): each

@@ -1,6 +1,7 @@
 package drxc
 
 import (
+	"sync"
 	"testing"
 
 	"dmx/internal/drx"
@@ -8,9 +9,8 @@ import (
 	"dmx/internal/tensor"
 )
 
-// Cache tests assert on *Compiled pointer identity and on stat deltas,
-// never on absolute counter values: the cache is process-wide and other
-// tests in the binary populate it too.
+// Cache tests assert on *Compiled pointer identity: the cache is
+// process-wide and other tests in the binary populate it too.
 
 func TestCompileCachedPointerIdentity(t *testing.T) {
 	cfg := drx.DefaultConfig()
@@ -83,26 +83,49 @@ func TestCompileCachedKeysOnStageStructure(t *testing.T) {
 	}
 }
 
-func TestWarmCompiledPopulates(t *testing.T) {
+// TestTimeMemoized pins Time's memo on the Compiled: eight goroutines
+// timing one fresh Compiled at once all get the walk's Result (run it
+// under -race), which equals an uncached walk of the program, and a
+// later Time returns that Result without allocating.
+func TestTimeMemoized(t *testing.T) {
 	cfg := drx.DefaultConfig()
-	k := restructure.SignalNormalize(3, 56) // geometry unique to this test
-	_, missBefore := CacheStats()
-	// Duplicates must be compiled once.
-	if err := WarmCompiled(cfg, []*restructure.Kernel{k, restructure.SignalNormalize(3, 56)}); err != nil {
+	c, err := Compile(restructure.SignalNormalize(5, 40), cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, missAfterWarm := CacheStats()
-	if got := missAfterWarm - missBefore; got != 1 {
-		t.Fatalf("WarmCompiled compiled %d times, want 1", got)
+	var (
+		wg   sync.WaitGroup
+		res  [8]drx.Result
+		errs [8]error
+	)
+	for i := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = Time(c)
+		}()
 	}
-	hitsBefore, _ := CacheStats()
-	if _, err := CompileCached(k, cfg); err != nil {
+	wg.Wait()
+	m, err := drx.New(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	hitsAfter, missAfter := CacheStats()
-	if hitsAfter != hitsBefore+1 || missAfter != missAfterWarm {
-		t.Fatalf("CompileCached after warm-up missed the cache (hits %d→%d, misses %d→%d)",
-			hitsBefore, hitsAfter, missAfterWarm, missAfter)
+	want, err := m.Time(c.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res {
+		if errs[i] != nil || res[i] != want {
+			t.Fatalf("goroutine %d: Time = %+v, %v; walk = %+v", i, res[i], errs[i], want)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if r, err := Time(c); err != nil || r != want {
+			t.Fatalf("memoized Time = %+v, %v; walk = %+v", r, err, want)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("memoized Time allocates %.1f objects per call, want 0", allocs)
 	}
 }
 

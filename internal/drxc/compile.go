@@ -2,6 +2,7 @@ package drxc
 
 import (
 	"fmt"
+	"sync"
 
 	"dmx/internal/drx"
 	"dmx/internal/isa"
@@ -20,6 +21,12 @@ type Compiled struct {
 
 	kernel *restructure.Kernel
 	cfg    drx.Config
+
+	// timed memoizes Time's walk, which depends only on the fields
+	// above: none of them changes after Compile.
+	timed   sync.Once
+	timing  drx.Result
+	timeErr error
 }
 
 // Kernel returns the source kernel.

@@ -49,13 +49,6 @@ func degradeHopInputs(seed int64, k *restructure.Kernel) map[string]*tensor.Tens
 func TestCPUFallbackBitIdenticalToDRX(t *testing.T) {
 	hops := allWorkloadHops(t)
 	cfg := drx.DefaultConfig()
-	kernels := make([]*restructure.Kernel, len(hops))
-	for i, h := range hops {
-		kernels[i] = h.kernel
-	}
-	if err := drxc.WarmCompiled(cfg, kernels); err != nil {
-		t.Fatal(err)
-	}
 	err := sweep.Each(len(hops), func(i int) error {
 		h := hops[i]
 		c, err := drxc.CompileCached(h.kernel, cfg)

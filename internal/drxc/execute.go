@@ -51,8 +51,16 @@ func Execute(c *Compiled, m *drx.Machine, inputs map[string]*tensor.Tensor) (map
 // machine of the compiled configuration, after Execute's layout checks.
 // The Result is the one Execute returns for any inputs of the kernel's
 // declared shapes and dtypes, and Time fails exactly when such an
-// Execute would.
+// Execute would. The walk runs once per Compiled: later calls, from any
+// goroutine, return its Result and error without walking again, so a
+// kernel timed through CompileCached is walked once per process.
 func Time(c *Compiled) (drx.Result, error) {
+	c.timed.Do(func() { c.timing, c.timeErr = walk(c) })
+	return c.timing, c.timeErr
+}
+
+// walk is Time's uncached body.
+func walk(c *Compiled) (drx.Result, error) {
 	if err := checkTarget(c, c.cfg); err != nil {
 		return drx.Result{}, err
 	}

@@ -135,9 +135,6 @@ func DiffFastVsInterp(k *restructure.Kernel, cfg drx.Config, inputs map[string]*
 func TestFastPathLibraryBitIdentical(t *testing.T) {
 	kernels := diffKernels()
 	cfg := drx.DefaultConfig()
-	if err := WarmCompiled(cfg, kernels); err != nil {
-		t.Fatal(err)
-	}
 	// One differential per kernel, in parallel on the sweep pool.
 	err := sweep.Each(len(kernels), func(i int) error {
 		return DiffFastVsInterp(kernels[i], cfg, randKernelInputs(1000+int64(i), kernels[i]))
@@ -185,16 +182,18 @@ func TestTimeChecksLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny := *c
+	// A copy built field by field: Compiled carries Time's memo, which
+	// must not be copied.
+	tiny := &Compiled{Prog: c.Prog, Layout: c.Layout, DRAMBytes: c.DRAMBytes, kernel: c.kernel, cfg: c.cfg}
 	tiny.cfg.DRAMBytes = c.DRAMBytes - 1
-	if _, err := Time(&tiny); err == nil {
+	if _, err := Time(tiny); err == nil {
 		t.Fatal("Time accepted a layout outside DRAM")
 	}
 	m, err := drx.New(tiny.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Execute(&tiny, m, randKernelInputs(1, c.Kernel())); err == nil {
+	if _, _, err := Execute(tiny, m, randKernelInputs(1, c.Kernel())); err == nil {
 		t.Fatal("Execute accepted a layout outside DRAM")
 	}
 }

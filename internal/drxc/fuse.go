@@ -3,7 +3,6 @@ package drxc
 import (
 	"sync"
 
-	"dmx/internal/drx"
 	"dmx/internal/restructure"
 )
 
@@ -30,16 +29,4 @@ func FusedKernel(k1, k2 *restructure.Kernel) (*restructure.Kernel, error) {
 	}
 	actual, _ := fusedKernels.LoadOrStore(key, f)
 	return actual.(*restructure.Kernel), nil
-}
-
-// CompileFused fuses k1+k2 and compiles the result through the
-// process-wide program cache. Because FusedKernel returns one canonical
-// kernel per pair, every plan that fuses the same hops shares a single
-// cache entry.
-func CompileFused(k1, k2 *restructure.Kernel, cfg drx.Config) (*Compiled, error) {
-	f, err := FusedKernel(k1, k2)
-	if err != nil {
-		return nil, err
-	}
-	return CompileCached(f, cfg)
 }

@@ -94,14 +94,7 @@ func randHopInputs(seed int64, k *restructure.Kernel) map[string]*tensor.Tensor 
 
 func TestFastPathWorkloadHopsBitIdentical(t *testing.T) {
 	hops := allWorkloadHops(t)
-	kernels := make([]*restructure.Kernel, len(hops))
-	for i, h := range hops {
-		kernels[i] = h.kernel
-	}
 	for name, cfg := range drxc.DiffConfigs() {
-		if err := drxc.WarmCompiled(cfg, kernels); err != nil {
-			t.Fatal(err)
-		}
 		err := sweep.Each(len(hops), func(i int) error {
 			h := hops[i]
 			if err := drxc.DiffFastVsInterp(h.kernel, cfg, randHopInputs(3000+int64(i), h.kernel)); err != nil {

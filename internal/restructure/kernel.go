@@ -114,9 +114,11 @@ type Kernel struct {
 	fp atomic.Pointer[string]
 }
 
-// Signature identifies the kernel's name and exact geometry — two
-// kernels with equal signatures compile to identical DRX programs, so
-// callers may cache per-signature results (e.g. simulated timings).
+// Signature identifies the kernel's name and exact geometry: its
+// parameters' names, dtypes and shapes. It says nothing about the
+// stages, so two kernels with equal signatures may compile to different
+// DRX programs with different timings, and a signature is not a sound
+// key for caching compiled artifacts or timings — Fingerprint is.
 func (k *Kernel) Signature() string {
 	var b strings.Builder
 	b.WriteString(k.Name)
