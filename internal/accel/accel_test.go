@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -393,6 +395,58 @@ func TestBERTNERDeterministicShape(t *testing.T) {
 			if v != 0 && v != 1 {
 				t.Errorf("tag [%d,%d] = %v not binary", s, i, v)
 			}
+		}
+	}
+}
+
+// TestBERTNERDrawsWeightsOnFirstRun pins that building the Fig. 16
+// accelerator draws none of its weights (the simulator only times it),
+// and that concurrent first Runs on one Spec share a single draw with
+// the same seed and order as a fresh Spec's.
+func TestBERTNERDrawsWeightsOnFirstRun(t *testing.T) {
+	// PIRWithNER's paper-scale sizes: 40960 records of 256 bytes cut
+	// into 128-token sequences, model width 64.
+	const builds, limit = 8, 16 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		NewBERTNER(40960*256/128, 128, 64, 404)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per > limit {
+		t.Errorf("NewBERTNER allocated %d bytes per build, want at most %d", per, limit)
+	}
+
+	nseq, seqlen, dim := 2, 16, 8
+	tok := tensor.New(tensor.Int32, nseq, seqlen)
+	rng := rand.New(rand.NewSource(5))
+	for s := 0; s < nseq; s++ {
+		for i := 0; i < seqlen; i++ {
+			tok.Set(float64(rng.Intn(256)), s, i)
+		}
+	}
+	want, err := NewBERTNER(nseq, seqlen, dim, 21).Run(map[string]*tensor.Tensor{"tokens": tok})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := NewBERTNER(nseq, seqlen, dim, 21)
+	got := make([]map[string]*tensor.Tensor, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = shared.Run(map[string]*tensor.Tensor{"tokens": tok})
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if !tensor.Equal(got[g]["tags"], want["tags"]) {
+			t.Errorf("goroutine %d: tags differ from a fresh Spec's", g)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"regexp"
+	"sync"
 
 	"dmx/internal/sim"
 	"dmx/internal/tensor"
@@ -136,15 +137,25 @@ func NewRegexRedact(nrec, reclen int) *Spec {
 // data-flow shape: token IDs in, per-token tags out.
 //
 // Input: "tokens" int32[nseq, seqlen]. Output: "tags" int32[nseq, seqlen].
+//
+// The weights are drawn on the first Run, not here: the timing model
+// never reads them, and a build at paper scale would otherwise draw
+// 263 KB of them for nothing.
 func NewBERTNER(nseq, seqlen, dim int, seed int64) *Spec {
-	rng := rand.New(rand.NewSource(seed))
 	const vocab = 256
-	embed := randMat(rng, vocab, dim, 0.3)
-	wq := randMat(rng, dim, dim, 1/math.Sqrt(float64(dim)))
-	wk := randMat(rng, dim, dim, 1/math.Sqrt(float64(dim)))
-	wv := randMat(rng, dim, dim, 1/math.Sqrt(float64(dim)))
-	wff := randMat(rng, dim, dim, 1/math.Sqrt(float64(dim)))
-	wtag := randMat(rng, dim, 2, 1/math.Sqrt(float64(dim)))
+	type weights struct{ embed, wq, wk, wv, wff, wtag [][]float64 }
+	draw := sync.OnceValue(func() weights {
+		rng := rand.New(rand.NewSource(seed))
+		sc := 1 / math.Sqrt(float64(dim))
+		var w weights
+		w.embed = randMat(rng, vocab, dim, 0.3)
+		w.wq = randMat(rng, dim, dim, sc)
+		w.wk = randMat(rng, dim, dim, sc)
+		w.wv = randMat(rng, dim, dim, sc)
+		w.wff = randMat(rng, dim, dim, sc)
+		w.wtag = randMat(rng, dim, 2, sc)
+		return w
+	})
 	return &Spec{
 		Name:           "bert-ner",
 		ThroughputBPS:  2.0e9,
@@ -159,6 +170,8 @@ func NewBERTNER(nseq, seqlen, dim int, seed int64) *Spec {
 			if tok.Dim(0) != nseq || tok.Dim(1) != seqlen {
 				return nil, fmt.Errorf("accel: bert-ner: input shape %v, want [%d %d]", tok.Shape(), nseq, seqlen)
 			}
+			w := draw()
+			embed, wq, wk, wv, wff, wtag := w.embed, w.wq, w.wk, w.wv, w.wff, w.wtag
 			tags := tensor.New(tensor.Int32, nseq, seqlen)
 			x := make([][]float64, seqlen)
 			q := make([][]float64, seqlen)

@@ -12,4 +12,11 @@
 // slotted by cell index and folded in the original nesting order, which
 // keeps the rendered output bit-for-bit identical to a sequential run at
 // any worker count.
+//
+// Figs. 3 and 11-15 all read one set of runs: n homogeneous copies of
+// each Table I app under each placement. Those runs live in a
+// process-wide grid (experiments.go), one cell per placement and
+// (n, benchmark), simulated by whichever figure reads the cell first and
+// shared read-only by every later one, so a full regeneration simulates
+// each of the 120 cells once.
 package experiments

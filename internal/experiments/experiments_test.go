@@ -318,11 +318,14 @@ func TestRendersNonEmpty(t *testing.T) {
 
 func TestExperimentDeterminism(t *testing.T) {
 	// Two independent regenerations of a figure must agree bit-for-bit —
-	// the reproduction contract of DESIGN.md §6.
+	// the reproduction contract of DESIGN.md §6. Each starts from an
+	// empty grid, so the second simulates its cells again.
+	resetGrid()
 	a, err := Fig14()
 	if err != nil {
 		t.Fatal(err)
 	}
+	resetGrid()
 	b, err := Fig14()
 	if err != nil {
 		t.Fatal(err)

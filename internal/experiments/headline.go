@@ -34,12 +34,11 @@ func Fig11() (*Fig11Result, error) {
 	}
 	jobs := nbJobs(benches)
 	speedups, err := sweep.Map(jobs, func(_ int, j nbJob) (float64, error) {
-		copies := homogeneous(j.bench, j.n)
-		base, err := runSystem(dmxsys.MultiAxl, copies)
+		base, err := homogeneousRun(dmxsys.MultiAxl, j)
 		if err != nil {
 			return 0, err
 		}
-		dmx, err := runSystem(dmxsys.BumpInTheWire, copies)
+		dmx, err := homogeneousRun(dmxsys.BumpInTheWire, j)
 		if err != nil {
 			return 0, err
 		}
@@ -171,12 +170,11 @@ func Fig13() (*Fig13Result, error) {
 	}
 	jobs := nbJobs(benches)
 	vals, err := sweep.Map(jobs, func(_ int, j nbJob) (float64, error) {
-		copies := homogeneous(j.bench, j.n)
-		base, err := runSystem(dmxsys.MultiAxl, copies)
+		base, err := homogeneousRun(dmxsys.MultiAxl, j)
 		if err != nil {
 			return 0, err
 		}
-		dmx, err := runSystem(dmxsys.BumpInTheWire, copies)
+		dmx, err := homogeneousRun(dmxsys.BumpInTheWire, j)
 		if err != nil {
 			return 0, err
 		}

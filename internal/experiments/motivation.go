@@ -118,10 +118,9 @@ func breakdownSweep(a, bCfg dmxsys.Placement) ([]Fig3Row, map[int]float64, error
 	}
 	jobs := nbJobs(benches)
 	cells, err := sweep.Map(jobs, func(_ int, j nbJob) (breakdownCell, error) {
-		copies := homogeneous(j.bench, j.n)
 		var cell breakdownCell
 		for pi, p := range []dmxsys.Placement{a, bCfg} {
-			rep, err := runSystem(p, copies)
+			rep, err := homogeneousRun(p, j)
 			if err != nil {
 				return cell, err
 			}

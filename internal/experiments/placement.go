@@ -16,14 +16,13 @@ var placementSweep = []dmxsys.Placement{
 // baseline plus every placement under study, returning the per-placement
 // ratio of the given metric (baseline over placement).
 func placementCell(j nbJob, sweepP []dmxsys.Placement, metric func(dmxsys.RunReport) float64) ([]float64, error) {
-	copies := homogeneous(j.bench, j.n)
-	base, err := runSystem(dmxsys.MultiAxl, copies)
+	base, err := homogeneousRun(dmxsys.MultiAxl, j)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(sweepP))
 	for pi, p := range sweepP {
-		rep, err := runSystem(p, copies)
+		rep, err := homogeneousRun(p, j)
 		if err != nil {
 			return nil, err
 		}
