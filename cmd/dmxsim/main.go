@@ -273,7 +273,7 @@ func run(o options, out io.Writer) error {
 		if o.verbose {
 			for _, a := range rep.Apps {
 				fmt.Fprintf(out, "  %-26s total %-12v kernel %-12v restructure %-12v movement %-12v (%.1f req/s)\n",
-					a.App, a.Total, a.KernelTime, a.RestructureTime, a.MovementTime, a.Throughput(2))
+					a.App, a.Total, a.KernelTime, a.RestructureTime, a.MovementTime, a.Throughput())
 			}
 		}
 		fmt.Fprintf(out, "energy: %.2f J ", rep.EnergyJ)

@@ -147,7 +147,7 @@ type (
 	// AppLoad is one application's serving summary.
 	AppLoad = traffic.AppLoad
 	// SchedPolicy selects how contended stations order waiting jobs
-	// (Config.Sched): FIFO, priority, weighted-fair round-robin,
+	// (Config.Sched): FIFO, priority, round-robin by app (wfq),
 	// earliest-deadline-first, or shortest-remaining-service.
 	SchedPolicy = dmxsys.SchedPolicy
 	// FaultPlan (Config.Faults) injects seeded deterministic failures:

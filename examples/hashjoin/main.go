@@ -50,6 +50,6 @@ func main() {
 		}
 		a := rep.Apps[0]
 		fmt.Printf("%-18v total %-12v restructure %-12v (%.1f joins/s steady-state)\n",
-			placement, a.Total, a.RestructureTime, a.Throughput(2))
+			placement, a.Total, a.RestructureTime, a.Throughput())
 	}
 }

@@ -28,14 +28,6 @@ type FleetConfig struct {
 	Router RouterConfig
 }
 
-// hostCfg is host h's effective configuration.
-func (c FleetConfig) hostCfg(h int) dmxsys.Config {
-	if len(c.PerHost) > 0 {
-		return c.PerHost[h]
-	}
-	return c.Base
-}
-
 // Fleet is N instantiated replicas of a serving plan on one
 // deterministic engine, joined by a network fabric and fronted by the
 // cluster router. Like a System, a Fleet is single-shot: Run consumes
@@ -215,7 +207,7 @@ func (f *Fleet) Run(spec traffic.Spec) (traffic.LoadReport, error) {
 	r.remaining = spec.Requests * apps
 	for i := 0; i < apps; i++ {
 		i := i
-		start := f.eng.Now().Add(sim.Duration(i) * f.cfg.Base.StartStagger)
+		start := f.eng.Now().Add(sim.Duration(i) * dmxsys.StartStagger)
 		spec.Feed(f.eng, i, start, func() { r.arrive(i) })
 	}
 	f.eng.Run()

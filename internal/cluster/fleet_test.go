@@ -78,9 +78,7 @@ func TestFleetSingleHostByteIdentity(t *testing.T) {
 			return dmxsys.DefaultConfig(dmxsys.BumpInTheWire)
 		}, traffic.Spec{Arrival: traffic.Poisson, Rate: 2000, Requests: 48, Seed: 7}},
 		{"multiaxl-open-deadline", func() dmxsys.Config {
-			cfg := dmxsys.DefaultConfig(dmxsys.MultiAxl)
-			cfg.StartStagger = 50 * sim.Microsecond
-			return cfg
+			return dmxsys.DefaultConfig(dmxsys.MultiAxl)
 		}, traffic.Spec{Arrival: traffic.OpenLoop, Rate: 3000, Requests: 32, Deadline: 2 * sim.Millisecond}},
 		{"allcpu-closed", func() dmxsys.Config {
 			return dmxsys.DefaultConfig(dmxsys.AllCPU)

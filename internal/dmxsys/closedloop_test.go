@@ -61,7 +61,7 @@ func TestStreamedThroughputValidatesStageAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		analytic := latRep.Apps[0].Throughput(2)
+		analytic := latRep.Apps[0].Throughput()
 
 		measured := closedLoop(t, p, 1, 12).PerApp[0].Achieved
 		if measured <= 0 {

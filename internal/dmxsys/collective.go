@@ -54,12 +54,12 @@ func NewCollective(cfg CollectiveConfig) (*CollectiveSystem, error) {
 		Fabric: pcie.New(eng),
 		cfg:    cfg.Sys,
 	}
-	m := cfg.Sys.CPU
+	m := hostCPU
 	opsPerSec := float64(m.Cores) * m.FreqHz * float64(m.SIMDLanes) * m.IssueEff
 	s.cpuCompute = sim.NewChannel(eng, "cpu.compute", opsPerSec)
 	s.cpuMem = sim.NewChannel(eng, "cpu.mem", m.MemBWBytes)
 
-	accelLink := pcie.LinkConfig{Gen: cfg.Sys.Gen, Lanes: cfg.Sys.AccelLanes}
+	accelLink := pcie.LinkConfig{Gen: cfg.Sys.Gen, Lanes: AccelLanes}
 	uplink := pcie.LinkConfig{Gen: cfg.Sys.Gen, Lanes: cfg.Sys.UplinkLanes}
 	cs := &CollectiveSystem{sys: s, cfg: cfg}
 	slotsLeft := 0
@@ -71,7 +71,7 @@ func NewCollective(cfg CollectiveConfig) (*CollectiveSystem, error) {
 				return nil, err
 			}
 			s.nSwitches++
-			slotsLeft = cfg.Sys.SlotsPerSwitch
+			slotsLeft = SlotsPerSwitch
 		}
 		dev := fmt.Sprintf("a%d", i)
 		if err := s.Fabric.AddDevice(dev, curSwitch, accelLink); err != nil {

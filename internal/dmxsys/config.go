@@ -72,6 +72,35 @@ const (
 	CoalesceWindow = 200 * sim.Microsecond
 )
 
+// Testbed constants the paper's evaluation never varies.
+const (
+	// AccelLanes is the downstream link width per accelerator (x16).
+	AccelLanes = 16
+	// SlotsPerSwitch is how many devices a PCIe switch takes before a
+	// new one is added.
+	SlotsPerSwitch = 8
+	// PCIeIntegratedSlots is the line-rate processing parallelism of a
+	// switch-integrated DRX.
+	PCIeIntegratedSlots = 4
+	// AppsPerStandaloneCard is how many applications share one standalone
+	// DRX PCIe card. Sharing is what makes the standalone placement
+	// oversubscribe its card link and unit (Sec. III: "the PCIe link to a
+	// shared, Standalone DRX card can become the bottleneck") while
+	// spending less idle DRX power than bump-in-the-wire (Fig. 15).
+	AppsPerStandaloneCard = 2
+	// StartStagger offsets each application's first request by
+	// i·StartStagger. Real co-running services are not phase-locked; a
+	// deterministic stagger avoids the measurement artifact where every
+	// app hits every shared resource at the same instant.
+	StartStagger = 50 * sim.Microsecond
+)
+
+// The calibrated Xeon host and the power model every system shares.
+var (
+	hostCPU      = cpu.DefaultModel()
+	energyParams = energy.Default()
+)
+
 // SchedPolicy selects the service discipline every contended station
 // (accelerator engines, DRX units) uses to order waiting jobs.
 type SchedPolicy uint8
@@ -84,8 +113,8 @@ const (
 	// SchedPriority serves the waiting app with the smallest
 	// Config.AppPriority value first.
 	SchedPriority
-	// SchedWFQ is weighted-fair round-robin across apps with
-	// Config.AppWeight shares.
+	// SchedWFQ is round-robin across apps: each waiting app in turn
+	// gets one job into service.
 	SchedWFQ
 	// SchedEDF is earliest-deadline-first: every contended station
 	// serves the waiting job whose request has the nearest absolute
@@ -128,25 +157,11 @@ func ParseSched(s string) (SchedPolicy, error) {
 // Config parameterizes a system build.
 type Config struct {
 	Placement Placement
-	// Gen and lane widths set the fabric (Fig. 19 sweeps Gen).
-	Gen            pcie.Gen
-	AccelLanes     int // downstream link width per accelerator (x16)
-	UplinkLanes    int // switch upstream width (x8: the paper's bottleneck)
-	SlotsPerSwitch int // devices per switch before a new one is added
+	// Gen and the uplink width set the fabric (Fig. 19 sweeps both).
+	Gen         pcie.Gen
+	UplinkLanes int // switch upstream width (x8: the paper's bottleneck)
 	// DRX is the hardware configuration of every DRX instance.
 	DRX drx.Config
-	// CPU is the host model.
-	CPU *cpu.Model
-	// Energy holds the power calibration.
-	Energy energy.Params
-	// PCIeIntegratedSlots is the line-rate processing parallelism of a
-	// switch-integrated DRX.
-	PCIeIntegratedSlots int
-	// StartStagger offsets each application's request by i·StartStagger.
-	// Real co-running services are not phase-locked; a deterministic
-	// stagger avoids the measurement artifact where every app hits every
-	// shared resource at the same instant.
-	StartStagger sim.Duration
 	// Obs, when set, receives the structured event stream: typed Fig. 10
 	// protocol instants, per-device occupancy spans, DMA spans with flow
 	// arrows, per-app phase attribution spans, and link occupancy
@@ -162,17 +177,9 @@ type Config struct {
 	// behavior exactly.
 	Sched SchedPolicy
 	// AppPriority maps app index → priority under SchedPriority (lower
-	// is served first; apps beyond the slice get sim.DefaultPriority).
+	// is served first; apps beyond the slice rank after every listed
+	// one).
 	AppPriority []int
-	// AppWeight maps app index → jobs-per-turn share under SchedWFQ
-	// (values below 1, and apps beyond the slice, act as 1).
-	AppWeight []int
-	// AppsPerStandaloneCard is how many applications share one standalone
-	// DRX PCIe card. Sharing is what makes the standalone placement
-	// oversubscribe its card link and unit (Sec. III: "the PCIe link to a
-	// shared, Standalone DRX card can become the bottleneck") while
-	// spending less idle DRX power than bump-in-the-wire (Fig. 15).
-	AppsPerStandaloneCard int
 	// Faults, when set and enabled, injects seeded deterministic
 	// failures: DRX unit outages, transient restructure errors, PCIe
 	// link degradation/loss, and accelerator stalls. nil (or a disabled
@@ -230,22 +237,15 @@ type FusePair struct {
 	Hop int `json:"hop"`
 }
 
-// DefaultConfig mirrors the paper's testbed: PCIe Gen3, x16 device
-// links, x8 uplinks, 8 devices per switch, the default DRX ASIC, and the
-// calibrated Xeon host.
+// DefaultConfig mirrors the paper's testbed: PCIe Gen3, x8 uplinks and
+// the default DRX ASIC. The x16 device links, 8 devices per switch and
+// the calibrated Xeon host are the same for every config.
 func DefaultConfig(p Placement) Config {
 	return Config{
-		Placement:             p,
-		Gen:                   pcie.Gen3,
-		AccelLanes:            16,
-		UplinkLanes:           8,
-		SlotsPerSwitch:        8,
-		DRX:                   drx.DefaultConfig(),
-		CPU:                   cpu.DefaultModel(),
-		Energy:                energy.Default(),
-		PCIeIntegratedSlots:   4,
-		StartStagger:          50 * sim.Microsecond,
-		AppsPerStandaloneCard: 2,
+		Placement:   p,
+		Gen:         pcie.Gen3,
+		UplinkLanes: 8,
+		DRX:         drx.DefaultConfig(),
 	}
 }
 
@@ -259,23 +259,11 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("dmxsys: unsupported PCIe generation %v", c.Gen)
 	}
-	if c.AccelLanes <= 0 || c.UplinkLanes <= 0 {
-		return fmt.Errorf("dmxsys: non-positive lane widths")
-	}
-	if c.SlotsPerSwitch < 2 {
-		return fmt.Errorf("dmxsys: switches need at least 2 slots")
-	}
-	if c.CPU == nil {
-		return fmt.Errorf("dmxsys: nil CPU model")
+	if c.UplinkLanes <= 0 {
+		return fmt.Errorf("dmxsys: non-positive uplink width")
 	}
 	if err := c.DRX.Validate(); err != nil {
 		return err
-	}
-	if c.Placement == PCIeIntegrated && c.PCIeIntegratedSlots < 1 {
-		return fmt.Errorf("dmxsys: PCIe-integrated DRX needs at least 1 slot")
-	}
-	if c.Placement == Standalone && c.AppsPerStandaloneCard < 1 {
-		return fmt.Errorf("dmxsys: standalone cards must serve at least 1 app")
 	}
 	switch c.Sched {
 	case SchedFIFO, SchedPriority, SchedWFQ, SchedEDF, SchedSRS:
@@ -328,9 +316,9 @@ func (c Config) Validate() error {
 func (c Config) discipline() sim.Discipline {
 	switch c.Sched {
 	case SchedPriority:
-		return sim.NewPriority(c.AppPriority)
+		return sim.NewPriority()
 	case SchedWFQ:
-		return sim.NewWRR(c.AppWeight)
+		return sim.NewWRR()
 	case SchedEDF:
 		return sim.NewEDF()
 	case SchedSRS:

@@ -175,7 +175,7 @@ func TestDRXMuchFasterThanCPURestructure(t *testing.T) {
 func TestThroughputMetric(t *testing.T) {
 	rep := run(t, BumpInTheWire, 1)
 	a := rep.Apps[0]
-	thr := a.Throughput(2)
+	thr := a.Throughput()
 	if thr <= 0 {
 		t.Fatal("non-positive throughput")
 	}
@@ -199,9 +199,9 @@ func TestRunDeterminism(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := DefaultConfig(MultiAxl)
-	bad.SlotsPerSwitch = 1
+	bad.UplinkLanes = 0
 	if _, err := New(bad, pipelines(1)); err == nil {
-		t.Error("accepted 1-slot switches")
+		t.Error("accepted a zero-width uplink")
 	}
 	cfg := DefaultConfig(MultiAxl)
 	if _, err := New(cfg, nil); err == nil {

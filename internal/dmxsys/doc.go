@@ -43,7 +43,7 @@
 // carrier — one kernel launch, one driver round trip, and one DMA
 // descriptor per transfer leg — then split back out per request for
 // latency and deadline accounting. Contended stations order their
-// backlogs by Config.Sched (FIFO, priority, weighted fair,
+// backlogs by Config.Sched (FIFO, priority, round-robin by app,
 // earliest-deadline-first, shortest-remaining-service), and
 // Config.AdmitLimit sheds arrivals past a per-app outstanding cap as
 // rejections. Batching off (BatchWindow 0) is byte-identical to the

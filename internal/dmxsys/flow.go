@@ -638,13 +638,22 @@ func deadlineKey(deadline sim.Time) int64 {
 	return int64(deadline)
 }
 
+// defaultPriority is the SchedPriority key of apps past the
+// Config.AppPriority table: after every listed app.
+const defaultPriority = 1 << 20
+
 // schedKey is the carrier's scheduling key when submitting stage k's
 // kernel (rem = remAtKernel) or hop k's restructure (rem = remAtHop):
-// the most urgent member's deadline under EDF, the carrier's total
-// station demand still ahead (n× rem[k]) under SRS, 0 (ignored)
-// otherwise.
+// the app's Config.AppPriority under SchedPriority, the most urgent
+// member's deadline under EDF, the carrier's total station demand still
+// ahead (n× rem[k]) under SRS, 0 (ignored) otherwise.
 func (c *carrier) schedKey(rem []sim.Duration) int64 {
 	switch c.s.cfg.Sched {
+	case SchedPriority:
+		if prio := c.s.cfg.AppPriority; c.a.id < len(prio) {
+			return int64(prio[c.a.id])
+		}
+		return defaultPriority
 	case SchedEDF:
 		key := deadlineKey(0)
 		for _, m := range c.members {
@@ -1087,7 +1096,7 @@ func (c *carrier) hopBumpRXAdmit() {
 	s.obsInstant(a, obs.TypeQueueDMA, obs.StepRXDMA, a.accelDev[k], a.drxServer[k].Name(), "", bytes)
 	c.legBegin = s.Eng.Now()
 	s.localBytes += bytes
-	link := pcie.LinkConfig{Gen: s.cfg.Gen, Lanes: s.cfg.AccelLanes}
+	link := pcie.LinkConfig{Gen: s.cfg.Gen, Lanes: AccelLanes}
 	c.after(sim.BytesAt(bytes, link.Bandwidth()), phRXMove)
 }
 
@@ -1343,7 +1352,7 @@ func (s *System) drive(spec traffic.Spec, t *traffic.Tally) error {
 				t.Retire(i, r, s.Eng.Now(), dl)
 			}
 		}
-		start := s.Eng.Now().Add(sim.Duration(i) * s.cfg.StartStagger)
+		start := s.Eng.Now().Add(sim.Duration(i) * StartStagger)
 		spec.Feed(s.Eng, i, start, func() { s.admit(a, dl, retired) })
 	}
 	s.Eng.Run()

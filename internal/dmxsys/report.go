@@ -59,19 +59,9 @@ func (r AppReport) StageMax(nKernels int) sim.Duration {
 }
 
 // Throughput reports requests/second at steady state for the app: the
-// inverse of the measured per-request bottleneck occupancy when the run
-// recorded one, else the coarse stage-analysis estimate (StageMax) as a
-// fallback for hand-built reports.
-func (r AppReport) Throughput(nKernels int) float64 {
-	if r.Bottleneck > 0 {
-		return 1 / r.Bottleneck.Seconds()
-	}
-	sm := r.StageMax(nKernels)
-	if sm <= 0 {
-		return 0
-	}
-	return 1 / sm.Seconds()
-}
+// inverse of the measured per-request bottleneck occupancy, which every
+// run records.
+func (r AppReport) Throughput() float64 { return 1 / r.Bottleneck.Seconds() }
 
 // RunReport aggregates one system run.
 type RunReport struct {

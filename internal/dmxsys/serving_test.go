@@ -101,7 +101,7 @@ func TestRunLoadSaturationMatchesCapacity(t *testing.T) {
 	if ar.Bottleneck <= 0 {
 		t.Fatalf("run recorded no bottleneck occupancy (resource %q)", ar.BottleneckResource)
 	}
-	capacity := ar.Throughput(len(pipelines(1)[0].Stages))
+	capacity := ar.Throughput()
 
 	sys, err := New(DefaultConfig(BumpInTheWire), pipelines(1))
 	if err != nil {
@@ -159,7 +159,7 @@ func TestPrioritySchedulingCutsTailLatency(t *testing.T) {
 	}
 	// Half of one app's solo capacity, offered by four apps at once: the
 	// shared DRX sees 2x its service rate and builds a backlog.
-	rate := 0.5 * ar.Throughput(len(pipelines(1)[0].Stages))
+	rate := 0.5 * ar.Throughput()
 
 	p99 := func(sched SchedPolicy) traffic.AppLoad {
 		sys, err := New(slowCfg(sched), pipelines(napps))

@@ -373,8 +373,8 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 		// motion, not topology density).
 		needCard := cfg.Placement == Standalone && cardAppsLeft == 0
 		need := len(pipe.Stages)
-		if need > cfg.SlotsPerSwitch {
-			return nil, fmt.Errorf("dmxsys: %s needs %d slots, switch has %d", pipe.Name, need, cfg.SlotsPerSwitch)
+		if need > SlotsPerSwitch {
+			return nil, fmt.Errorf("dmxsys: %s needs %d slots, switch has %d", pipe.Name, need, SlotsPerSwitch)
 		}
 		if cfg.Placement != AllCPU && need > slotsLeft {
 			// A fresh switch also forces a fresh card: point-to-point DMA
@@ -385,7 +385,7 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 			curSwitch = fmt.Sprintf("sw%d", p.nSwitches)
 			pa.newSwitch = true
 			p.nSwitches++
-			slotsLeft = cfg.SlotsPerSwitch
+			slotsLeft = SlotsPerSwitch
 			if cfg.Placement == PCIeIntegrated {
 				p.nDRX++
 			}
@@ -402,7 +402,7 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 				pa.newCard = true
 				p.nCards++
 				p.nDRX++
-				cardAppsLeft = cfg.AppsPerStandaloneCard
+				cardAppsLeft = AppsPerStandaloneCard
 			}
 			cardAppsLeft--
 			pa.cardDev = cardDev
@@ -567,12 +567,12 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 		s.Fabric.SetFaults(s.inj)
 	}
 
-	m := cfg.CPU
+	m := hostCPU
 	opsPerSec := float64(m.Cores) * m.FreqHz * float64(m.SIMDLanes) * m.IssueEff
 	s.cpuCompute = sim.NewChannel(eng, pfx+"cpu.compute", opsPerSec)
 	s.cpuMem = sim.NewChannel(eng, pfx+"cpu.mem", m.MemBWBytes)
 
-	accelLink := pcie.LinkConfig{Gen: cfg.Gen, Lanes: cfg.AccelLanes}
+	accelLink := pcie.LinkConfig{Gen: cfg.Gen, Lanes: AccelLanes}
 	uplink := pcie.LinkConfig{Gen: cfg.Gen, Lanes: cfg.UplinkLanes}
 
 	integratedDRX := (*sim.Server)(nil)
@@ -598,7 +598,7 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 				return nil, err
 			}
 			if cfg.Placement == PCIeIntegrated {
-				switchDRX = sim.NewServerDisc(eng, "drx."+sw, cfg.PCIeIntegratedSlots, cfg.discipline())
+				switchDRX = sim.NewServerDisc(eng, "drx."+sw, PCIeIntegratedSlots, cfg.discipline())
 				s.drxServers = append(s.drxServers, switchDRX)
 			}
 		}
@@ -877,7 +877,7 @@ func (s *System) cpuJob(ops int64, bytes int64, done func()) {
 
 // restructureWork computes the CPU channel work for one kernel.
 func (s *System) restructureWork(k *restructure.Kernel) (ops, bytes int64) {
-	m := s.cfg.CPU
+	m := hostCPU
 	for _, st := range k.Stages {
 		stats := st.Stats(k)
 		ops += stats.Ops
@@ -923,7 +923,7 @@ func (s *System) DRXCount() int { return s.nDRX }
 
 // Energy meters the completed run (call after Run).
 func (s *System) energyReport(makespan sim.Duration) (float64, map[string]float64) {
-	meter := energy.NewMeter(s.cfg.Energy)
+	meter := energy.NewMeter(energyParams)
 	cpuBusy := s.cpuCompute.BusyTime
 	if s.cpuMem.BusyTime > cpuBusy {
 		cpuBusy = s.cpuMem.BusyTime

@@ -156,21 +156,6 @@ func runSystemCfg(cfg dmxsys.Config, benches []*workload.Benchmark) (dmxsys.RunR
 	return sys.Run()
 }
 
-// perBenchmark collapses a run's apps to geometric means per benchmark
-// name (several instances of the same benchmark co-run at high
-// concurrency).
-func perBenchmark(rep dmxsys.RunReport) map[string]float64 {
-	acc := make(map[string][]float64)
-	for _, a := range rep.Apps {
-		acc[a.App] = append(acc[a.App], a.Total.Seconds())
-	}
-	out := make(map[string]float64, len(acc))
-	for name, xs := range acc {
-		out[name] = geomean(xs)
-	}
-	return out
-}
-
 // table is a tiny fixed-width text table builder shared by Render
 // methods.
 type table struct {

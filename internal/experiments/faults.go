@@ -109,7 +109,7 @@ func Faults() (*FaultResult, error) {
 			return nil, fmt.Errorf("experiments: %s recorded no bottleneck occupancy", b.Name)
 		}
 		res.Curves[i] = FaultCurve{Bench: b.Name}
-		capacity := ar.Throughput(len(b.Pipeline.Stages))
+		capacity := ar.Throughput()
 		for _, m := range faultMTBFs {
 			jobs = append(jobs, faultJob{bench: b, capacity: capacity, mtbf: m})
 		}

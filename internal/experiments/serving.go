@@ -85,7 +85,7 @@ func Load() (*LoadResult, error) {
 		}
 		res.Curves[i] = LoadCurve{
 			Bench:      b.Name,
-			Capacity:   ar.Throughput(len(b.Pipeline.Stages)),
+			Capacity:   ar.Throughput(),
 			Bottleneck: ar.BottleneckResource,
 		}
 		for _, f := range loadFractions {

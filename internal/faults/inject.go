@@ -27,7 +27,7 @@ type window struct {
 // Windows are generated only as far as queries reach, so the engine's
 // event queue never holds far-future fault events.
 type timeline struct {
-	str    Stream
+	str    sim.Stream
 	mtbf   sim.Duration
 	repair sim.Duration
 	// windows generated so far, in order; cursor is the end of the last
@@ -37,7 +37,7 @@ type timeline struct {
 }
 
 func newTimeline(seed uint64, kind, name string, mtbf, repair sim.Duration) *timeline {
-	return &timeline{str: Stream{state: stationSeed(seed, kind, name)}, mtbf: mtbf, repair: repair}
+	return &timeline{str: sim.Stream(stationSeed(seed, kind, name)), mtbf: mtbf, repair: repair}
 }
 
 // extend generates windows until the last one starts after t, so a
@@ -103,8 +103,8 @@ type Injector struct {
 	drx   map[string]*timeline
 	link  map[string]*timeline
 	stall map[string]*timeline
-	trans map[string]*Stream
-	retry Stream
+	trans map[string]*sim.Stream
+	retry sim.Stream
 
 	// Counts accumulates observed incidents.
 	Counts Counts
@@ -128,8 +128,8 @@ func New(plan *Plan, rec *obs.Recorder) *Injector {
 		drx:   make(map[string]*timeline),
 		link:  make(map[string]*timeline),
 		stall: make(map[string]*timeline),
-		trans: make(map[string]*Stream),
-		retry: Stream{state: stationSeed(plan.Seed, kindRetry, "")},
+		trans: make(map[string]*sim.Stream),
+		retry: sim.Stream(stationSeed(plan.Seed, kindRetry, "")),
 	}
 }
 
@@ -235,7 +235,8 @@ func (in *Injector) TransientFault(name string) bool {
 	}
 	str, ok := in.trans[name]
 	if !ok {
-		str = NewStream(stationSeed(in.plan.Seed, kindTransient, name))
+		s := sim.Stream(stationSeed(in.plan.Seed, kindTransient, name))
+		str = &s
 		in.trans[name] = str
 	}
 	hit := str.Float64() < in.plan.TransientProb
@@ -256,4 +257,25 @@ func (in *Injector) RetryBackoff(p RetryPolicy, attempt int) sim.Duration {
 		return d
 	}
 	return d + sim.Duration(float64(d)*p.Jitter*in.retry.Float64())
+}
+
+// stationSeed derives an independent sim.Stream state for one (kind,
+// station) pair: an FNV-1a hash of the labels mixed into the plan seed
+// through one splitmix round. Distinct stations — and distinct fault
+// kinds on the same station — get uncorrelated streams.
+func stationSeed(seed uint64, kind, name string) uint64 {
+	const (
+		fnvOffset = 0xcbf29ce484222325
+		fnvPrime  = 0x100000001b3
+	)
+	h := uint64(fnvOffset)
+	for i := 0; i < len(kind); i++ {
+		h = (h ^ uint64(kind[i])) * fnvPrime
+	}
+	h = (h ^ '/') * fnvPrime
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * fnvPrime
+	}
+	s := sim.Stream(seed ^ h)
+	return s.Uint64()
 }

@@ -236,8 +236,9 @@ func (f *Fabric) Route(from, to string) (*Route, error) {
 		src.link.up, s1.uplink.up, s2.uplink.down, dst.link.down), nil
 }
 
-// UpRoute resolves the TransferUp path: the device's upstream link,
-// terminating at its switch after one port crossing.
+// UpRoute resolves the path from a device into its switch: the
+// device's upstream link, terminating at the switch (e.g. at a
+// switch-integrated DRX) after one port crossing.
 func (f *Fabric) UpRoute(dev string) (*Route, error) {
 	d, ok := f.devices[dev]
 	if !ok {
@@ -246,8 +247,8 @@ func (f *Fabric) UpRoute(dev string) (*Route, error) {
 	return newRoute(SwitchPortLatency, d.link.up), nil
 }
 
-// DownRoute resolves the TransferDown path: the device's downstream
-// link, from its switch.
+// DownRoute resolves the path from a device's switch to the device:
+// its downstream link.
 func (f *Fabric) DownRoute(dev string) (*Route, error) {
 	d, ok := f.devices[dev]
 	if !ok {
@@ -268,16 +269,6 @@ type LinkInfo struct {
 // serialization time against every link it crosses, and mutating it
 // never reaches the route.
 func (rt *Route) Links() []LinkInfo { return append([]LinkInfo(nil), rt.links...) }
-
-// PathLinks reports the channels a Transfer between the endpoints would
-// occupy, in path order.
-func (f *Fabric) PathLinks(from, to string) ([]LinkInfo, error) {
-	rt, err := f.Route(from, to)
-	if err != nil {
-		return nil, err
-	}
-	return rt.Links(), nil
-}
 
 // Transfer starts a DMA of n bytes between endpoints (device names or
 // Root) and calls done when the last byte arrives. It resolves the route
@@ -385,26 +376,6 @@ func (f *Fabric) linkLoad(ch *sim.Channel, n int64, now sim.Time) (int64, error)
 		return int64(float64(n) / factor), nil
 	}
 	return n, nil
-}
-
-// TransferUp moves n bytes from a device into its switch (terminating at
-// the switch, e.g. at a switch-integrated DRX) and calls done after the
-// device link drains plus one port crossing.
-func (f *Fabric) TransferUp(dev string, n int64, done func()) error {
-	rt, err := f.UpRoute(dev)
-	if err != nil {
-		return err
-	}
-	return f.TransferRoute(rt, n, done)
-}
-
-// TransferDown moves n bytes from a device's switch to the device.
-func (f *Fabric) TransferDown(dev string, n int64, done func()) error {
-	rt, err := f.DownRoute(dev)
-	if err != nil {
-		return err
-	}
-	return f.TransferRoute(rt, n, done)
 }
 
 // LinkStats reports a channel's lifetime accounting for the energy model

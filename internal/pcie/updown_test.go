@@ -7,12 +7,30 @@ import (
 	"dmx/internal/sim"
 )
 
+// transferUp and transferDown move n bytes from a device into its
+// switch and from the switch to the device.
+func transferUp(f *Fabric, dev string, n int64, done func()) error {
+	rt, err := f.UpRoute(dev)
+	if err != nil {
+		return err
+	}
+	return f.TransferRoute(rt, n, done)
+}
+
+func transferDown(f *Fabric, dev string, n int64, done func()) error {
+	rt, err := f.DownRoute(dev)
+	if err != nil {
+		return err
+	}
+	return f.TransferRoute(rt, n, done)
+}
+
 func TestTransferUpTerminatesAtSwitch(t *testing.T) {
 	eng := sim.NewEngine()
 	f := buildFabric(t, eng)
 	n := int64(1 << 20)
 	var doneAt sim.Time
-	if err := f.TransferUp("a0", n, func() { doneAt = eng.Now() }); err != nil {
+	if err := transferUp(f, "a0", n, func() { doneAt = eng.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -20,7 +38,7 @@ func TestTransferUpTerminatesAtSwitch(t *testing.T) {
 	bw := LinkConfig{Gen3, 16}.Bandwidth()
 	want := float64(n)/bw + SwitchPortLatency.Seconds()
 	if got := doneAt.Seconds(); math.Abs(got-want) > want*0.01 {
-		t.Errorf("TransferUp took %.3fus, want %.3fus", got*1e6, want*1e6)
+		t.Errorf("up transfer took %.3fus, want %.3fus", got*1e6, want*1e6)
 	}
 	// The switch uplink must remain untouched.
 	for _, s := range f.Stats() {
@@ -34,12 +52,12 @@ func TestTransferDownFromSwitch(t *testing.T) {
 	eng := sim.NewEngine()
 	f := buildFabric(t, eng)
 	done := false
-	if err := f.TransferDown("b1", 1<<20, func() { done = true }); err != nil {
+	if err := transferDown(f, "b1", 1<<20, func() { done = true }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
 	if !done {
-		t.Fatal("TransferDown never completed")
+		t.Fatal("down transfer never completed")
 	}
 	var carried int64
 	for _, s := range f.Stats() {
@@ -55,11 +73,11 @@ func TestTransferDownFromSwitch(t *testing.T) {
 func TestTransferUpDownUnknownDevice(t *testing.T) {
 	eng := sim.NewEngine()
 	f := buildFabric(t, eng)
-	if err := f.TransferUp("ghost", 1, nil); err == nil {
-		t.Error("TransferUp accepted unknown device")
+	if err := transferUp(f, "ghost", 1, nil); err == nil {
+		t.Error("up transfer accepted unknown device")
 	}
-	if err := f.TransferDown("ghost", 1, nil); err == nil {
-		t.Error("TransferDown accepted unknown device")
+	if err := transferDown(f, "ghost", 1, nil); err == nil {
+		t.Error("down transfer accepted unknown device")
 	}
 }
 
@@ -70,7 +88,7 @@ func TestUpAndFullTransferShareDeviceLink(t *testing.T) {
 	f := buildFabric(t, eng)
 	n := int64(4 << 20)
 	var upDone, p2pDone sim.Time
-	if err := f.TransferUp("a0", n, func() { upDone = eng.Now() }); err != nil {
+	if err := transferUp(f, "a0", n, func() { upDone = eng.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Transfer("a0", "a1", n, func() { p2pDone = eng.Now() }); err != nil {

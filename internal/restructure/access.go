@@ -26,19 +26,6 @@ func IdentityAccess(rank int) Access {
 	return a
 }
 
-// BroadcastAccess maps every output index to a fixed input index —
-// reading one scalar (e.g. a per-row mean at [row]).
-func BroadcastAccess(inRank, outRank int, fixed ...int) Access {
-	a := Access{Offset: make([]int, inRank), Coef: make([][]int, inRank)}
-	for d := 0; d < inRank; d++ {
-		a.Coef[d] = make([]int, outRank)
-		if d < len(fixed) {
-			a.Offset[d] = fixed[d]
-		}
-	}
-	return a
-}
-
 // PermuteAccess reads the input with dimensions permuted: input dim d is
 // driven by output dim perm[d]. Used for transposition-by-copy.
 func PermuteAccess(perm []int) Access {

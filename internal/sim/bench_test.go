@@ -43,20 +43,6 @@ func BenchmarkEngineScheduleFlat(b *testing.B) {
 	}
 }
 
-// benchRNG is a splitmix64 stream: deterministic, allocation-free, and
-// cheap enough to sit inside a timed loop without dominating it.
-type benchRNG uint64
-
-func (r *benchRNG) next() uint64 {
-	*r += 0x9e3779b97f4a7c15
-	z := uint64(*r)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Queue-shape delay generators. These are the pending-set shapes the
 // dmxsys models actually produce (per the cpuprofile audit in
 // EXPERIMENTS.md): uniform and bimodal holds from mixed DMA/kernel/driver
@@ -64,28 +50,28 @@ func (r *benchRNG) next() uint64 {
 // and heavy-cancel from watchdog timers and channel re-predictions that
 // are almost always canceled before they fire.
 
-func delayUniform(r *benchRNG) Duration {
-	return Duration(r.next()%1_000_000) * Picosecond // 0–1 µs
+func delayUniform(r *Stream) Duration {
+	return Duration(r.Uint64()%1_000_000) * Picosecond // 0–1 µs
 }
 
-func delayBimodal(r *benchRNG) Duration {
-	if r.next()%5 == 0 {
-		return 900*Nanosecond + Duration(r.next()%100_000)*Picosecond // 0.9–1 µs
+func delayBimodal(r *Stream) Duration {
+	if r.Uint64()%5 == 0 {
+		return 900*Nanosecond + Duration(r.Uint64()%100_000)*Picosecond // 0.9–1 µs
 	}
-	return Duration(r.next()%50_000) * Picosecond // 0–50 ns
+	return Duration(r.Uint64()%50_000) * Picosecond // 0–50 ns
 }
 
-func delayNearMonotone(r *benchRNG) Duration {
-	return 100*Nanosecond + Duration(r.next()%1_000)*Picosecond // 100 ns ± 1 ns
+func delayNearMonotone(r *Stream) Duration {
+	return 100*Nanosecond + Duration(r.Uint64()%1_000)*Picosecond // 100 ns ± 1 ns
 }
 
 // benchShape measures one steady-state schedule+fire pair with `pending`
 // events in flight: the fixed-occupancy regime a saturated serving run
 // holds the engine in. The warm lap before the timer carries the queue
 // through full epochs so structure growth is not timed.
-func benchShape(b *testing.B, pending int, delay func(*benchRNG) Duration) {
+func benchShape(b *testing.B, pending int, delay func(*Stream) Duration) {
 	e := NewEngine()
-	rng := benchRNG(0x5eed)
+	rng := Stream(0x5eed)
 	nop := func() {}
 	for i := 0; i < pending; i++ {
 		e.Schedule(delay(&rng), nop)
@@ -139,7 +125,7 @@ func BenchmarkEngineScheduleHeavyCancel(b *testing.B) {
 	for _, p := range occupancies {
 		b.Run(fmt.Sprintf("pending=%d", p), func(b *testing.B) {
 			e := NewEngine()
-			rng := benchRNG(0xcace1)
+			rng := Stream(0xcace1)
 			nop := func() {}
 			refs := make([]EventRef, p)
 			for i := range refs {

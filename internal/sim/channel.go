@@ -20,7 +20,7 @@ type Channel struct {
 	// active holds in-flight transfers in start order (ascending seq),
 	// which makes simultaneous-completion callbacks fire in Start order
 	// without sorting.
-	active     []*Transfer
+	active     []*transfer
 	seq        uint64
 	lastUpdate Time
 	nextDone   EventRef
@@ -30,9 +30,9 @@ type Channel struct {
 
 	// free recycles retired Transfers: the channel hot loop (start,
 	// advance, complete, restart) then runs without allocating.
-	free []*Transfer
+	free []*transfer
 	// finished is scratch for complete(), reused across calls.
-	finished []*Transfer
+	finished []*transfer
 
 	// TotalBytes accumulates every byte the channel has carried; the
 	// energy model charges transfer energy against it.
@@ -63,52 +63,29 @@ func (c *Channel) Name() string { return c.name }
 // Capacity reports the channel capacity in bytes/second.
 func (c *Channel) Capacity() float64 { return c.bytesPerSec }
 
-// InFlight reports the number of active transfers.
-func (c *Channel) InFlight() int { return len(c.active) }
-
-// Transfer is one in-flight flow on a Channel. The channel owns every
-// Transfer and reuses retired ones; callers interact through the
-// TransferRef handle returned by Start.
-type Transfer struct {
-	ch        *Channel
+// transfer is one in-flight flow on a Channel. The channel owns every
+// transfer and reuses retired ones.
+type transfer struct {
 	seq       uint64  // start order, for deterministic completion callbacks
-	gen       uint64  // recycle generation, validates TransferRef handles
 	remaining float64 // bytes left to move
 	done      func()
-}
-
-// TransferRef is a caller's handle to an in-flight transfer. Like
-// EventRef it is a small value that stays safe after the underlying
-// Transfer retires: Abort on a finished (possibly recycled) transfer is
-// a no-op, as on the zero ref.
-type TransferRef struct {
-	t   *Transfer
-	gen uint64
-}
-
-// Abort removes the transfer from the channel without invoking its
-// completion callback. Aborting a finished transfer is a no-op.
-func (r TransferRef) Abort() {
-	if r.t != nil && r.t.gen == r.gen {
-		r.t.ch.abort(r.t)
-	}
 }
 
 // Start begins moving n bytes through the channel and invokes done when
 // the last byte lands. A zero-byte transfer completes after one event
 // (still asynchronously, preserving callback ordering invariants).
-func (c *Channel) Start(n int64, done func()) TransferRef {
+func (c *Channel) Start(n int64, done func()) {
 	if n < 0 {
 		panic(fmt.Sprintf("sim: negative transfer size %d", n))
 	}
 	c.advance()
-	var t *Transfer
+	var t *transfer
 	if ln := len(c.free); ln > 0 {
 		t = c.free[ln-1]
 		c.free[ln-1] = nil
 		c.free = c.free[:ln-1]
 	} else {
-		t = &Transfer{ch: c}
+		t = &transfer{}
 	}
 	t.seq = c.seq
 	t.remaining = float64(n)
@@ -118,7 +95,6 @@ func (c *Channel) Start(n int64, done func()) TransferRef {
 	c.TotalBytes += n
 	c.occupancy()
 	c.reschedule()
-	return TransferRef{t: t, gen: t.gen}
 }
 
 // occupancy samples the in-flight transfer count on every membership
@@ -128,33 +104,10 @@ func (c *Channel) occupancy() {
 	c.eng.Obs.Counter(obs.Time(c.eng.Now()), c.name, "inflight", float64(len(c.active)))
 }
 
-// recycle retires a transfer to the free list, invalidating outstanding
-// TransferRefs via the gen bump.
-func (c *Channel) recycle(t *Transfer) {
-	t.gen++
+// recycle retires a transfer to the free list.
+func (c *Channel) recycle(t *transfer) {
 	t.done = nil
 	c.free = append(c.free, t)
-}
-
-// remove deletes the transfer from the active slice, preserving start
-// order.
-func (c *Channel) remove(t *Transfer) {
-	for i, a := range c.active {
-		if a == t {
-			copy(c.active[i:], c.active[i+1:])
-			c.active[len(c.active)-1] = nil
-			c.active = c.active[:len(c.active)-1]
-			return
-		}
-	}
-}
-
-func (c *Channel) abort(t *Transfer) {
-	c.advance()
-	c.remove(t)
-	c.recycle(t)
-	c.occupancy()
-	c.reschedule()
 }
 
 // advance credits progress to all active transfers for the time elapsed

@@ -65,24 +65,6 @@ func TestChannelZeroByteTransferCompletes(t *testing.T) {
 	}
 }
 
-func TestChannelAbort(t *testing.T) {
-	e := NewEngine()
-	ch := NewChannel(e, "link", 1e9)
-	var aborted, kept Time
-	tr := ch.Start(1e9, func() { aborted = e.Now() })
-	ch.Start(1e9, func() { kept = e.Now() })
-	e.Schedule(FromSeconds(0.5), func() { tr.Abort() })
-	e.Run()
-	if aborted != 0 {
-		t.Error("aborted transfer completed")
-	}
-	// Kept transfer: 0.25 GB in first 0.5s (shared), then 0.75 GB alone
-	// (0.75 s) → finishes at 1.25 s.
-	if math.Abs(kept.Seconds()-1.25) > 1e-6 {
-		t.Errorf("kept finished at %vs, want 1.25s", kept.Seconds())
-	}
-}
-
 func TestChannelCompletionOrderDeterministic(t *testing.T) {
 	run := func() []int {
 		e := NewEngine()

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"sort"
 	"testing"
 )
 
@@ -93,11 +95,12 @@ func TestFIFOSteadyStateDoesNotAllocate(t *testing.T) {
 }
 
 func TestPriorityServesLowestValueFirstTiesInOrder(t *testing.T) {
-	// Class 0 → prio 2, class 1 → prio 1, class 2 → DefaultPriority.
-	q := NewPriority([]int{2, 1})
+	// Class 0 → prio 2, class 1 → prio 1, class 2 → a default past both.
+	prio := map[int]int64{0: 2, 1: 1, 2: 1 << 20}
+	q := NewPriority()
 	pushes := []int{0, 2, 1, 0, 1, 2}
 	for i, c := range pushes {
-		q.Push(Job{Class: c, seq: uint64(i)})
+		q.Push(Job{Class: c, Key: prio[c], seq: uint64(i)})
 	}
 	got := drain(q)
 	want := []int{1, 1, 0, 0, 2, 2}
@@ -106,12 +109,15 @@ func TestPriorityServesLowestValueFirstTiesInOrder(t *testing.T) {
 			t.Fatalf("priority order = %v, want %v", got, want)
 		}
 	}
+	if q.Name() != "priority" {
+		t.Fatalf("Name() = %q", q.Name())
+	}
 }
 
 func TestPriorityEqualKeysPreserveSubmissionOrder(t *testing.T) {
-	q := NewPriority([]int{5, 5, 5})
+	q := NewPriority()
 	for i := 0; i < 30; i++ {
-		q.Push(Job{Class: i % 3, Service: Duration(i), seq: uint64(i)})
+		q.Push(Job{Class: i % 3, Key: 5, Service: Duration(i), seq: uint64(i)})
 	}
 	var prev uint64
 	for i := 0; i < 30; i++ {
@@ -175,6 +181,87 @@ func TestKeyedPopReleasesClosure(t *testing.T) {
 	}
 }
 
+// keyedVsSort replays an op stream on a Keyed queue and on a reference
+// that stable-sorts its backlog on (Key, seq) before every pop: each
+// pair of bytes pushes a job (even op byte, key from the second byte's
+// low bits, so keys tie often, and large keys including MaxInt64 appear)
+// or pops one (odd op byte). Pops, Len and the final drain must agree.
+func keyedVsSort(t *testing.T, data []byte) {
+	q := NewSRS()
+	var ref []Job
+	var seq uint64
+	pop := func() {
+		j, ok := q.Pop()
+		if len(ref) == 0 {
+			if ok {
+				t.Fatalf("empty reference, Keyed popped seq %d", j.seq)
+			}
+			return
+		}
+		sort.SliceStable(ref, func(a, b int) bool {
+			if ref[a].Key != ref[b].Key {
+				return ref[a].Key < ref[b].Key
+			}
+			return ref[a].seq < ref[b].seq
+		})
+		want := ref[0]
+		ref = ref[1:]
+		if !ok || j.seq != want.seq || j.Key != want.Key || j.Class != want.Class {
+			t.Fatalf("Keyed popped (key %d, seq %d, ok %v), reference (key %d, seq %d)", j.Key, j.seq, ok, want.Key, want.seq)
+		}
+	}
+	for i := 0; i+1 < len(data); i += 2 {
+		if data[i]%2 == 1 {
+			pop()
+		} else {
+			key := int64(data[i+1] % 8)
+			switch data[i+1] >> 6 {
+			case 2:
+				key -= 4 // negative keys order too
+			case 3:
+				key = math.MaxInt64 - key // no-deadline convention
+			}
+			j := Job{Class: int(data[i] >> 1), Key: key, seq: seq}
+			seq++
+			q.Push(j)
+			ref = append(ref, j)
+		}
+		if q.Len() != len(ref) {
+			t.Fatalf("Len %d, reference %d", q.Len(), len(ref))
+		}
+	}
+	for len(ref) > 0 {
+		pop()
+	}
+	if j, ok := q.Pop(); ok {
+		t.Fatalf("drained reference, Keyed still popped seq %d", j.seq)
+	}
+}
+
+// FuzzKeyedMatchesSort is the differential for the one heap every
+// smallest-key-first discipline (priority, EDF, SRS) runs on. The
+// seeds double as the regression corpus for plain `go test`.
+func FuzzKeyedMatchesSort(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 0, 1, 0, 3, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0})
+	f.Add([]byte{2, 0, 4, 0, 6, 0, 1, 0, 8, 0, 1, 0, 1, 0, 1, 0})
+	f.Add([]byte{0, 0xc0, 0, 0x80, 0, 0x41, 0, 0x07, 1, 0, 0, 0xc1, 1, 0, 1, 0})
+	f.Fuzz(keyedVsSort)
+}
+
+// TestKeyedMatchesSortRandom gives the differential broad coverage in
+// ordinary `go test` runs.
+func TestKeyedMatchesSortRandom(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := Stream(seed * 0x9e3779b9)
+		data := make([]byte, 2*(50+int(rng.Uint64()%500)))
+		for i := range data {
+			data[i] = byte(rng.Uint64())
+		}
+		keyedVsSort(t, data)
+	}
+}
+
 // SubmitKeyed must thread the key through to the discipline, and a
 // server under EDF must serve the backlog deadline-first.
 func TestServerSubmitKeyedOrdersByKey(t *testing.T) {
@@ -197,21 +284,21 @@ func TestServerSubmitKeyedOrdersByKey(t *testing.T) {
 	}
 }
 
-func TestWRRInterleavesByWeight(t *testing.T) {
-	// Class 0 has weight 2, class 1 weight 1: the service pattern is
-	// 0,0,1, 0,0,1, ...
-	q := NewWRR([]int{2, 1})
+func TestWRRTakesClassesInTurn(t *testing.T) {
+	// Classes are visited in first-activation order, one job per turn;
+	// once class 1 drains, class 0 has the station to itself.
+	q := NewWRR()
 	var seq uint64
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 5; i++ {
 		q.Push(Job{Class: 0, seq: seq})
 		seq++
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		q.Push(Job{Class: 1, seq: seq})
 		seq++
 	}
 	got := drain(q)
-	want := []int{0, 0, 1, 0, 0, 1, 0, 0, 1}
+	want := []int{0, 1, 0, 1, 0, 0, 0}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("WRR order = %v, want %v", got, want)
@@ -220,7 +307,7 @@ func TestWRRInterleavesByWeight(t *testing.T) {
 }
 
 func TestWRRDropsDrainedClassesFromRotation(t *testing.T) {
-	q := NewWRR(nil) // all weights 1
+	q := NewWRR()
 	q.Push(Job{Class: 0, seq: 0})
 	q.Push(Job{Class: 1, seq: 1})
 	q.Push(Job{Class: 1, seq: 2})
@@ -264,18 +351,18 @@ func TestServerQueueSteadyStateDoesNotAllocate(t *testing.T) {
 
 func TestServerDiscPriorityReordersBacklog(t *testing.T) {
 	e := NewEngine()
-	// Class 1 outranks class 0.
-	s := NewServerDisc(e, "srv", 1, NewPriority([]int{1, 0}))
+	// Class 1 (priority 0) outranks class 0 (priority 1).
+	s := NewServerDisc(e, "srv", 1, NewPriority())
 	var order []int
-	mk := func(class int) func() {
-		return func() { order = append(order, class) }
+	submit := func(class int) {
+		s.SubmitKeyed(class, int64(1-class), Nanosecond, func() { order = append(order, class) })
 	}
 	// First submission seizes the slot; the rest queue and are served by
 	// priority: both class-1 jobs before the class-0 job.
-	s.SubmitClass(0, Nanosecond, mk(0))
-	s.SubmitClass(0, Nanosecond, mk(0))
-	s.SubmitClass(1, Nanosecond, mk(1))
-	s.SubmitClass(1, Nanosecond, mk(1))
+	submit(0)
+	submit(0)
+	submit(1)
+	submit(1)
 	e.Run()
 	want := []int{0, 1, 1, 0}
 	for i := range want {

@@ -488,11 +488,11 @@ func TestLadderVsHeapRandom(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := benchRNG(seed * 0x9e3779b9)
-			n := 200 + int(rng.next()%2000)
+			rng := Stream(seed * 0x9e3779b9)
+			n := 200 + int(rng.Uint64()%2000)
 			data := make([]byte, n)
 			for i := range data {
-				data[i] = byte(rng.next())
+				data[i] = byte(rng.Uint64())
 			}
 			applyOps(t, data)
 		})
@@ -504,15 +504,15 @@ func TestLadderVsHeapRandom(t *testing.T) {
 // from the middle of the heap before the final drain.
 func TestLadderVsHeapFrozenClockChurn(t *testing.T) {
 	d := newDiffDriver(t)
-	rng := benchRNG(0xf00d)
+	rng := Stream(0xf00d)
 	for i := 0; i < 1500; i++ {
-		d.schedule(Duration(rng.next()%1_000_000)*Picosecond, 0, true)
+		d.schedule(Duration(rng.Uint64()%1_000_000)*Picosecond, 0, true)
 	}
 	for i := 0; i < 6000; i++ {
-		d.cancel(int(rng.next() % 8192))
-		d.schedule(Duration(rng.next()%1_000_000)*Picosecond, 0, true)
-		if rng.next()%8 == 0 {
-			d.sameInstant(Duration(rng.next()%1000)*Picosecond, int(rng.next()%4))
+		d.cancel(int(rng.Uint64() % 8192))
+		d.schedule(Duration(rng.Uint64()%1_000_000)*Picosecond, 0, true)
+		if rng.Uint64()%8 == 0 {
+			d.sameInstant(Duration(rng.Uint64()%1000)*Picosecond, int(rng.Uint64()%4))
 		}
 	}
 	d.drain()
@@ -524,21 +524,21 @@ func TestLadderVsHeapFrozenClockChurn(t *testing.T) {
 // saturation regime the shape benchmarks measure.
 func TestLadderVsHeapHighOccupancy(t *testing.T) {
 	d := newDiffDriver(t)
-	rng := benchRNG(0xdeadbeef)
+	rng := Stream(0xdeadbeef)
 	for i := 0; i < 20000; i++ {
-		switch rng.next() % 16 {
+		switch rng.Uint64() % 16 {
 		case 0:
-			d.cancel(int(rng.next() % 4096))
+			d.cancel(int(rng.Uint64() % 4096))
 		case 1:
-			d.runUntil(Duration(rng.next() % 50000))
+			d.runUntil(Duration(rng.Uint64() % 50000))
 		case 2:
-			d.schedule(Duration(rng.next()%1000), 2, false) // pico-scale ties
+			d.schedule(Duration(rng.Uint64()%1000), 2, false) // pico-scale ties
 		case 3:
-			d.sameInstant(Duration(rng.next()%100)*Nanosecond, int(rng.next()%5))
+			d.sameInstant(Duration(rng.Uint64()%100)*Nanosecond, int(rng.Uint64()%5))
 		case 4:
 			d.step()
 		default:
-			d.schedule(Duration(rng.next()%2_000_000)*Picosecond, 0, rng.next()%4 == 0)
+			d.schedule(Duration(rng.Uint64()%2_000_000)*Picosecond, 0, rng.Uint64()%4 == 0)
 		}
 	}
 	d.drain()
@@ -551,21 +551,21 @@ func TestLadderVsHeapHighOccupancy(t *testing.T) {
 // schedules every arrival up front.
 func TestLadderVsHeapReservedArrivals(t *testing.T) {
 	d := newDiffDriver(t)
-	rng := benchRNG(0xa11)
+	rng := Stream(0xa11)
 	for i := 0; i < 3000; i++ {
-		switch rng.next() % 8 {
+		switch rng.Uint64() % 8 {
 		case 0:
-			d.arrivals(Duration(rng.next()%4)*Nanosecond, Duration(rng.next()%3)*Nanosecond, 1+int(rng.next()%32))
+			d.arrivals(Duration(rng.Uint64()%4)*Nanosecond, Duration(rng.Uint64()%3)*Nanosecond, 1+int(rng.Uint64()%32))
 		case 1:
-			d.runUntil(Duration(rng.next()%20) * Nanosecond)
+			d.runUntil(Duration(rng.Uint64()%20) * Nanosecond)
 		case 2:
-			d.cancel(int(rng.next() % 512))
+			d.cancel(int(rng.Uint64() % 512))
 		case 3:
-			d.sameInstant(Duration(rng.next()%4)*Nanosecond, int(rng.next()%4))
+			d.sameInstant(Duration(rng.Uint64()%4)*Nanosecond, int(rng.Uint64()%4))
 		case 4, 5:
 			d.step()
 		default:
-			d.schedule(Duration(rng.next()%8)*Nanosecond, int(rng.next()%3), rng.next()%2 == 0)
+			d.schedule(Duration(rng.Uint64()%8)*Nanosecond, int(rng.Uint64()%3), rng.Uint64()%2 == 0)
 		}
 	}
 	d.drain()
@@ -578,21 +578,21 @@ func TestLadderVsHeapReservedArrivals(t *testing.T) {
 // pending counts compared after every op.
 func TestLadderVsHeapSlot(t *testing.T) {
 	d := newDiffDriver(t)
-	rng := benchRNG(0x5107)
+	rng := Stream(0x5107)
 	for i := 0; i < 4000; i++ {
-		switch rng.next() % 8 {
+		switch rng.Uint64() % 8 {
 		case 0, 1, 2:
-			d.slotOp(Duration(rng.next()%6)*Nanosecond, Duration(1+rng.next()%4)*Nanosecond, byte(rng.next()))
+			d.slotOp(Duration(rng.Uint64()%6)*Nanosecond, Duration(1+rng.Uint64()%4)*Nanosecond, byte(rng.Uint64()))
 		case 3:
-			d.schedule(Duration(rng.next()%3)*Nanosecond, int(rng.next()%3), rng.next()%2 == 0)
+			d.schedule(Duration(rng.Uint64()%3)*Nanosecond, int(rng.Uint64()%3), rng.Uint64()%2 == 0)
 		case 4:
-			d.cancel(int(rng.next() % 256))
+			d.cancel(int(rng.Uint64() % 256))
 		case 5:
-			d.arrivals(Duration(rng.next()%3)*Nanosecond, Duration(rng.next()%2)*Nanosecond, 1+int(rng.next()%4))
+			d.arrivals(Duration(rng.Uint64()%3)*Nanosecond, Duration(rng.Uint64()%2)*Nanosecond, 1+int(rng.Uint64()%4))
 		case 6:
 			d.step()
 		default:
-			d.runUntil(Duration(rng.next()%3) * Nanosecond)
+			d.runUntil(Duration(rng.Uint64()%3) * Nanosecond)
 		}
 		d.checkState()
 	}

@@ -115,7 +115,7 @@ func TestCancelPurgeDoesNotAllocate(t *testing.T) {
 // through several heap levels, all on recycled storage.
 func TestEngineHighOccupancySteadyStateDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
-	rng := benchRNG(7)
+	rng := Stream(7)
 	nop := func() {}
 	for i := 0; i < 1024; i++ {
 		e.Schedule(delayUniform(&rng), nop)

@@ -105,31 +105,6 @@ func TestEngineSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// A stale TransferRef.Abort after the transfer completed must not abort
-// the recycled slot's new transfer.
-func TestStaleTransferRefAbortIsInert(t *testing.T) {
-	e := NewEngine()
-	ch := NewChannel(e, "c", 1e9)
-	doneA := false
-	refA := ch.Start(1e6, func() { doneA = true })
-	e.Run()
-	if !doneA {
-		t.Fatal("first transfer did not complete")
-	}
-	doneB := false
-	ch.Start(1e6, func() { doneB = true }) // reuses A's Transfer
-	refA.Abort()                           // stale: A already finished
-	e.Run()
-	if !doneB {
-		t.Fatal("stale Abort killed the recycled slot's new transfer")
-	}
-}
-
-func TestZeroTransferRefAbortIsNoop(t *testing.T) {
-	var r TransferRef
-	r.Abort() // must not panic
-}
-
 // The channel's start/complete/restart loop must be allocation-free in
 // steady state (events and transfers both come from free lists).
 func TestChannelSteadyStateDoesNotAllocate(t *testing.T) {
