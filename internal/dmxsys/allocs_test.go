@@ -86,3 +86,58 @@ func TestServingAllocsPerRequest(t *testing.T) {
 		})
 	}
 }
+
+// TestBuildAllocsPerApp pins what building a System costs per app: the
+// allocations of dmxsys.New with 15 copies of one test-scale pipeline
+// minus those with 5, per extra app, so the per-replica fixed cost
+// cancels. The plan validates and times the shared pipeline once, a
+// replica carves every app's tables out of one array per kind, and a
+// device, its two links and a one-slot station are one allocation
+// each; what is left per app is its device and station names, the
+// links' and stations' completion closures, and its fabric routes.
+// Each bound is the measured count plus half an allocation, so one
+// more object per app trips it.
+func TestBuildAllocsPerApp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	b, err := workload.VideoSurveillance(workload.TestScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := func(n int) []*dmxsys.Pipeline {
+		pipes := make([]*dmxsys.Pipeline, n)
+		for i := range pipes {
+			pipes[i] = b.Pipeline
+		}
+		return pipes
+	}
+	for _, tc := range []struct {
+		p     dmxsys.Placement
+		bound float64
+	}{
+		{dmxsys.AllCPU, 1.5},
+		{dmxsys.MultiAxl, 21},
+		{dmxsys.Integrated, 21},
+		{dmxsys.Standalone, 26.6},
+		{dmxsys.PCIeIntegrated, 25.2},
+		{dmxsys.BumpInTheWire, 25},
+	} {
+		t.Run(tc.p.String(), func(t *testing.T) {
+			cfg := dmxsys.DefaultConfig(tc.p)
+			build := func(n int) float64 {
+				pipes := copies(n)
+				return testing.AllocsPerRun(10, func() {
+					if _, err := dmxsys.New(cfg, pipes); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			got := (build(15) - build(5)) / 10
+			t.Logf("%.1f allocations per app", got)
+			if got > tc.bound {
+				t.Errorf("%.1f allocations per app, bound %.1f", got, tc.bound)
+			}
+		})
+	}
+}

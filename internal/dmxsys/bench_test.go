@@ -78,3 +78,34 @@ func BenchmarkRunLoadBatchedEDF(b *testing.B) {
 		c.Sched = dmxsys.SchedEDF
 	})
 }
+
+// BenchmarkBuild prices one cell of the paper's concurrency sweeps
+// (Figs. 3 and 11-15): 15 copies of one test-scale pipeline built into
+// a fresh System and run one-shot, under each placement. Construction
+// costs as much as the simulation here, so allocs/op tracks the build.
+func BenchmarkBuild(b *testing.B) {
+	bench, err := workload.VideoSurveillance(workload.TestScale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pipes := make([]*dmxsys.Pipeline, 15)
+	for i := range pipes {
+		pipes[i] = bench.Pipeline
+	}
+	for _, p := range []dmxsys.Placement{dmxsys.AllCPU, dmxsys.MultiAxl, dmxsys.Integrated,
+		dmxsys.Standalone, dmxsys.PCIeIntegrated, dmxsys.BumpInTheWire} {
+		b.Run(p.String(), func(b *testing.B) {
+			cfg := dmxsys.DefaultConfig(p)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := dmxsys.New(cfg, pipes)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -312,7 +312,8 @@ func (c Config) Validate() error {
 }
 
 // discipline builds a fresh Discipline instance for one station (each
-// server orders its own backlog independently).
+// server orders its own backlog independently); nil asks the station
+// for its inline FIFO.
 func (c Config) discipline() sim.Discipline {
 	switch c.Sched {
 	case SchedPriority:
@@ -324,5 +325,5 @@ func (c Config) discipline() sim.Discipline {
 	case SchedSRS:
 		return sim.NewSRS()
 	}
-	return sim.NewFIFO()
+	return nil
 }

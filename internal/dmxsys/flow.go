@@ -751,17 +751,17 @@ func (c *carrier) legOf(p phase) (obs.Type, uint8, *leg, int64) {
 	a, k, n := c.a, c.k, c.n()
 	switch p {
 	case phInputDMA:
-		return obs.TypeInputDMA, 0, a.input, n * a.pipe.InputBytes
+		return obs.TypeInputDMA, 0, &a.input, n * a.pipe.InputBytes
 	case phOutputDMA:
-		return obs.TypeOutputDMA, 0, a.output, n * a.pipe.OutputBytes
+		return obs.TypeOutputDMA, 0, &a.output, n * a.pipe.OutputBytes
 	case phHostInDMA, phDegradeInDMA:
-		return obs.TypeHostDMA, 0, a.hops[k].toHost, n * a.pipe.Hops[k].InBytes
+		return obs.TypeHostDMA, 0, &a.hops[k].toHost, n * a.pipe.Hops[k].InBytes
 	case phHostOutDMA:
-		return obs.TypeHostDMA, 0, a.hops[k].fromHost, n * a.pipe.Hops[k].OutBytes
+		return obs.TypeHostDMA, 0, &a.hops[k].fromHost, n * a.pipe.Hops[k].OutBytes
 	case phP2PInDMA:
-		return obs.TypeP2PDMA, obs.StepRXDMA, a.hops[k].in, n * a.pipe.Hops[k].InBytes
+		return obs.TypeP2PDMA, obs.StepRXDMA, &a.hops[k].in, n * a.pipe.Hops[k].InBytes
 	case phP2POutDMA, phTXDMA:
-		return obs.TypeP2PDMA, obs.StepP2PDMA, a.hops[k].out, n * a.pipe.Hops[k].OutBytes
+		return obs.TypeP2PDMA, obs.StepP2PDMA, &a.hops[k].out, n * a.pipe.Hops[k].OutBytes
 	}
 	panic(fmt.Sprintf("dmxsys: phase %v moves no DMA leg", p))
 }
@@ -825,7 +825,7 @@ func (c *carrier) landed() {
 // kernel/hop chain.
 func (c *carrier) stepInput() {
 	a := c.a
-	a.occupyLeg(a.input, c.n()*a.pipe.InputBytes)
+	a.occupyLeg(&a.input, c.n()*a.pipe.InputBytes)
 	c.send(phInputDMA)
 }
 
@@ -901,7 +901,7 @@ func (c *carrier) nextStage() {
 // stepOutput returns the final result to the host.
 func (c *carrier) stepOutput() {
 	s, a := c.s, c.a
-	a.occupyLeg(a.output, c.n()*a.pipe.OutputBytes)
+	a.occupyLeg(&a.output, c.n()*a.pipe.OutputBytes)
 	c.after(s.driverDelay()+DMASetupLatency, phOutputSetup)
 }
 
@@ -1021,7 +1021,7 @@ func (c *carrier) restructured() {
 // hopHostIn: (S1) interrupt; DMA accel → host memory.
 func (c *carrier) hopHostIn() {
 	a := c.a
-	a.occupyLeg(a.hops[c.k].toHost, c.n()*a.pipe.Hops[c.k].InBytes)
+	a.occupyLeg(&a.hops[c.k].toHost, c.n()*a.pipe.Hops[c.k].InBytes)
 	c.after(c.hopEntryDelay(), phHostInSetup)
 }
 
@@ -1040,7 +1040,7 @@ func (c *carrier) hopHostArrived() {
 func (c *carrier) hopHostRestructured() {
 	a := c.a
 	c.lap(compRestructure)
-	a.occupyLeg(a.hops[c.k].fromHost, c.n()*a.pipe.Hops[c.k].OutBytes)
+	a.occupyLeg(&a.hops[c.k].fromHost, c.n()*a.pipe.Hops[c.k].OutBytes)
 	c.after(DMASetupLatency, phHostOutSetup)
 }
 
@@ -1049,7 +1049,7 @@ func (c *carrier) hopHostRestructured() {
 // (saves the DRX round trip; Sec. VII-B).
 func (c *carrier) hopP2PIn() {
 	a := c.a
-	a.occupyLeg(a.hops[c.k].in, c.n()*a.pipe.Hops[c.k].InBytes)
+	a.occupyLeg(&a.hops[c.k].in, c.n()*a.pipe.Hops[c.k].InBytes)
 	c.after(c.hopEntryDelay(), phP2PInSetup)
 }
 
@@ -1057,7 +1057,7 @@ func (c *carrier) hopP2PIn() {
 func (c *carrier) hopCardRestructured() {
 	s, a := c.s, c.a
 	c.lap(compRestructure)
-	a.occupyLeg(a.hops[c.k].out, c.n()*a.pipe.Hops[c.k].OutBytes)
+	a.occupyLeg(&a.hops[c.k].out, c.n()*a.pipe.Hops[c.k].OutBytes)
 	c.after(s.driverDelay()+DMASetupLatency, phP2POutSetup)
 }
 
@@ -1066,7 +1066,7 @@ func (c *carrier) hopCardRestructured() {
 func (c *carrier) hopSwitchRestructured() {
 	a := c.a
 	c.lap(compRestructure)
-	a.occupyLeg(a.hops[c.k].out, c.n()*a.pipe.Hops[c.k].OutBytes)
+	a.occupyLeg(&a.hops[c.k].out, c.n()*a.pipe.Hops[c.k].OutBytes)
 	c.send(phP2POutDMA)
 }
 
@@ -1144,7 +1144,7 @@ func (c *carrier) hopBumpTXAdmit() {
 		c.rxHeld = 0
 	}
 	c.lap(compRestructure)
-	a.occupyLeg(a.hops[k].out, bytes)
+	a.occupyLeg(&a.hops[k].out, bytes)
 	s.obsInstant(a, obs.TypeTXReady, obs.StepTXReady, a.drxServer[k].Name(), "", "", bytes)
 	c.after(s.driverDelay()+DMASetupLatency, phTXSetup)
 }
@@ -1326,7 +1326,7 @@ func (c *carrier) degradeHop() {
 		c.cpuRestructure(phHostCPU)
 		return
 	}
-	a.occupyLeg(a.hops[k].toHost, c.n()*h.InBytes)
+	a.occupyLeg(&a.hops[k].toHost, c.n()*h.InBytes)
 	c.after(s.driverDelay()+DMASetupLatency, phDegradeInSetup)
 }
 

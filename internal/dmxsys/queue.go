@@ -19,13 +19,18 @@ const (
 // DataQueue is one direction of a DRX peer queue: a ring of buffers
 // tracked by head/tail byte offsets, as the DRX driver maintains them.
 type DataQueue struct {
-	name     string
-	capacity int64
-	head     int64 // total bytes ever dequeued
-	tail     int64 // total bytes ever enqueued
+	// owner.dir.peer names the queue in errors: the DRX holding it, "rx"
+	// or "tx", and the peer accelerator it serves. The name is only
+	// joined when an error needs it.
+	owner, dir, peer string
+	capacity         int64
+	head             int64 // total bytes ever dequeued
+	tail             int64 // total bytes ever enqueued
 	// HighWater records the maximum occupancy reached, for reports.
 	HighWater int64
 }
+
+func (q *DataQueue) name() string { return q.owner + "." + q.dir + "." + q.peer }
 
 // Used reports the bytes currently enqueued.
 func (q *DataQueue) Used() int64 { return q.tail - q.head }
@@ -38,11 +43,11 @@ func (q *DataQueue) Free() int64 { return q.capacity - q.Used() }
 // backpressure condition a driver must handle.
 func (q *DataQueue) Enqueue(n int64) error {
 	if n < 0 {
-		return fmt.Errorf("dmxsys: %s: negative payload %d", q.name, n)
+		return fmt.Errorf("dmxsys: %s: negative payload %d", q.name(), n)
 	}
 	if n > q.Free() {
 		return fmt.Errorf("dmxsys: %s: queue full (%d used of %d, payload %d)",
-			q.name, q.Used(), q.capacity, n)
+			q.name(), q.Used(), q.capacity, n)
 	}
 	q.tail += n
 	if u := q.Used(); u > q.HighWater {
@@ -54,52 +59,44 @@ func (q *DataQueue) Enqueue(n int64) error {
 // Dequeue releases a consumed payload.
 func (q *DataQueue) Dequeue(n int64) error {
 	if n < 0 || n > q.Used() {
-		return fmt.Errorf("dmxsys: %s: dequeue %d with %d used", q.name, n, q.Used())
+		return fmt.Errorf("dmxsys: %s: dequeue %d with %d used", q.name(), n, q.Used())
 	}
 	q.head += n
 	return nil
 }
 
 // QueueSet is one DRX's statically partitioned queue memory: an RX/TX
-// pair per peer, allocated at enumeration time.
+// pair of QueuePairBytes per peer, provisioned at enumeration time. A
+// pair holds no data until a hop moves some through it, so only the
+// pairs a hop uses are built (Pair); the partition itself is the peer
+// list and its size check.
 type QueueSet struct {
 	owner string
-	rx    map[string]*DataQueue
-	tx    map[string]*DataQueue
+	peers []string
+}
+
+// QueuePair is the RX and TX queue a DRX keeps toward one peer.
+type QueuePair struct {
+	RX, TX DataQueue
 }
 
 // NewQueueSet partitions a DRX's queue memory across the given peers.
-func NewQueueSet(owner string, peers []string) (*QueueSet, error) {
+func NewQueueSet(owner string, peers []string) (QueueSet, error) {
 	if len(peers) > MaxPeers {
-		return nil, fmt.Errorf("dmxsys: %s: %d peers exceed the %d the 8 GB partition supports",
+		return QueueSet{}, fmt.Errorf("dmxsys: %s: %d peers exceed the %d the 8 GB partition supports",
 			owner, len(peers), MaxPeers)
 	}
-	qs := &QueueSet{
-		owner: owner,
-		rx:    make(map[string]*DataQueue, len(peers)),
-		tx:    make(map[string]*DataQueue, len(peers)),
-	}
-	for _, p := range peers {
-		qs.rx[p] = &DataQueue{name: owner + ".rx." + p, capacity: QueuePairBytes}
-		qs.tx[p] = &DataQueue{name: owner + ".tx." + p, capacity: QueuePairBytes}
-	}
-	return qs, nil
+	return QueueSet{owner: owner, peers: peers}, nil
 }
 
-// RX returns the receive queue for a peer.
-func (qs *QueueSet) RX(peer string) (*DataQueue, error) {
-	q, ok := qs.rx[peer]
-	if !ok {
-		return nil, fmt.Errorf("dmxsys: %s: no RX queue for peer %q", qs.owner, peer)
+// Pair sets up qp as the empty RX/TX pair toward peer.
+func (qs QueueSet) Pair(peer string, qp *QueuePair) error {
+	for _, p := range qs.peers {
+		if p == peer {
+			qp.RX = DataQueue{owner: qs.owner, dir: "rx", peer: peer, capacity: QueuePairBytes}
+			qp.TX = DataQueue{owner: qs.owner, dir: "tx", peer: peer, capacity: QueuePairBytes}
+			return nil
+		}
 	}
-	return q, nil
-}
-
-// TX returns the transmit queue for a peer.
-func (qs *QueueSet) TX(peer string) (*DataQueue, error) {
-	q, ok := qs.tx[peer]
-	if !ok {
-		return nil, fmt.Errorf("dmxsys: %s: no TX queue for peer %q", qs.owner, peer)
-	}
-	return q, nil
+	return fmt.Errorf("dmxsys: %s: no queue pair for peer %q", qs.owner, peer)
 }

@@ -19,7 +19,7 @@ func TestQueueProvisioningMatchesPaper(t *testing.T) {
 }
 
 func TestDataQueueHeadTail(t *testing.T) {
-	q := &DataQueue{name: "q", capacity: 100}
+	q := &DataQueue{owner: "q", capacity: 100}
 	if err := q.Enqueue(60); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestDataQueueHeadTail(t *testing.T) {
 // 0 ≤ Used ≤ capacity.
 func TestDataQueueInvariantProperty(t *testing.T) {
 	prop := func(ops []int16) bool {
-		q := &DataQueue{name: "p", capacity: 1000}
+		q := &DataQueue{owner: "p", capacity: 1000}
 		for _, op := range ops {
 			n := int64(op)
 			if n >= 0 {
@@ -81,14 +81,17 @@ func TestQueueSetPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx, err := qs.RX("a1")
-	if err != nil {
+	var qp QueuePair
+	if err := qs.Pair("a1", &qp); err != nil {
 		t.Fatal(err)
 	}
-	if rx.Free() != QueuePairBytes {
-		t.Errorf("fresh queue free = %d", rx.Free())
+	if qp.RX.Free() != QueuePairBytes || qp.TX.Free() != QueuePairBytes {
+		t.Errorf("fresh queue free = %d/%d", qp.RX.Free(), qp.TX.Free())
 	}
-	if _, err := qs.TX("ghost"); err == nil {
+	if err := qp.TX.Dequeue(1); err == nil || !strings.Contains(err.Error(), "drx.a0.tx.a1") {
+		t.Errorf("want an error naming drx.a0.tx.a1, got %v", err)
+	}
+	if err := qs.Pair("ghost", &qp); err == nil {
 		t.Error("unknown peer accepted")
 	}
 	peers := make([]string, MaxPeers+1)
@@ -105,27 +108,19 @@ func TestBumpFlowDrainsQueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
-	for _, qs := range s.queueSets {
-		for peer := range qs.rx {
-			rx, _ := qs.RX(peer)
-			tx, _ := qs.TX(peer)
-			if rx.Used() != 0 || tx.Used() != 0 {
-				t.Errorf("%s: queues not drained after run: rx %d tx %d", qs.owner, rx.Used(), tx.Used())
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range s.apps {
+		for _, h := range a.hops {
+			if h.rx.Used() != 0 || h.tx.Used() != 0 {
+				t.Errorf("%s: queues not drained after run: rx %d tx %d", h.rx.owner, h.rx.Used(), h.tx.Used())
+			}
+			// The hop queues actually carried the payload.
+			if h.rx.HighWater == 0 || h.tx.HighWater == 0 {
+				t.Errorf("%s: no payload ever entered the RX/TX pair", h.rx.owner)
 			}
 		}
-	}
-	// The hop queues actually carried the payload.
-	var high int64
-	for _, qs := range s.queueSets {
-		for _, q := range qs.rx {
-			if q.HighWater > high {
-				high = q.HighWater
-			}
-		}
-	}
-	if high == 0 {
-		t.Error("no payload ever entered an RX queue")
 	}
 }
 

@@ -2,6 +2,7 @@ package dmxsys
 
 import (
 	"fmt"
+	"strconv"
 
 	"dmx/internal/drx"
 	"dmx/internal/drxc"
@@ -29,10 +30,7 @@ type System struct {
 	cpuCompute *sim.Channel
 	cpuMem     *sim.Channel
 
-	apps []*appInstance
-	// queueSets holds each bump-in-the-wire DRX's RX/TX data queues, in
-	// build order; every hop resolves its own pair at Instantiate.
-	queueSets []*QueueSet
+	apps      []*appInstance
 	nSwitches int
 	nDRX      int
 	// localBytes counts bump-in-the-wire DRX↔accel movement that stays
@@ -99,8 +97,8 @@ type appInstance struct {
 	hopDRX []sim.Duration
 
 	// input and output are the host↔accelerator legs of every request;
-	// hops[k] holds hop k's legs and data queues (all nil for AllCPU).
-	input, output *leg
+	// hops[k] holds hop k's legs and data queues (both empty for AllCPU).
+	input, output leg
 	hops          []hopRoute
 	// accelSlot[k] / drxSlot[k] are the occupancy slots of stage k's
 	// station and hop k's DRX unit.
@@ -119,11 +117,11 @@ type appInstance struct {
 
 	// Continuous-batching state. pending holds the open accumulation
 	// window's members (in arrival order); flushRef/flushArmed track the
-	// pending window-expiry event and flushFn is its preallocated
-	// closure so re-arming the window never allocates. nbatches and
-	// batchedReqs feed the LoadReport batching line; maxBatch caps the
-	// batch size so a bump-in-the-wire batch's hop payload always fits
-	// the inline DRX data queues (0 = uncapped).
+	// pending window-expiry event and flushFn, bound only when batching
+	// is on, is its preallocated closure so re-arming the window never
+	// allocates. nbatches and batchedReqs feed the LoadReport batching
+	// line; maxBatch caps the batch size so a bump-in-the-wire batch's
+	// hop payload always fits the inline DRX data queues (0 = uncapped).
 	pending     []*request
 	flushRef    sim.EventRef
 	flushArmed  bool
@@ -148,8 +146,9 @@ type appInstance struct {
 	// charged shared resource occNames[i] (server, link, or host
 	// channel). Divided by the request count it is the per-request
 	// occupancy whose maximum bounds steady-state throughput
-	// (AppReport.Bottleneck). Slots are assigned at Instantiate; the two
-	// host channels always hold slotCPUCompute and slotCPUMem.
+	// (AppReport.Bottleneck). Slots are assigned at Instantiate, in
+	// tables the plan sized (planApp.slots); the two host channels
+	// always hold slotCPUCompute and slotCPUMem.
 	occ      []sim.Duration
 	occNames []string
 
@@ -163,7 +162,8 @@ const (
 )
 
 // slot returns the occupancy slot of a named resource, assigning the
-// next free one on first use. Build time only.
+// next free one on first use. Build time only: the plan sized the
+// tables, so assigning a slot never grows them.
 func (a *appInstance) slot(name string) int {
 	for i, n := range a.occNames {
 		if n == name {
@@ -177,11 +177,12 @@ func (a *appInstance) slot(name string) int {
 
 // leg is one fabric transfer of a request's walk, resolved at
 // Instantiate: the route handle, its trace endpoints, and the occupancy
-// slot and bandwidth of every link the route crosses.
+// slot and bandwidth of each of the route's links (links[:nlinks]).
 type leg struct {
 	from, to string
 	rt       *pcie.Route
-	links    []linkCharge
+	links    [pcie.MaxLinks]linkCharge
+	nlinks   int
 }
 
 // linkCharge is one link of a leg in occupancy terms.
@@ -195,12 +196,12 @@ type hopRoute struct {
 	// toHost and fromHost are the accelerator k → host and host →
 	// accelerator k+1 legs: the hop itself under MultiAxl and Integrated,
 	// and every placement's CPU-fallback (degrade) path.
-	toHost, fromHost *leg
+	toHost, fromHost leg
 	// in and out are the DRX path's legs: to and from the standalone
 	// card, up into and down out of the switch (PCIe-Integrated), or —
 	// under bump-in-the-wire — only out, the P2P DMA to the peer (the
 	// move into the inline DRX stays off the fabric).
-	in, out *leg
+	in, out leg
 	// rx, tx are the bump-in-the-wire DRX's data queues toward the peer
 	// accelerator (nil otherwise).
 	rx, tx *DataQueue
@@ -208,10 +209,11 @@ type hopRoute struct {
 
 // newLeg resolves a leg on route rt, charging its links into app a's
 // occupancy slots.
-func (a *appInstance) newLeg(rt *pcie.Route, from, to string) *leg {
-	l := &leg{from: from, to: to, rt: rt}
-	for _, li := range rt.Links() {
-		l.links = append(l.links, linkCharge{slot: a.slot(li.Name), bw: li.Bandwidth})
+func (a *appInstance) newLeg(rt *pcie.Route, from, to string) leg {
+	l := leg{from: from, to: to, rt: rt, nlinks: rt.Len()}
+	for i := range l.nlinks {
+		li := rt.Link(i)
+		l.links[i] = linkCharge{slot: a.slot(li.Name), bw: li.Bandwidth}
 	}
 	return l
 }
@@ -219,7 +221,7 @@ func (a *appInstance) newLeg(rt *pcie.Route, from, to string) *leg {
 // occupyLeg charges a payload's serialization time against every link
 // of a resolved leg.
 func (a *appInstance) occupyLeg(l *leg, n int64) {
-	for _, c := range l.links {
+	for _, c := range l.links[:l.nlinks] {
 		a.occ[c.slot] += sim.BytesAt(n, c.bw)
 	}
 }
@@ -274,6 +276,12 @@ type Plan struct {
 	nSwitches int
 	nDRX      int
 	nCards    int
+
+	// Sizes of a replica's per-app tables summed over the apps, so
+	// Instantiate allocates each kind once: accelerator stages and hops
+	// (none under AllCPU), occupancy slots, and bump-in-the-wire queue
+	// pairs.
+	stages, hops, slots, queuePairs int
 }
 
 // planApp is one pipeline's placement decisions and precomputed tables.
@@ -287,15 +295,25 @@ type planApp struct {
 	cardDev string
 	newCard bool
 
+	// pipeTables is shared by every app running the same *Pipeline,
+	// except that an app with a fused pair gets remaining-service tables
+	// of its own, built from its fusion table.
+	pipeTables
+	fusion []hopFusion
+}
+
+// pipeTables is what a plan derives from a pipeline alone. Read-only
+// after NewPlan, so replicas and parallel sweep workers share it.
+type pipeTables struct {
 	// hopDRX[k] is hop k's DRX service time under cfg.DRX (nil when the
-	// placement has no DRX), resolved once through drxTimeOf. Read-only
-	// after NewPlan, so replicas and parallel sweep workers share it.
+	// placement has no DRX), resolved once through drxTimeOf.
 	hopDRX []sim.Duration
 
 	remAtKernel []sim.Duration
 	remAtHop    []sim.Duration
 	maxBatch    int
-	fusion      []hopFusion
+	// slots is the size of an app's occupancy table.
+	slots int
 }
 
 // fuseRole tags a hop's part in a fused pair.
@@ -339,7 +357,9 @@ func (p *Plan) Pipeline(i int) *Pipeline { return p.pipes[i] }
 
 // NewPlan validates the configuration and pipelines and computes the
 // shareable half of a System: layout, warmed DRX timings and
-// scheduling tables.
+// scheduling tables. Everything that depends on a pipeline alone is
+// computed once per distinct *Pipeline: a homogeneous sweep cell
+// passes n copies of one pointer and pays for one.
 func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -347,7 +367,7 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 	if len(pipelines) == 0 {
 		return nil, fmt.Errorf("dmxsys: no pipelines")
 	}
-	p := &Plan{cfg: cfg, pipes: pipelines}
+	p := &Plan{cfg: cfg, pipes: pipelines, apps: make([]planApp, len(pipelines))}
 	for _, fp := range cfg.FuseHops {
 		if fp.App >= len(pipelines) {
 			return nil, fmt.Errorf("dmxsys: fuse pair app=%d hop=%d: only %d pipelines", fp.App, fp.Hop, len(pipelines))
@@ -362,27 +382,31 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 	// the same switch.
 	cardDev := ""
 	cardAppsLeft := 0
+	tables := make(map[*Pipeline]pipeTables)
 	for i, pipe := range pipelines {
-		if err := pipe.Validate(); err != nil {
-			return nil, err
+		t, ok := tables[pipe]
+		if !ok {
+			var err error
+			if t, err = newPipeTables(cfg, pipe); err != nil {
+				return nil, err
+			}
+			tables[pipe] = t
 		}
-		pa := planApp{}
+		pa := &p.apps[i]
+		pa.pipeTables = t
 		// Slot accounting covers accelerator ports; standalone DRX cards
 		// ride dedicated card slots on the same switch so every placement
 		// packs applications identically (the comparison isolates data
 		// motion, not topology density).
 		needCard := cfg.Placement == Standalone && cardAppsLeft == 0
 		need := len(pipe.Stages)
-		if need > SlotsPerSwitch {
-			return nil, fmt.Errorf("dmxsys: %s needs %d slots, switch has %d", pipe.Name, need, SlotsPerSwitch)
-		}
 		if cfg.Placement != AllCPU && need > slotsLeft {
 			// A fresh switch also forces a fresh card: point-to-point DMA
 			// to the card must stay under one switch.
 			if cfg.Placement == Standalone {
 				needCard = true
 			}
-			curSwitch = fmt.Sprintf("sw%d", p.nSwitches)
+			curSwitch = "sw" + strconv.Itoa(p.nSwitches)
 			pa.newSwitch = true
 			p.nSwitches++
 			slotsLeft = SlotsPerSwitch
@@ -393,12 +417,14 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 		pa.sw = curSwitch
 		if cfg.Placement != AllCPU {
 			slotsLeft -= need
+			p.stages += need
+			p.hops += len(pipe.Hops)
 		}
 
 		switch cfg.Placement {
 		case Standalone:
 			if needCard {
-				cardDev = fmt.Sprintf("sdrx%d", p.nCards)
+				cardDev = "sdrx" + strconv.Itoa(p.nCards)
 				pa.newCard = true
 				p.nCards++
 				p.nDRX++
@@ -410,32 +436,13 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 			// One DRX inline with every accelerator; the terminal
 			// accelerator's DRX exists too (pass-through in Fig. 10
 			// step 10) and counts for energy.
-			for k := range pipe.Hops {
-				p.nDRX++
-				if pipe.Hops[k].InBytes > QueuePairBytes || pipe.Hops[k].OutBytes > QueuePairBytes {
-					return nil, fmt.Errorf("dmxsys: %s hop %d payload exceeds the %d MB data queue",
-						pipe.Name, k, QueuePairBytes>>20)
-				}
-			}
-			p.nDRX++
-		}
-
-		// Resolve every hop's DRX service time onto the hop.
-		if cfg.Placement.UsesDRX() {
-			pa.hopDRX = make([]sim.Duration, len(pipe.Hops))
-			for k, h := range pipe.Hops {
-				d, err := drxTimeOf(cfg.DRX, h.Kernel)
-				if err != nil {
-					return nil, err
-				}
-				pa.hopDRX[k] = d
-			}
+			p.nDRX += len(pipe.Hops) + 1
+			p.queuePairs += len(pipe.Hops)
 		}
 
 		// Resolve this app's fused pairs: compile the merged program, time
 		// it, and split its service across the pair proportionally to the
-		// unfused times. Must precede the SRS tables, which consume the
-		// split.
+		// unfused times. The split feeds the app's own SRS tables.
 		for _, fp := range cfg.FuseHops {
 			if fp.App != i {
 				continue
@@ -464,61 +471,126 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 			pa.fusion[fp.Hop] = hopFusion{role: fuseLeader, part: part1}
 			pa.fusion[fp.Hop+1] = hopFusion{role: fuseFollower, part: ft - part1}
 		}
-
-		// Remaining-service tables (the SchedSRS keys): walk the pipeline
-		// backwards accumulating each station's precomputed service
-		// demand. MultiAxl hops restructure on the uncontended CPU
-		// channels, so they contribute nothing to station demand.
-		if cfg.Placement != AllCPU {
-			n := len(pipe.Stages)
-			pa.remAtKernel = make([]sim.Duration, n)
-			pa.remAtHop = make([]sim.Duration, len(pipe.Hops))
-			for k := n - 1; k >= 0; k-- {
-				svc := pipe.Stages[k].Accel.Latency(pipe.Stages[k].InBytes)
-				if k < len(pipe.Hops) {
-					hop := sim.Duration(0)
-					if cfg.Placement.UsesDRX() {
-						hop = pa.hopDRX[k]
-						if pa.fusion != nil && pa.fusion[k].role != fuseNone {
-							// A fused hop's station demand is its segment of
-							// the merged program.
-							hop = pa.fusion[k].part
-						}
-					}
-					pa.remAtHop[k] = hop + pa.remAtKernel[k+1]
-					pa.remAtKernel[k] = svc + pa.remAtHop[k]
-				} else {
-					pa.remAtKernel[k] = svc
-				}
-			}
+		if pa.fusion != nil {
+			pa.remAtKernel, pa.remAtHop = remainingService(cfg.Placement, pipe, pa.hopDRX, pa.fusion)
 		}
-
-		// Batch-size ceiling: a bump-in-the-wire batch moves n× a hop's
-		// payload through the inline DRX data queues, so cap n where the
-		// scaled payload would exceed a queue (otherwise the batch could
-		// never be admitted and the flow would deadlock).
-		if cfg.Placement == BumpInTheWire && cfg.BatchWindow > 0 {
-			for _, h := range pipe.Hops {
-				per := h.InBytes
-				if h.OutBytes > per {
-					per = h.OutBytes
-				}
-				if per <= 0 {
-					continue
-				}
-				cap := int(QueuePairBytes / per)
-				if cap < 1 {
-					cap = 1
-				}
-				if pa.maxBatch == 0 || cap < pa.maxBatch {
-					pa.maxBatch = cap
-				}
-			}
-		}
-
-		p.apps = append(p.apps, pa)
+		p.slots += pa.slots
 	}
 	return p, nil
+}
+
+// newPipeTables validates one pipeline and derives its tables under cfg.
+func newPipeTables(cfg Config, pipe *Pipeline) (pipeTables, error) {
+	var t pipeTables
+	if err := pipe.Validate(); err != nil {
+		return t, err
+	}
+	if need := len(pipe.Stages); need > SlotsPerSwitch {
+		return t, fmt.Errorf("dmxsys: %s needs %d slots, switch has %d", pipe.Name, need, SlotsPerSwitch)
+	}
+	if cfg.Placement == BumpInTheWire {
+		for k, h := range pipe.Hops {
+			if h.InBytes > QueuePairBytes || h.OutBytes > QueuePairBytes {
+				return t, fmt.Errorf("dmxsys: %s hop %d payload exceeds the %d MB data queue",
+					pipe.Name, k, QueuePairBytes>>20)
+			}
+		}
+	}
+
+	// Resolve every hop's DRX service time onto the hop.
+	if cfg.Placement.UsesDRX() {
+		t.hopDRX = make([]sim.Duration, len(pipe.Hops))
+		for k, h := range pipe.Hops {
+			d, err := drxTimeOf(cfg.DRX, h.Kernel)
+			if err != nil {
+				return t, err
+			}
+			t.hopDRX[k] = d
+		}
+	}
+	t.remAtKernel, t.remAtHop = remainingService(cfg.Placement, pipe, t.hopDRX, nil)
+
+	// Batch-size ceiling: a bump-in-the-wire batch moves n× a hop's
+	// payload through the inline DRX data queues, so cap n where the
+	// scaled payload would exceed a queue (otherwise the batch could
+	// never be admitted and the flow would deadlock).
+	if cfg.Placement == BumpInTheWire && cfg.BatchWindow > 0 {
+		for _, h := range pipe.Hops {
+			per := h.InBytes
+			if h.OutBytes > per {
+				per = h.OutBytes
+			}
+			if per <= 0 {
+				continue
+			}
+			cap := int(QueuePairBytes / per)
+			if cap < 1 {
+				cap = 1
+			}
+			if t.maxBatch == 0 || cap < t.maxBatch {
+				t.maxBatch = cap
+			}
+		}
+	}
+	t.slots = occupancySlots(cfg.Placement, pipe)
+	return t, nil
+}
+
+// remainingService builds the SchedSRS keys: walking the pipeline
+// backwards, remAtKernel[k] / remAtHop[k] accumulate the precomputed
+// station service demand still ahead of a request when it submits stage
+// k's kernel / hop k's restructure (both nil for AllCPU, which has no
+// contended stations). MultiAxl hops restructure on the uncontended CPU
+// channels, so they contribute nothing to station demand; a fused hop's
+// demand is its segment of the merged program.
+func remainingService(pl Placement, pipe *Pipeline, hopDRX []sim.Duration, fusion []hopFusion) (remAtKernel, remAtHop []sim.Duration) {
+	if pl == AllCPU {
+		return nil, nil
+	}
+	n := len(pipe.Stages)
+	remAtKernel = make([]sim.Duration, n)
+	remAtHop = make([]sim.Duration, len(pipe.Hops))
+	for k := n - 1; k >= 0; k-- {
+		svc := pipe.Stages[k].Accel.Latency(pipe.Stages[k].InBytes)
+		if k < len(pipe.Hops) {
+			hop := sim.Duration(0)
+			if pl.UsesDRX() {
+				hop = hopDRX[k]
+				if fusion != nil && fusion[k].role != fuseNone {
+					hop = fusion[k].part
+				}
+			}
+			remAtHop[k] = hop + remAtKernel[k+1]
+			remAtKernel[k] = svc + remAtHop[k]
+		} else {
+			remAtKernel[k] = svc
+		}
+	}
+	return remAtKernel, remAtHop
+}
+
+// occupancySlots sizes an app's occupancy table: one slot per shared
+// resource its requests charge. Every placement charges the two host
+// channels; off the All-CPU baseline an app also charges each stage's
+// station and both directions of each stage's device link and of its
+// switch uplink, plus its DRX: one unit per hop inline, else one shared
+// unit (and, under Standalone, both directions of the card's link).
+func occupancySlots(pl Placement, pipe *Pipeline) int {
+	if pl == AllCPU {
+		return 2
+	}
+	n := 2 + 3*len(pipe.Stages) + 2
+	if len(pipe.Hops) > 0 {
+		switch pl {
+		case BumpInTheWire:
+			n += len(pipe.Hops)
+		case Integrated, PCIeIntegrated:
+			n++
+		case Standalone:
+			n += 3
+		}
+	}
+	return n
 }
 
 // HostOpts parameterizes one replica materialized from a Plan.
@@ -575,25 +647,43 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 	accelLink := pcie.LinkConfig{Gen: cfg.Gen, Lanes: AccelLanes}
 	uplink := pcie.LinkConfig{Gen: cfg.Gen, Lanes: cfg.UplinkLanes}
 
+	s.drxServers = make([]*sim.Server, 0, p.nDRX)
 	integratedDRX := (*sim.Server)(nil)
 	if cfg.Placement == Integrated {
 		integratedDRX = sim.NewServerDisc(eng, pfx+"drx.integrated", 1, cfg.discipline())
 		s.drxServers = append(s.drxServers, integratedDRX)
 	}
 	var card, switchDRX *sim.Server
+	sw, cardDev := "", ""
+
+	// Every app's tables are windows of one array per kind, sized by the
+	// plan, so the replica's app state costs a fixed number of
+	// allocations however many apps it runs.
+	insts := make([]appInstance, len(p.pipes))
+	s.apps = make([]*appInstance, len(p.pipes))
+	devs := make([]string, p.stages)
+	accelSrv := make([]*sim.Server, p.stages)
+	accelSlot := make([]int, p.stages)
+	drxSrv := make([]*sim.Server, p.hops)
+	drxSlot := make([]int, p.hops)
+	hops := make([]hopRoute, p.hops)
+	occ := make([]sim.Duration, p.slots)
+	occNames := make([]string, p.slots)
+	queues := make([]QueuePair, p.queuePairs)
 
 	for i, pipe := range p.pipes {
 		pa := &p.apps[i]
-		a := &appInstance{id: i, pipe: pipe, hopDRX: pa.hopDRX}
+		a := &insts[i]
+		s.apps[i] = a
+		a.id, a.pipe, a.hopDRX = i, pipe, pa.hopDRX
+		a.occ = carve(&occ, pa.slots)[:0]
+		a.occNames = carve(&occNames, pa.slots)[:0]
 		a.slot(s.cpuCompute.Name()) // slotCPUCompute
 		a.slot(s.cpuMem.Name())     // slotCPUMem
 		a.rep.App = pipe.Name
-		a.track = fmt.Sprintf("%s%s#%d", pfx, pipe.Name, i)
-		sw := ""
-		if pa.sw != "" {
-			sw = pfx + pa.sw
-		}
+		a.track = pfx + pipe.Name + "#" + strconv.Itoa(i)
 		if pa.newSwitch {
+			sw = pfx + pa.sw
 			if err := s.Fabric.AddSwitch(sw, uplink); err != nil {
 				return nil, err
 			}
@@ -604,18 +694,22 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 		}
 
 		if cfg.Placement != AllCPU {
+			n, h := len(pipe.Stages), len(pipe.Hops)
+			a.accelDev, a.accelSrv, a.accelSlot = carve(&devs, n), carve(&accelSrv, n), carve(&accelSlot, n)
+			a.drxServer, a.drxSlot, a.hops = carve(&drxSrv, h), carve(&drxSlot, h), carve(&hops, h)
 			for k, st := range pipe.Stages {
-				dev := fmt.Sprintf("%sa%d.%d", pfx, i, k)
+				// The station is named dev:accel, and the device name is
+				// that string's prefix.
+				name := pfx + "a" + strconv.Itoa(i) + "." + strconv.Itoa(k) + ":" + st.Accel.Name
+				dev := name[:len(name)-len(st.Accel.Name)-1]
 				if err := s.Fabric.AddDevice(dev, sw, accelLink); err != nil {
 					return nil, err
 				}
-				a.accelDev = append(a.accelDev, dev)
-				a.accelSrv = append(a.accelSrv, sim.NewServerDisc(eng, dev+":"+st.Accel.Name, 1, cfg.discipline()))
+				a.accelDev[k] = dev
+				a.accelSrv[k] = sim.NewServerDisc(eng, name, 1, cfg.discipline())
 			}
 		}
 
-		a.drxServer = make([]*sim.Server, len(pipe.Hops))
-		cardDev := pfx + pa.cardDev
 		switch cfg.Placement {
 		case Integrated:
 			for k := range pipe.Hops {
@@ -623,6 +717,7 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 			}
 		case Standalone:
 			if pa.newCard {
+				cardDev = pfx + pa.cardDev
 				if err := s.Fabric.AddDevice(cardDev, sw, accelLink); err != nil {
 					return nil, err
 				}
@@ -645,7 +740,7 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 				s.drxServers = append(s.drxServers, unit)
 			}
 		}
-		if err := s.resolve(a, cardDev); err != nil {
+		if err := s.resolve(a, cardDev, &queues); err != nil {
 			return nil, err
 		}
 
@@ -656,65 +751,73 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 		a.maxBatch = pa.maxBatch
 		a.fusion = pa.fusion
 
-		// Preallocated window-expiry closure: arming the batch window in
-		// steady state reuses it instead of allocating per window.
-		a.flushFn = func() {
-			a.flushArmed = false
-			s.flush(a)
+		if cfg.BatchWindow > 0 {
+			// Preallocated window-expiry closure: arming the batch window
+			// in steady state reuses it instead of allocating per window.
+			a.flushFn = func() {
+				a.flushArmed = false
+				s.flush(a)
+			}
 		}
-
-		s.apps = append(s.apps, a)
 	}
 	return s, nil
+}
+
+// carve cuts the next n elements off the front of *slab. The window's
+// capacity ends at n, so an append past it copies out instead of
+// running into the next window.
+func carve[T any](slab *[]T, n int) []T {
+	w := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return w
 }
 
 // resolve fixes every per-request constant of app a once: its station
 // occupancy slots, its fabric legs (input, output, and each hop's legs
 // under the placement plus the CPU-fallback pair), and, under
-// bump-in-the-wire, each hop's data queues. cardDev is the app's
-// standalone DRX card.
-func (s *System) resolve(a *appInstance, cardDev string) error {
+// bump-in-the-wire, each hop's data queues, carved from *queues.
+// cardDev is the app's standalone DRX card.
+func (s *System) resolve(a *appInstance, cardDev string, queues *[]QueuePair) error {
 	if s.cfg.Placement == AllCPU {
 		return nil
 	}
 	fabric := s.Fabric
-	route := func(from, to string) (*leg, error) {
+	route := func(l *leg, from, to string) error {
 		rt, err := fabric.Route(from, to)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return a.newLeg(rt, from, to), nil
+		*l = a.newLeg(rt, from, to)
+		return nil
 	}
-	for _, srv := range a.accelSrv {
-		a.accelSlot = append(a.accelSlot, a.slot(srv.Name()))
+	for k, srv := range a.accelSrv {
+		a.accelSlot[k] = a.slot(srv.Name())
 	}
-	var err error
-	if a.input, err = route(pcie.Root, a.accelDev[0]); err != nil {
+	if err := route(&a.input, pcie.Root, a.accelDev[0]); err != nil {
 		return err
 	}
-	if a.output, err = route(a.accelDev[len(a.accelDev)-1], pcie.Root); err != nil {
+	if err := route(&a.output, a.accelDev[len(a.accelDev)-1], pcie.Root); err != nil {
 		return err
 	}
-	a.hops = make([]hopRoute, len(a.pipe.Hops))
 	for k := range a.hops {
 		h := &a.hops[k]
 		from, to := a.accelDev[k], a.accelDev[k+1]
-		if h.toHost, err = route(from, pcie.Root); err != nil {
+		if err := route(&h.toHost, from, pcie.Root); err != nil {
 			return err
 		}
-		if h.fromHost, err = route(pcie.Root, to); err != nil {
+		if err := route(&h.fromHost, pcie.Root, to); err != nil {
 			return err
 		}
 		unit := a.drxServer[k]
 		if unit != nil {
-			a.drxSlot = append(a.drxSlot, a.slot(unit.Name()))
+			a.drxSlot[k] = a.slot(unit.Name())
 		}
 		switch s.cfg.Placement {
 		case Standalone:
-			if h.in, err = route(from, cardDev); err != nil {
+			if err := route(&h.in, from, cardDev); err != nil {
 				return err
 			}
-			if h.out, err = route(cardDev, to); err != nil {
+			if err := route(&h.out, cardDev, to); err != nil {
 				return err
 			}
 		case PCIeIntegrated:
@@ -729,7 +832,7 @@ func (s *System) resolve(a *appInstance, cardDev string) error {
 			h.in = a.newLeg(up, from, unit.Name())
 			h.out = a.newLeg(down, unit.Name(), to)
 		case BumpInTheWire:
-			if h.out, err = route(from, to); err != nil {
+			if err := route(&h.out, from, to); err != nil {
 				return err
 			}
 			// Stage k's output lands in DRX_k's RX queue for the
@@ -737,18 +840,16 @@ func (s *System) resolve(a *appInstance, cardDev string) error {
 			// TX queue (step ⑦), and the TX entry releases when the P2P
 			// DMA to the peer completes (step ⑩). Each DRX statically
 			// partitions its queue memory across the chain's peers
-			// (Sec. V).
+			// (Sec. V); a hop only ever uses its pair toward the peer.
 			qs, err := NewQueueSet(unit.Name(), a.accelDev)
 			if err != nil {
 				return err
 			}
-			s.queueSets = append(s.queueSets, qs)
-			if h.rx, err = qs.RX(to); err != nil {
+			qp := &carve(queues, 1)[0]
+			if err := qs.Pair(to, qp); err != nil {
 				return err
 			}
-			if h.tx, err = qs.TX(to); err != nil {
-				return err
-			}
+			h.rx, h.tx = &qp.RX, &qp.TX
 		}
 	}
 	return nil

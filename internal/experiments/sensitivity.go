@@ -28,16 +28,18 @@ type fig16Cell struct {
 }
 
 // Fig16 runs the three-kernel pipeline across the concurrency sweep,
-// one concurrency point per sweep worker.
+// one concurrency point per sweep worker. Every cell runs copies of one
+// benchmark, as homogeneousRun does, so each plan validates and times
+// the pipeline once.
 func Fig16() (*Fig16Result, error) {
+	pirner, err := workload.PIRWithNER(workload.PaperScale)
+	if err != nil {
+		return nil, err
+	}
 	cells, err := sweep.Map(Concurrencies, func(_ int, n int) (fig16Cell, error) {
 		benches := make([]*workload.Benchmark, n)
 		for i := range benches {
-			b, err := workload.PIRWithNER(workload.PaperScale)
-			if err != nil {
-				return fig16Cell{}, err
-			}
-			benches[i] = b
+			benches[i] = pirner
 		}
 		base, err := runSystem(dmxsys.MultiAxl, benches)
 		if err != nil {

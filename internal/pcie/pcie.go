@@ -77,10 +77,20 @@ const (
 const Root = "cpu"
 
 // linkPair is one full-duplex link: up carries traffic toward the root,
-// down away from it.
+// down away from it. Both channels live in the pair, so a device or
+// switch is one allocation.
 type linkPair struct {
-	up   *sim.Channel
-	down *sim.Channel
+	up   sim.Channel
+	down sim.Channel
+}
+
+// init sets up the pair as name.up and name.down; one string backs both
+// channel names.
+func (p *linkPair) init(eng *sim.Engine, name string, lc LinkConfig) {
+	names := name + ".up" + name + ".down"
+	cut := len(name) + len(".up")
+	p.up.Init(eng, names[:cut], lc.Bandwidth())
+	p.down.Init(eng, names[cut:], lc.Bandwidth())
 }
 
 type device struct {
@@ -132,13 +142,9 @@ func (f *Fabric) AddSwitch(name string, uplink LinkConfig) error {
 	if _, dup := f.switches[name]; dup {
 		return fmt.Errorf("pcie: duplicate switch %q", name)
 	}
-	f.switches[name] = &swtch{
-		name: name,
-		uplink: linkPair{
-			up:   sim.NewChannel(f.eng, name+".up", uplink.Bandwidth()),
-			down: sim.NewChannel(f.eng, name+".down", uplink.Bandwidth()),
-		},
-	}
+	sw := &swtch{name: name}
+	sw.uplink.init(f.eng, name, uplink)
+	f.switches[name] = sw
 	return nil
 }
 
@@ -153,14 +159,9 @@ func (f *Fabric) AddDevice(name, sw string, link LinkConfig) error {
 	if _, dup := f.devices[name]; dup {
 		return fmt.Errorf("pcie: duplicate device %q", name)
 	}
-	f.devices[name] = &device{
-		name: name,
-		sw:   sw,
-		link: linkPair{
-			up:   sim.NewChannel(f.eng, name+".up", link.Bandwidth()),
-			down: sim.NewChannel(f.eng, name+".down", link.Bandwidth()),
-		},
-	}
+	d := &device{name: name, sw: sw}
+	d.link.init(f.eng, name, link)
+	f.devices[name] = d
 	f.order = append(f.order, name)
 	return nil
 }
@@ -177,24 +178,29 @@ func (f *Fabric) SwitchOf(name string) (string, bool) {
 // Devices lists device names in insertion order.
 func (f *Fabric) Devices() []string { return append([]string(nil), f.order...) }
 
+// MaxLinks is the most links a route crosses: device → switch → root
+// complex → switch → device.
+const MaxLinks = 4
+
 // Route is a resolved transfer path between two endpoints: the
-// channels a DMA occupies, in path order, the path's fixed hop latency,
-// and each channel's LinkInfo. Resolving it once and reusing it through
-// TransferRoute keeps name lookups and path building off the
-// per-transfer path.
+// channels a DMA occupies, in path order, and the path's fixed hop
+// latency. Resolving it once and reusing it through TransferRoute keeps
+// name lookups and path building off the per-transfer path.
 type Route struct {
-	path  []*sim.Channel
-	lat   sim.Duration
-	links []LinkInfo
+	// hops[:n] is the path.
+	hops [MaxLinks]*sim.Channel
+	n    int
+	lat  sim.Duration
 }
 
 func newRoute(lat sim.Duration, path ...*sim.Channel) *Route {
-	links := make([]LinkInfo, len(path))
-	for i, ch := range path {
-		links[i] = LinkInfo{Name: ch.Name(), Bandwidth: ch.Capacity()}
-	}
-	return &Route{path: path, lat: lat, links: links}
+	rt := &Route{n: len(path), lat: lat}
+	copy(rt.hops[:], path)
+	return rt
 }
+
+// path is the route's channels in path order.
+func (rt *Route) path() []*sim.Channel { return rt.hops[:rt.n] }
 
 // Route resolves the path of a Transfer between endpoints (device names
 // or Root).
@@ -208,7 +214,7 @@ func (f *Fabric) Route(from, to string) (*Route, error) {
 			return nil, fmt.Errorf("pcie: unknown device %q", to)
 		}
 		sw := f.switches[d.sw]
-		return newRoute(SwitchPortLatency+RootComplexLatency, sw.uplink.down, d.link.down), nil
+		return newRoute(SwitchPortLatency+RootComplexLatency, &sw.uplink.down, &d.link.down), nil
 	}
 	if to == Root {
 		d, ok := f.devices[from]
@@ -216,7 +222,7 @@ func (f *Fabric) Route(from, to string) (*Route, error) {
 			return nil, fmt.Errorf("pcie: unknown device %q", from)
 		}
 		sw := f.switches[d.sw]
-		return newRoute(SwitchPortLatency+RootComplexLatency, d.link.up, sw.uplink.up), nil
+		return newRoute(SwitchPortLatency+RootComplexLatency, &d.link.up, &sw.uplink.up), nil
 	}
 	src, ok := f.devices[from]
 	if !ok {
@@ -229,11 +235,11 @@ func (f *Fabric) Route(from, to string) (*Route, error) {
 	if src.sw == dst.sw {
 		// Peer-to-peer under one switch: traffic multiplexes through the
 		// switch without touching the upstream port.
-		return newRoute(SwitchPortLatency, src.link.up, dst.link.down), nil
+		return newRoute(SwitchPortLatency, &src.link.up, &dst.link.down), nil
 	}
 	s1, s2 := f.switches[src.sw], f.switches[dst.sw]
 	return newRoute(2*SwitchPortLatency+RootComplexLatency,
-		src.link.up, s1.uplink.up, s2.uplink.down, dst.link.down), nil
+		&src.link.up, &s1.uplink.up, &s2.uplink.down, &dst.link.down), nil
 }
 
 // UpRoute resolves the path from a device into its switch: the
@@ -244,7 +250,7 @@ func (f *Fabric) UpRoute(dev string) (*Route, error) {
 	if !ok {
 		return nil, fmt.Errorf("pcie: unknown device %q", dev)
 	}
-	return newRoute(SwitchPortLatency, d.link.up), nil
+	return newRoute(SwitchPortLatency, &d.link.up), nil
 }
 
 // DownRoute resolves the path from a device's switch to the device:
@@ -254,7 +260,7 @@ func (f *Fabric) DownRoute(dev string) (*Route, error) {
 	if !ok {
 		return nil, fmt.Errorf("pcie: unknown device %q", dev)
 	}
-	return newRoute(SwitchPortLatency, d.link.down), nil
+	return newRoute(SwitchPortLatency, &d.link.down), nil
 }
 
 // LinkInfo identifies one channel on a transfer path for capacity
@@ -264,11 +270,16 @@ type LinkInfo struct {
 	Bandwidth float64
 }
 
-// Links reports the channels the route occupies, in path order. The
-// slice is a copy: occupancy accounting uses it to charge a payload's
-// serialization time against every link it crosses, and mutating it
-// never reaches the route.
-func (rt *Route) Links() []LinkInfo { return append([]LinkInfo(nil), rt.links...) }
+// Len reports how many links the route crosses.
+func (rt *Route) Len() int { return rt.n }
+
+// Link describes the route's i-th link in path order: occupancy
+// accounting charges a payload's serialization time against every link
+// a route crosses.
+func (rt *Route) Link(i int) LinkInfo {
+	ch := rt.path()[i]
+	return LinkInfo{Name: ch.Name(), Bandwidth: ch.Capacity()}
+}
 
 // Transfer starts a DMA of n bytes between endpoints (device names or
 // Root) and calls done when the last byte arrives. It resolves the route
@@ -291,7 +302,7 @@ func (f *Fabric) TransferRoute(rt *Route, n int64, done func()) error {
 	if f.faults == nil {
 		// Healthy fast path: no fault queries — bit-for-bit the
 		// historical behavior.
-		for _, ch := range rt.path {
+		for _, ch := range rt.path() {
 			ch.Start(n, c.fire)
 		}
 		return nil
@@ -304,7 +315,7 @@ func (f *Fabric) TransferRoute(rt *Route, n int64, done func()) error {
 	// in path order, and the loads wait on the record.
 	now := f.eng.Now()
 	c.loads = c.loads[:0]
-	for _, ch := range rt.path {
+	for _, ch := range rt.path() {
 		load, err := f.linkLoad(ch, n, now)
 		if err != nil {
 			f.recycle(c)
@@ -312,7 +323,7 @@ func (f *Fabric) TransferRoute(rt *Route, n int64, done func()) error {
 		}
 		c.loads = append(c.loads, load)
 	}
-	for i, ch := range rt.path {
+	for i, ch := range rt.path() {
 		ch.Start(c.loads[i], c.fire)
 	}
 	return nil
@@ -341,7 +352,7 @@ func (f *Fabric) completion(rt *Route, done func()) *completion {
 		c = &completion{f: f}
 		c.fire = c.linkDone
 	}
-	c.remaining, c.lat, c.done = len(rt.path), rt.lat, done
+	c.remaining, c.lat, c.done = rt.n, rt.lat, done
 	return c
 }
 
@@ -378,51 +389,15 @@ func (f *Fabric) linkLoad(ch *sim.Channel, n int64, now sim.Time) (int64, error)
 	return n, nil
 }
 
-// LinkStats reports a channel's lifetime accounting for the energy model
-// and utilization reports.
-type LinkStats struct {
-	Name     string
-	Bytes    int64
-	BusyTime sim.Duration
-	Capacity float64
-}
-
-// Stats enumerates all links (device and switch, both directions) in a
-// deterministic order.
-func (f *Fabric) Stats() []LinkStats {
-	var out []LinkStats
-	addPair := func(p linkPair) {
-		for _, ch := range []*sim.Channel{p.up, p.down} {
-			out = append(out, LinkStats{
-				Name:     ch.Name(),
-				Bytes:    ch.TotalBytes,
-				BusyTime: ch.BusyTime,
-				Capacity: ch.Capacity(),
-			})
-		}
-	}
-	// Switches first (sorted by insertion through devices is not enough;
-	// collect names deterministically).
-	seen := make(map[string]bool)
-	for _, dn := range f.order {
-		sw := f.devices[dn].sw
-		if !seen[sw] {
-			seen[sw] = true
-			addPair(f.switches[sw].uplink)
-		}
-	}
-	for _, dn := range f.order {
-		addPair(f.devices[dn].link)
-	}
-	return out
-}
-
 // TotalBytes sums traffic across all links — the fabric-wide data
 // movement the energy model charges per byte.
 func (f *Fabric) TotalBytes() int64 {
 	var n int64
-	for _, s := range f.Stats() {
-		n += s.Bytes
+	for _, sw := range f.switches {
+		n += sw.uplink.up.TotalBytes + sw.uplink.down.TotalBytes
+	}
+	for _, d := range f.devices {
+		n += d.link.up.TotalBytes + d.link.down.TotalBytes
 	}
 	return n
 }

@@ -33,6 +33,12 @@ type Channel struct {
 	free []*transfer
 	// finished is scratch for complete(), reused across calls.
 	finished []*transfer
+	// one backs the first transfer record, and the three one-element
+	// arrays back active, free and finished until a second transfer
+	// overlaps: a channel that carries one transfer at a time, as most
+	// device links do, never allocates.
+	one                         transfer
+	oneActive, oneFree, oneDone [1]*transfer
 
 	// TotalBytes accumulates every byte the channel has carried; the
 	// energy model charges transfer energy against it.
@@ -44,16 +50,21 @@ type Channel struct {
 
 // NewChannel creates a channel with the given capacity in bytes/second.
 func NewChannel(eng *Engine, name string, bytesPerSec float64) *Channel {
+	return new(Channel).Init(eng, name, bytesPerSec)
+}
+
+// Init sets up a zero Channel in place and returns it: NewChannel for a
+// channel embedded in a larger struct, so a full-duplex link costs one
+// allocation rather than one per direction.
+func (c *Channel) Init(eng *Engine, name string, bytesPerSec float64) *Channel {
 	if bytesPerSec <= 0 {
 		panic("sim: channel capacity must be positive")
 	}
-	c := &Channel{
-		eng:         eng,
-		name:        name,
-		bytesPerSec: bytesPerSec,
-		lastUpdate:  eng.Now(),
-	}
+	c.eng, c.name, c.bytesPerSec = eng, name, bytesPerSec
+	c.lastUpdate = eng.Now()
 	c.completeFn = c.complete
+	c.active, c.finished = c.oneActive[:0], c.oneDone[:0]
+	c.free = append(c.oneFree[:0], &c.one)
 	return c
 }
 

@@ -370,9 +370,6 @@ func TestServerDiscPriorityReordersBacklog(t *testing.T) {
 			t.Fatalf("completion order = %v, want %v", order, want)
 		}
 	}
-	if s.MaxQueue != 3 {
-		t.Errorf("MaxQueue = %d, want 3", s.MaxQueue)
-	}
 }
 
 func TestServerWaitTimeAccountsQueueing(t *testing.T) {

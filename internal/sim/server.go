@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"dmx/internal/obs"
 )
@@ -12,12 +13,11 @@ import (
 // precomputed service time; if all slots are busy the job waits under
 // the server's Discipline (FIFO by default, in arrival order).
 type Server struct {
-	eng   *Engine
-	name  string
-	slots int
-	busy  int
-	disc  Discipline
-	seq   uint64 // submission order, the disciplines' deterministic tie-break
+	eng  *Engine
+	name string
+	busy int
+	disc Discipline
+	seq  uint64 // submission order, the disciplines' deterministic tie-break
 
 	// Jobs counts completed jobs; BusyTime integrates slot-seconds of
 	// service; WaitTime integrates queueing delay across jobs.
@@ -25,54 +25,64 @@ type Server struct {
 	BusyTime Duration
 	WaitTime Duration
 
-	// MaxQueue records the deepest backlog ever reached.
-	MaxQueue int
+	// slots holds each slot's state; free is the top of the stack of
+	// idle slots (lowest on top initially, -1 when every slot is busy),
+	// linked through slotState.below, so slot assignment is
+	// deterministic.
+	slots []slotState
+	free  int
 
-	// Per-slot state. tracks holds one trace-track name per slot so
-	// that concurrent jobs on a multi-slot server never overlap on a
-	// single track; job/begin are the slot's in-service job and its
-	// start time; fire holds one preallocated completion closure per
-	// slot so the steady-state submit/serve/complete cycle never
-	// allocates. free is a preallocated stack of idle slot indices
-	// (lowest on top), so slot assignment is deterministic.
-	tracks []string
-	job    []Job
-	begin  []Time
-	fire   []func()
-	free   []int
+	// one backs slots for a one-slot server and fifo is the default
+	// discipline: held inline, they make building the common station
+	// (every accelerator, most DRX units) a single allocation plus its
+	// completion closure.
+	one  [1]slotState
+	fifo FIFO
+}
+
+// slotState is one service slot: its trace track (one per slot, so
+// concurrent jobs on a multi-slot server never overlap on one track),
+// its in-service job and that job's start time, its preallocated
+// completion closure (so the steady-state submit/serve/complete cycle
+// never allocates), and the idle slot below it on the free stack.
+type slotState struct {
+	track string
+	job   Job
+	begin Time
+	fire  func()
+	below int
 }
 
 // NewServer creates a FIFO server with the given number of service
 // slots.
 func NewServer(eng *Engine, name string, slots int) *Server {
-	return NewServerDisc(eng, name, slots, NewFIFO())
+	return NewServerDisc(eng, name, slots, nil)
 }
 
 // NewServerDisc creates a server whose waiting jobs are ordered by the
-// given discipline.
+// given discipline (nil is FIFO).
 func NewServerDisc(eng *Engine, name string, slots int, d Discipline) *Server {
 	if slots <= 0 {
 		panic(fmt.Sprintf("sim: server %q needs at least one slot", name))
 	}
+	s := &Server{eng: eng, name: name, disc: d}
 	if d == nil {
-		d = NewFIFO()
+		s.disc = &s.fifo
 	}
-	s := &Server{eng: eng, name: name, slots: slots, disc: d}
-	s.tracks = make([]string, slots)
-	s.job = make([]Job, slots)
-	s.begin = make([]Time, slots)
-	s.fire = make([]func(), slots)
-	s.free = make([]int, slots)
-	for i := 0; i < slots; i++ {
-		if slots == 1 {
-			s.tracks[i] = name
-		} else {
-			s.tracks[i] = fmt.Sprintf("%s/%d", name, i)
+	s.slots = s.one[:]
+	if slots > 1 {
+		s.slots = make([]slotState, slots)
+	}
+	for i := range s.slots {
+		sl := &s.slots[i]
+		sl.track = name
+		if slots > 1 {
+			sl.track = name + "/" + strconv.Itoa(i)
 		}
-		i := i
-		s.fire[i] = func() { s.complete(i) }
-		s.free[i] = slots - 1 - i
+		sl.fire = func() { s.complete(i) }
+		sl.below = i + 1
 	}
+	s.slots[slots-1].below = -1
 	return s
 }
 
@@ -80,7 +90,7 @@ func NewServerDisc(eng *Engine, name string, slots int, d Discipline) *Server {
 func (s *Server) Name() string { return s.name }
 
 // Slots reports the number of service slots.
-func (s *Server) Slots() int { return s.slots }
+func (s *Server) Slots() int { return len(s.slots) }
 
 // Busy reports the number of slots currently serving a job.
 func (s *Server) Busy() int { return s.busy }
@@ -96,20 +106,7 @@ func (s *Server) Submit(service Duration, done func()) {
 // by; FIFO ignores it) with a per-job scheduling key (what the Keyed
 // disciplines order by; FIFO and WRR ignore it).
 func (s *Server) SubmitKeyed(class int, key int64, service Duration, done func()) {
-	if service < 0 {
-		panic(fmt.Sprintf("sim: negative service time %v", service))
-	}
-	j := Job{Class: class, Key: key, Service: service, done: done, enqueued: s.eng.Now(), seq: s.seq}
-	s.seq++
-	if s.busy < s.slots {
-		s.start(j)
-		return
-	}
-	s.disc.Push(j)
-	if n := s.disc.Len(); n > s.MaxQueue {
-		s.MaxQueue = n
-	}
-	s.sampleQueue()
+	s.enqueue(Job{Class: class, Key: key, Service: service, done: done})
 }
 
 // SubmitKeyedHold enqueues a job like SubmitKeyed, but when the job
@@ -123,19 +120,22 @@ func (s *Server) SubmitKeyed(class int, key int64, service Duration, done func()
 // segments occupies the slot but accrues no BusyTime (the unit is
 // resident, not executing).
 func (s *Server) SubmitKeyedHold(class int, key int64, service Duration, done func(*Hold)) {
-	if service < 0 {
-		panic(fmt.Sprintf("sim: negative service time %v", service))
+	s.enqueue(Job{Class: class, Key: key, Service: service, holdDone: done})
+}
+
+// enqueue stamps a submitted job with its arrival time and submission
+// order, then starts it on a free slot or parks it in the discipline.
+func (s *Server) enqueue(j Job) {
+	if j.Service < 0 {
+		panic(fmt.Sprintf("sim: negative service time %v", j.Service))
 	}
-	j := Job{Class: class, Key: key, Service: service, holdDone: done, enqueued: s.eng.Now(), seq: s.seq}
+	j.enqueued, j.seq = s.eng.Now(), s.seq
 	s.seq++
-	if s.busy < s.slots {
+	if s.busy < len(s.slots) {
 		s.start(j)
 		return
 	}
 	s.disc.Push(j)
-	if n := s.disc.Len(); n > s.MaxQueue {
-		s.MaxQueue = n
-	}
 	s.sampleQueue()
 }
 
@@ -163,9 +163,9 @@ func (h *Hold) Resume(service Duration, done func()) {
 	s := h.s
 	j := Job{Service: service, done: done, enqueued: s.eng.Now(), seq: s.seq}
 	s.seq++
-	s.job[h.slot] = j
-	s.begin[h.slot] = s.eng.Now()
-	s.eng.Schedule(service, s.fire[h.slot])
+	sl := &s.slots[h.slot]
+	sl.job, sl.begin = j, s.eng.Now()
+	s.eng.Schedule(service, sl.fire)
 }
 
 // Release frees the held slot without further service, pulling the next
@@ -177,7 +177,7 @@ func (h *Hold) Release() {
 	h.live = false
 	s := h.s
 	s.busy--
-	s.free = append(s.free, h.slot)
+	s.push(h.slot)
 	if next, ok := s.disc.Pop(); ok {
 		s.sampleQueue()
 		s.start(next)
@@ -193,24 +193,30 @@ func (s *Server) sampleQueue() {
 func (s *Server) start(j Job) {
 	s.busy++
 	s.WaitTime += s.eng.Now().Sub(j.enqueued)
-	slot := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
-	s.job[slot] = j
-	s.begin[slot] = s.eng.Now()
-	s.eng.Schedule(j.Service, s.fire[slot])
+	sl := &s.slots[s.free]
+	s.free = sl.below
+	sl.job, sl.begin = j, s.eng.Now()
+	s.eng.Schedule(j.Service, sl.fire)
+}
+
+// push returns an idle slot to the top of the free stack.
+func (s *Server) push(slot int) {
+	s.slots[slot].below = s.free
+	s.free = slot
 }
 
 // complete retires slot's in-service job: free the slot, pull the next
 // queued job into service, then run the completion callback.
 func (s *Server) complete(slot int) {
-	j := s.job[slot]
-	s.job[slot] = Job{} // release the done closure
+	sl := &s.slots[slot]
+	j := sl.job
+	sl.job = Job{} // release the done closure
 	s.Jobs++
 	s.BusyTime += j.Service
 	// Occupancy span: one job in service on this slot's track.
 	// The nil-recorder path is a single branch (no allocation).
-	s.eng.Obs.Span(obs.Time(s.begin[slot]), obs.Duration(j.Service),
-		obs.TypeService, obs.PhaseNone, 0, s.tracks[slot], "", s.name, 0)
+	s.eng.Obs.Span(obs.Time(sl.begin), obs.Duration(j.Service),
+		obs.TypeService, obs.PhaseNone, 0, sl.track, "", s.name, 0)
 	if j.holdDone != nil {
 		// The job asked to retain its slot: hand the caller the tenancy
 		// instead of freeing it. No queue pop — the slot is still busy.
@@ -218,7 +224,7 @@ func (s *Server) complete(slot int) {
 		return
 	}
 	s.busy--
-	s.free = append(s.free, slot)
+	s.push(slot)
 	// Release the slot before the callback so that work triggered by
 	// the completion can enter service at the same instant.
 	if next, ok := s.disc.Pop(); ok {
