@@ -71,11 +71,14 @@ func BenchmarkFig12(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if s, ok := res.Share("Multi-Axl", 15); ok {
-		b.ReportMetric(100*s, "baselineRestructPct@15apps")
-	}
-	if s, ok := res.Share("Bump-in-the-Wire", 15); ok {
-		b.ReportMetric(100*s, "dmxRestructPct@15apps")
+	for _, row := range res.Rows {
+		switch {
+		case row.Apps != 15:
+		case row.Config == "Multi-Axl":
+			b.ReportMetric(100*row.RestructShare, "baselineRestructPct@15apps")
+		case row.Config == "Bump-in-the-Wire":
+			b.ReportMetric(100*row.RestructShare, "dmxRestructPct@15apps")
+		}
 	}
 }
 

@@ -56,11 +56,7 @@ func NewGzipDecompress(outBytes int) *Spec {
 // Outputs: "joined" int32[n] (matched inner value or -1), "hits" int32[1],
 // "sum" int64[1] (aggregate of matching rows' amounts).
 func NewHashJoin(n, payBytes, innerRows int, keySpace int32, seed int64) *Spec {
-	rng := rand.New(rand.NewSource(seed))
-	inner := make(map[int32]int32, innerRows)
-	for len(inner) < innerRows {
-		inner[rng.Int31n(keySpace)] = rng.Int31()
-	}
+	inner := innerTable(innerRows, keySpace, seed)
 	return &Spec{
 		Name:           "hash-join",
 		ThroughputBPS:  2.5e9,
@@ -111,9 +107,8 @@ func NewHashJoin(n, payBytes, innerRows int, keySpace int32, seed int64) *Spec {
 	}
 }
 
-// InnerTable exposes the build side for test oracles: it regenerates the
-// same seeded table NewHashJoin builds.
-func InnerTable(innerRows int, keySpace int32, seed int64) map[int32]int32 {
+// innerTable draws NewHashJoin's seeded build side.
+func innerTable(innerRows int, keySpace int32, seed int64) map[int32]int32 {
 	rng := rand.New(rand.NewSource(seed))
 	inner := make(map[int32]int32, innerRows)
 	for len(inner) < innerRows {

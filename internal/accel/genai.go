@@ -110,8 +110,7 @@ func NewVectorSearch(nq, dim, corpus int, seed int64) *Spec {
 	}
 }
 
-// corpusVectors regenerates the seeded int8 corpus; exported via
-// CorpusVector for test oracles and needle-planting.
+// corpusVectors draws the seeded int8 corpus NewVectorSearch scans.
 func corpusVectors(corpus, dim int, seed int64) [][]int8 {
 	rng := rand.New(rand.NewSource(seed))
 	db := make([][]int8, corpus)
@@ -122,10 +121,4 @@ func corpusVectors(corpus, dim int, seed int64) [][]int8 {
 		}
 	}
 	return db
-}
-
-// CorpusVector returns corpus vector c of the seeded database
-// NewVectorSearch(..., corpus, seed) scans.
-func CorpusVector(corpus, dim int, seed int64, c int) []int8 {
-	return corpusVectors(corpus, dim, seed)[c]
 }

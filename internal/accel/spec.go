@@ -2,7 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"math"
 
 	"dmx/internal/sim"
 	"dmx/internal/tensor"
@@ -38,27 +37,9 @@ func (s *Spec) CPULatency(batchBytes int64) sim.Duration {
 	return sim.Duration(float64(s.Latency(batchBytes)) * s.Speedup)
 }
 
-// Energy charges the accelerator's power over a runtime.
-func (s *Spec) Energy(d sim.Duration) float64 {
-	return s.PowerW * d.Seconds()
-}
-
 func (s *Spec) String() string {
 	return fmt.Sprintf("%s (%.1f GB/s, %.1fx vs CPU, %.0f W)",
 		s.Name, s.ThroughputBPS/1e9, s.Speedup, s.PowerW)
-}
-
-// GeomeanSpeedup reports the geometric-mean speedup over a set of specs
-// (the paper's 6.5× headline for its accelerator pool).
-func GeomeanSpeedup(specs []*Spec) float64 {
-	if len(specs) == 0 {
-		return 0
-	}
-	var acc float64
-	for _, s := range specs {
-		acc += math.Log(s.Speedup)
-	}
-	return math.Exp(acc / float64(len(specs)))
 }
 
 // missing reports a friendly error for an absent kernel input.

@@ -146,9 +146,6 @@ func New(cfg FleetConfig, pipelines []*dmxsys.Pipeline) (*Fleet, error) {
 	return f, nil
 }
 
-// Hosts reports the replica count.
-func (f *Fleet) Hosts() int { return len(f.hosts) }
-
 // Routed reports, per host and per app, how many requests the router
 // delivered (populated by Run).
 func (f *Fleet) Routed() [][]int { return f.routed }

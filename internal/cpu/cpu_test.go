@@ -2,11 +2,8 @@ package cpu
 
 import (
 	"testing"
-	"testing/quick"
 
 	"dmx/internal/restructure"
-	"dmx/internal/sim"
-	"dmx/internal/tensor"
 )
 
 func benchKernels() []*restructure.Kernel {
@@ -16,84 +13,6 @@ func benchKernels() []*restructure.Kernel {
 		restructure.SignalNormalize(64, 4096),
 		restructure.RecordFrame(4096, 2048),
 		restructure.ColumnPack(1<<18, 6, 7, 24),
-	}
-}
-
-func TestKernelTimePositiveAndFinite(t *testing.T) {
-	m := DefaultModel()
-	for _, k := range benchKernels() {
-		d := m.KernelTime(k, m.Cores, m.MemBWBytes)
-		if d <= 0 {
-			t.Errorf("%s: non-positive time %v", k.Name, d)
-		}
-		if d > 10*sim.Second {
-			t.Errorf("%s: implausible time %v for one batch", k.Name, d)
-		}
-	}
-}
-
-func TestMoreCoresNeverSlower(t *testing.T) {
-	m := DefaultModel()
-	for _, k := range benchKernels() {
-		t1 := m.KernelTime(k, 1, m.MemBWBytes)
-		t4 := m.KernelTime(k, 4, m.MemBWBytes)
-		t16 := m.KernelTime(k, 16, m.MemBWBytes)
-		if t4 > t1 || t16 > t4 {
-			t.Errorf("%s: core scaling broken: 1→%v 4→%v 16→%v", k.Name, t1, t4, t16)
-		}
-	}
-}
-
-func TestBandwidthContentionSlowsJobs(t *testing.T) {
-	m := DefaultModel()
-	k := restructure.RecordFrame(4096, 2048) // memory-bound copy kernel
-	alone := m.BatchTime(k, 1)
-	crowded := m.BatchTime(k, 8)
-	if crowded <= alone {
-		t.Errorf("8-way contention (%v) not slower than solo (%v)", crowded, alone)
-	}
-	// A purely memory-bound kernel should degrade roughly linearly.
-	ratio := float64(crowded) / float64(alone)
-	if ratio < 3 || ratio > 16 {
-		t.Errorf("contention ratio %.1f outside plausible [3,16]", ratio)
-	}
-}
-
-func TestStageOverheadCharged(t *testing.T) {
-	m := DefaultModel()
-	k := restructure.RecordFrame(2, 4) // trivially small
-	d := m.KernelTime(k, 16, m.MemBWBytes)
-	if d < 2*m.StageOverhead {
-		t.Errorf("tiny kernel time %v below launch overhead of its 2 stages", d)
-	}
-}
-
-func TestNonStreamPenaltyApplied(t *testing.T) {
-	m := DefaultModel()
-	// Pure transpose (permutation traffic) vs pure reshape (streaming
-	// copy) of the same payload: the transpose must cost more.
-	tr := &restructure.Kernel{
-		Name: "tr",
-		Params: []restructure.Param{
-			{Name: "x", DType: tensor.Uint8, Shape: []int{2048, 2048}, Dir: restructure.In},
-			{Name: "y", DType: tensor.Uint8, Shape: []int{2048, 2048}, Dir: restructure.Out},
-		},
-		Stages: []restructure.Stage{
-			&restructure.TransposeStage{Out: "y", In: "x", Perm: []int{1, 0}},
-		},
-	}
-	rs := &restructure.Kernel{
-		Name: "rs",
-		Params: []restructure.Param{
-			{Name: "x", DType: tensor.Uint8, Shape: []int{2048, 2048}, Dir: restructure.In},
-			{Name: "y", DType: tensor.Uint8, Shape: []int{2048 * 2048}, Dir: restructure.Out},
-		},
-		Stages: []restructure.Stage{
-			&restructure.ReshapeStage{Out: "y", In: "x"},
-		},
-	}
-	if m.KernelTime(tr, 16, m.MemBWBytes) <= m.KernelTime(rs, 16, m.MemBWBytes) {
-		t.Error("transpose not penalized vs streaming copy")
 	}
 }
 
@@ -146,24 +65,6 @@ func TestVideoHasHighestBranchShares(t *testing.T) {
 	}
 	if video.FrontendPct <= sound.FrontendPct {
 		t.Errorf("video frontend %.1f%% not above sound %.1f%%", video.FrontendPct, sound.FrontendPct)
-	}
-}
-
-// Property: KernelTime is monotone in bandwidth share — more bandwidth
-// never increases the estimate.
-func TestKernelTimeMonotoneInBandwidth(t *testing.T) {
-	m := DefaultModel()
-	k := restructure.MelSpectrogram(64, 256, 32)
-	prop := func(a, b uint8) bool {
-		bw1 := 1e9 * float64(a%32+1)
-		bw2 := 1e9 * float64(b%32+1)
-		if bw1 > bw2 {
-			bw1, bw2 = bw2, bw1
-		}
-		return m.KernelTime(k, 8, bw2) <= m.KernelTime(k, 8, bw1)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
 	}
 }
 

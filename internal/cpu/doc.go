@@ -1,9 +1,10 @@
 // Package cpu models the host processor of the multi-accelerator server.
 //
-// Two roles. First, it is the cost model for data restructuring executed
-// on the host — the Multi-Axl baseline of the paper runs every
-// restructuring kernel on Xeon cores, and the gap between this model and
-// the DRX (internal/drx) is where DMX's speedup comes from. Second, it
+// Two roles. First, its constants price data restructuring executed on
+// the host — the Multi-Axl baseline of the paper runs every
+// restructuring kernel on Xeon cores (internal/dmxsys turns them into
+// the host's compute and memory channels), and the gap between this
+// model and the DRX (internal/drx) is where DMX's speedup comes from. Second, it
 // reproduces the Sec. IV-A characterization: a top-down stall breakdown
 // and MPKI profile of restructuring operations (Fig. 5), derived from the
 // same kernel statistics the cost model consumes.

@@ -1,10 +1,5 @@
 package cpu
 
-import (
-	"dmx/internal/restructure"
-	"dmx/internal/sim"
-)
-
 // Model holds the host CPU's calibration constants.
 type Model struct {
 	// Cores is the number of physical cores available to restructuring.
@@ -30,9 +25,6 @@ type Model struct {
 	// line, and the 130–140 ephemeral worker threads the math library
 	// spawns per operation.
 	ThrashFactor float64
-	// StageOverhead charges the software cost of launching one stage's
-	// parallel loop (the ephemeral MKL-style thread pool of Sec. IV-A).
-	StageOverhead sim.Duration
 }
 
 // DefaultModel returns the calibrated Xeon 8260L configuration.
@@ -45,55 +37,5 @@ func DefaultModel() *Model {
 		MemBWBytes:       60e9,
 		NonStreamPenalty: 3.0,
 		ThrashFactor:     7.0,
-		StageOverhead:    20 * sim.Microsecond,
 	}
-}
-
-// KernelTime estimates the wall time of one restructuring kernel instance
-// given the cores it may use and its share of memory bandwidth in
-// bytes/sec. Each stage is the max of its compute-bound and memory-bound
-// terms (they overlap on an out-of-order core), plus launch overhead.
-func (m *Model) KernelTime(k *restructure.Kernel, cores int, bwShare float64) sim.Duration {
-	if cores < 1 {
-		cores = 1
-	}
-	if cores > m.Cores {
-		cores = m.Cores
-	}
-	if bwShare <= 0 || bwShare > m.MemBWBytes {
-		bwShare = m.MemBWBytes
-	}
-	var total sim.Duration
-	for _, s := range k.Stages {
-		st := s.Stats(k)
-		total += m.stageTime(st, cores, bwShare) + m.StageOverhead
-	}
-	return total
-}
-
-func (m *Model) stageTime(st restructure.StageStats, cores int, bwShare float64) sim.Duration {
-	opsPerSec := float64(cores) * m.FreqHz * float64(m.SIMDLanes) * m.IssueEff
-	compute := float64(st.Ops) / opsPerSec
-	traffic := float64(st.BytesIn+st.BytesOut) * m.ThrashFactor
-	if !st.VectorFriendly {
-		traffic *= m.NonStreamPenalty
-	}
-	memory := traffic / bwShare
-	if memory > compute {
-		return sim.FromSeconds(memory)
-	}
-	return sim.FromSeconds(compute)
-}
-
-// BatchTime is KernelTime for the common single-kernel case with an even
-// bandwidth split across nJobs concurrent restructuring jobs.
-func (m *Model) BatchTime(k *restructure.Kernel, nJobs int) sim.Duration {
-	if nJobs < 1 {
-		nJobs = 1
-	}
-	cores := m.Cores / nJobs
-	if cores < 1 {
-		cores = 1
-	}
-	return m.KernelTime(k, cores, m.MemBWBytes/float64(nJobs))
 }

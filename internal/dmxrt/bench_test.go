@@ -170,64 +170,3 @@ func TestEnqueueRestructureCachedAllocs(t *testing.T) {
 			cached, baseline)
 	}
 }
-
-// TestEnqueueCopyContiguousAllocs pins the contiguous-copy fast path: a
-// large buffer copy must not materialize the source, so its allocation
-// count is a small constant independent of payload size.
-func TestEnqueueCopyContiguousAllocs(t *testing.T) {
-	p := NewPlatform()
-	dev, err := p.AddDRX(drx.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := p.NewContext()
-	q := ctx.Queue(dev)
-	src := ctx.CreateBuffer("src", tensor.New(tensor.Float32, 256, 1024)) // 1 MiB
-	dst := ctx.CreateEmptyBuffer("dst", tensor.Float32, 256, 1024)
-	allocs := testing.AllocsPerRun(20, func() {
-		ev := q.EnqueueCopy(dst, src)
-		if err := ev.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		ctx.pending = ctx.pending[:0]
-		q.last = nil
-	})
-	if allocs > 10 {
-		t.Errorf("contiguous EnqueueCopy allocates %.0f objects/op on a 1 MiB buffer, want <= 10 (no materialization)", allocs)
-	}
-}
-
-// TestEnqueueCopyStridedSource checks the slow branch still works: a
-// transposed (non-contiguous) source must be materialized, and the copy
-// must carry the logical element order, not the backing-store order.
-func TestEnqueueCopyStridedSource(t *testing.T) {
-	p := NewPlatform()
-	dev, err := p.AddDRX(drx.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := p.NewContext()
-	q := ctx.Queue(dev)
-	base := tensor.New(tensor.Float32, 3, 4)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 4; j++ {
-			base.Set(float64(10*i+j), i, j)
-		}
-	}
-	view := base.Transpose(1, 0) // 4x3, strided
-	if view.IsContiguous() {
-		t.Fatal("test premise broken: transpose view is contiguous")
-	}
-	src := ctx.CreateBuffer("src", view)
-	dst := ctx.CreateEmptyBuffer("dst", tensor.Float32, 4, 3)
-	if err := q.EnqueueCopy(dst, src).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 3; j++ {
-			if got, want := dst.Tensor().At(i, j), float64(10*j+i); got != want {
-				t.Fatalf("dst[%d,%d] = %v, want %v", i, j, got, want)
-			}
-		}
-	}
-}

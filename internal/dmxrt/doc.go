@@ -3,7 +3,7 @@
 // allocates buffers, and enqueues kernels and data restructuring on
 // per-device command queues. Commands execute in order within a queue;
 // events express cross-queue dependencies; execution is deferred until a
-// Flush/Finish/Wait, mirroring the non-blocking enqueue semantics the
+// Finish or Wait, mirroring the non-blocking enqueue semantics the
 // paper describes — so the control plane stays a plain CPU program while
 // the data plane runs on devices.
 //

@@ -6,7 +6,6 @@ import (
 	"dmx/internal/accel"
 	"dmx/internal/drx"
 	"dmx/internal/drxc"
-	"dmx/internal/obs"
 	"dmx/internal/restructure"
 	"dmx/internal/tensor"
 )
@@ -30,9 +29,6 @@ type Device struct {
 
 // Name reports the device's name.
 func (d *Device) Name() string { return d.name }
-
-// Kind reports the device's kind.
-func (d *Device) Kind() DeviceKind { return d.kind }
 
 // Platform enumerates devices, like PCIe enumeration does in the
 // paper's driver stack.
@@ -74,29 +70,13 @@ type Buffer struct {
 // Tensor exposes the buffer's current contents.
 func (b *Buffer) Tensor() *tensor.Tensor { return b.t }
 
-// commandTick is the logical-clock increment per executed command. The
-// runtime has no simulated time (timing lives in internal/dmxsys), so
-// its trace advances a logical clock: one microsecond of trace time per
-// command, which renders legibly in Perfetto while making clear the
-// spans order commands rather than measure them.
-const commandTick = obs.Duration(1_000_000) // 1 µs in picoseconds
-
 // Context owns buffers and queues for one application.
 type Context struct {
 	platform *Platform
 	buffers  []*Buffer
 	queues   []*CommandQueue
 	pending  []*Event // global submission order for deterministic execution
-	rec      *obs.Recorder
-	clock    obs.Time
 }
-
-// SetRecorder attaches a structured trace recorder. Every subsequently
-// executed command emits one TypeCommand span on its device's track,
-// stamped on the context's logical clock (see commandTick); enqueues
-// emit TypeCommand instants at the clock's current value. A nil
-// recorder (the default) records nothing and costs one branch.
-func (c *Context) SetRecorder(r *obs.Recorder) { c.rec = r }
 
 // NewContext creates an execution context on the platform.
 func (p *Platform) NewContext() *Context { return &Context{platform: p} }
@@ -123,20 +103,12 @@ func (c *Context) Queue(d *Device) *CommandQueue {
 // Event tracks one enqueued command. Wait forces execution of the
 // command and everything it depends on.
 type Event struct {
-	ctx  *Context
-	dev  *Device
 	desc string
 	deps []*Event
 	run  func() error
 	done bool
 	err  error
 }
-
-// Err reports the command's error after it has executed.
-func (e *Event) Err() error { return e.err }
-
-// Done reports whether the command has executed.
-func (e *Event) Done() bool { return e.done }
 
 // Wait executes the command (and, transitively, its dependencies) if it
 // has not run yet, returning its error. Waiting on an event is the
@@ -153,15 +125,9 @@ func (e *Event) Wait() error {
 		}
 	}
 	e.done = true
-	begin := e.ctx.clock
 	e.err = e.run()
 	if e.err != nil {
 		e.err = fmt.Errorf("dmxrt: %s: %w", e.desc, e.err)
-	}
-	if e.ctx.rec != nil && e.dev != nil {
-		e.ctx.clock += obs.Time(commandTick)
-		e.ctx.rec.Span(begin, commandTick, obs.TypeCommand, obs.PhaseNone, 0,
-			e.dev.name, "", e.desc, 0)
 	}
 	return e.err
 }
@@ -175,18 +141,14 @@ type CommandQueue struct {
 	last *Event
 }
 
-// Device reports the queue's device.
-func (q *CommandQueue) Device() *Device { return q.dev }
-
 func (q *CommandQueue) enqueue(desc string, deps []*Event, run func() error) *Event {
 	all := deps
 	if q.last != nil {
 		all = append(append([]*Event(nil), deps...), q.last)
 	}
-	ev := &Event{ctx: q.ctx, dev: q.dev, desc: desc, deps: all, run: run}
+	ev := &Event{desc: desc, deps: all, run: run}
 	q.last = ev
 	q.ctx.pending = append(q.ctx.pending, ev)
-	q.ctx.rec.Instant(q.ctx.clock, obs.TypeCommand, 0, q.dev.name, "", "", desc, 0)
 	return ev
 }
 
@@ -238,31 +200,6 @@ func (q *CommandQueue) EnqueueRestructure(k *restructure.Kernel,
 		}
 		return bindOutputs(out, outputs)
 	})
-}
-
-// EnqueueCopy schedules dst ← src (the explicit buffer transfer command
-// of the programming model). A contiguous source copies straight out of
-// its backing bytes; only strided views pay a materialization.
-func (q *CommandQueue) EnqueueCopy(dst, src *Buffer, deps ...*Event) *Event {
-	return q.enqueue(fmt.Sprintf("copy %s→%s", src.name, dst.name), deps, func() error {
-		if src.t.SizeBytes() != dst.t.SizeBytes() {
-			return fmt.Errorf("copy size mismatch: %d vs %d bytes", src.t.SizeBytes(), dst.t.SizeBytes())
-		}
-		s := src.t
-		if !s.IsContiguous() {
-			s = s.Contiguous()
-		}
-		copy(dst.t.Bytes(), s.Bytes())
-		return nil
-	})
-}
-
-// Finish executes every command enqueued on this queue (blocking mode).
-func (q *CommandQueue) Finish() error {
-	if q.last == nil {
-		return nil
-	}
-	return q.last.Wait()
 }
 
 // Finish executes every pending command in the context, in submission

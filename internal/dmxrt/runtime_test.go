@@ -63,14 +63,14 @@ func TestChainedPipelineThroughRuntime(t *testing.T) {
 		map[string]*Buffer{"labels": labels}, ev2)
 
 	// Nothing runs before the blocking wait (non-blocking enqueue).
-	if ev1.Done() || ev3.Done() {
+	if ev1.done || ev3.done {
 		t.Fatal("commands executed eagerly")
 	}
 	if err := ev3.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	// Dependencies executed transitively.
-	if !ev1.Done() || !ev2.Done() {
+	if !ev1.done || !ev2.done {
 		t.Error("dependencies did not execute")
 	}
 	for f := 0; f < d.frames; f++ {
@@ -124,9 +124,19 @@ func TestRuntimeMatchesDirectExecution(t *testing.T) {
 	}
 }
 
+// transpose24 turns a uint8 [2, 4] buffer into [4, 2].
+var transpose24 = &restructure.Kernel{
+	Name: "transpose24",
+	Params: []restructure.Param{
+		{Name: "x", DType: tensor.Uint8, Shape: []int{2, 4}, Dir: restructure.In},
+		{Name: "y", DType: tensor.Uint8, Shape: []int{4, 2}, Dir: restructure.Out},
+	},
+	Stages: []restructure.Stage{&restructure.TransposeStage{Out: "y", In: "x", Perm: []int{1, 0}}},
+}
+
 func TestInOrderQueueSemantics(t *testing.T) {
 	// Two commands on ONE queue with no explicit dependency still run in
-	// order: the copy sees the kernel's output.
+	// order: the transpose sees the framing kernel's output.
 	p := NewPlatform()
 	drxDev, err := p.AddDRX(drx.DefaultConfig())
 	if err != nil {
@@ -137,15 +147,16 @@ func TestInOrderQueueSemantics(t *testing.T) {
 
 	in := ctx.CreateBuffer("in", tensor.FromBytes([]byte{65, 66, 67, 68, 69, 70, 71, 72}, 8))
 	mid := ctx.CreateEmptyBuffer("mid", tensor.Uint8, 2, 4)
-	out := ctx.CreateEmptyBuffer("out", tensor.Uint8, 2, 4)
+	out := ctx.CreateEmptyBuffer("out", tensor.Uint8, 4, 2)
 	q.EnqueueRestructure(restructure.RecordFrame(2, 4),
 		map[string]*Buffer{"plain": in}, map[string]*Buffer{"records": mid})
-	last := q.EnqueueCopy(out, mid) // no explicit event: in-order dependency
+	last := q.EnqueueRestructure(transpose24, // no explicit event: in-order dependency
+		map[string]*Buffer{"x": mid}, map[string]*Buffer{"y": out})
 	if err := last.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if out.Tensor().At(1, 3) != 72 {
-		t.Errorf("copy observed stale buffer: %v", out.Tensor())
+	if out.Tensor().At(3, 1) != 72 {
+		t.Errorf("transpose observed stale buffer: %v", out.Tensor())
 	}
 }
 
@@ -183,27 +194,15 @@ func TestDependencyFailurePropagates(t *testing.T) {
 
 	// First command fails (missing input); the dependent must surface it.
 	bad := ctx.Queue(fftDev).EnqueueKernel(nil, nil)
-	buf := ctx.CreateEmptyBuffer("x", tensor.Uint8, 8)
-	dep := ctx.Queue(drxDev).EnqueueCopy(buf, buf, bad)
+	x := ctx.CreateEmptyBuffer("x", tensor.Uint8, 2, 4)
+	y := ctx.CreateEmptyBuffer("y", tensor.Uint8, 4, 2)
+	dep := ctx.Queue(drxDev).EnqueueRestructure(transpose24,
+		map[string]*Buffer{"x": x}, map[string]*Buffer{"y": y}, bad)
 	if err := dep.Wait(); err == nil || !strings.Contains(err.Error(), "dependency") {
 		t.Errorf("want dependency error, got %v", err)
 	}
 	if ctx.Finish() == nil {
 		t.Error("context Finish swallowed the failure")
-	}
-}
-
-func TestCopySizeMismatch(t *testing.T) {
-	p := NewPlatform()
-	drxDev, err := p.AddDRX(drx.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := p.NewContext()
-	a := ctx.CreateEmptyBuffer("a", tensor.Uint8, 8)
-	b := ctx.CreateEmptyBuffer("b", tensor.Uint8, 4)
-	if err := ctx.Queue(drxDev).EnqueueCopy(a, b).Wait(); err == nil {
-		t.Error("mismatched copy accepted")
 	}
 }
 
@@ -218,7 +217,7 @@ func TestPlatformEnumeration(t *testing.T) {
 	if len(devs) != 2 {
 		t.Fatalf("%d devices", len(devs))
 	}
-	if devs[0].Kind() != AcceleratorDevice || devs[1].Kind() != DRXDevice {
+	if devs[0].kind != AcceleratorDevice || devs[1].kind != DRXDevice {
 		t.Error("device kinds wrong")
 	}
 	if !strings.Contains(devs[0].Name(), "fft") {

@@ -316,14 +316,10 @@ func (c Config) Validate() error {
 // for its inline FIFO.
 func (c Config) discipline() sim.Discipline {
 	switch c.Sched {
-	case SchedPriority:
-		return sim.NewPriority()
+	case SchedPriority, SchedEDF, SchedSRS:
+		return new(sim.Keyed)
 	case SchedWFQ:
 		return sim.NewWRR()
-	case SchedEDF:
-		return sim.NewEDF()
-	case SchedSRS:
-		return sim.NewSRS()
 	}
 	return nil
 }

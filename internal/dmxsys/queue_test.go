@@ -200,6 +200,12 @@ func TestThreeStageDMXBeatsBaseline(t *testing.T) {
 	}
 }
 
+// idle advances an engine with nothing pending by d.
+func idle(eng *sim.Engine, d sim.Duration) {
+	eng.Schedule(d, func() {})
+	eng.Run()
+}
+
 func TestDriverCoalescingIsRateBased(t *testing.T) {
 	s, err := New(DefaultConfig(BumpInTheWire), pipelines(1))
 	if err != nil {
@@ -210,7 +216,7 @@ func TestDriverCoalescingIsRateBased(t *testing.T) {
 		if d := s.driverDelay(); d != InterruptLatency {
 			t.Fatalf("sparse completion %d got %v, want interrupt latency", i, d)
 		}
-		s.Eng.RunUntil(s.Eng.Now().Add(2 * CoalesceWindow))
+		idle(s.Eng, 2*CoalesceWindow)
 	}
 	// A burst within one window must flip the driver to polling...
 	var last sim.Duration
@@ -221,7 +227,7 @@ func TestDriverCoalescingIsRateBased(t *testing.T) {
 		t.Fatalf("burst did not trigger polling: got %v", last)
 	}
 	// ...and quiescence must restore interrupts.
-	s.Eng.RunUntil(s.Eng.Now().Add(2 * CoalesceWindow))
+	idle(s.Eng, 2*CoalesceWindow)
 	if d := s.driverDelay(); d != InterruptLatency {
 		t.Fatalf("driver stuck in polling after quiescence: %v", d)
 	}

@@ -346,9 +346,6 @@ func (a *appInstance) fusionAt(k int) hopFusion {
 	return a.fusion[k]
 }
 
-// Config returns the plan's configuration.
-func (p *Plan) Config() Config { return p.cfg }
-
 // Apps reports how many pipelines the plan places.
 func (p *Plan) Apps() int { return len(p.pipes) }
 
@@ -997,9 +994,6 @@ func (s *System) restructureWork(k *restructure.Kernel) (ops, bytes int64) {
 	return ops, bytes
 }
 
-// Switches reports how many PCIe switches the build instantiated.
-func (s *System) Switches() int { return s.nSwitches }
-
 // FaultCounts reports the incidents the injector observed during the
 // run (all zero without a fault plan).
 func (s *System) FaultCounts() faults.Counts {
@@ -1018,9 +1012,6 @@ func (s *System) OnFaultIncident(fn func()) {
 		s.inj.OnIncident = fn
 	}
 }
-
-// DRXCount reports how many DRX instances the placement deployed.
-func (s *System) DRXCount() int { return s.nDRX }
 
 // Energy meters the completed run (call after Run).
 func (s *System) energyReport(makespan sim.Duration) (float64, map[string]float64) {

@@ -11,7 +11,6 @@ func TestBarrierJoinsPipelines(t *testing.T) {
 	// barrier the model would overlap them fully; with it, the total is
 	// the sum of the two phases (plus the drain cost).
 	m := newMachine(t)
-	m.AllocDRAM(1 << 20)
 	mk := func(withBarrier bool) Result {
 		in := []isa.Instr{
 			{Op: isa.CfgStream, Dst: 0, Space: isa.DRAM, DType: isa.F32, Base: 0, ElemStride: 1},
@@ -71,10 +70,7 @@ func TestFPGAConfigSlowsWallClock(t *testing.T) {
 
 func TestResetDRAMZeroes(t *testing.T) {
 	m := newMachine(t)
-	addr, err := m.AllocDRAM(64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const addr = 0
 	if err := m.WriteDRAM(addr, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +81,6 @@ func TestResetDRAMZeroes(t *testing.T) {
 	}
 	if raw[0] != 0 || raw[1] != 0 || raw[2] != 0 {
 		t.Error("ResetDRAM left stale bytes")
-	}
-	if _, err := m.AllocDRAM(64); err != nil {
-		t.Errorf("allocator not reset: %v", err)
 	}
 }
 
@@ -143,7 +136,6 @@ func TestHaltInsideLoopStopsExecution(t *testing.T) {
 
 func TestVRMaxNegativeValues(t *testing.T) {
 	m := newMachine(t)
-	m.AllocDRAM(64)
 	if err := m.WriteDRAM(0, f32bytes(-5, -2, -9, -3)); err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,7 @@ func scaleProgram(inElem, outElem int64) *isa.Program {
 
 func TestRunScaleProgram(t *testing.T) {
 	m := newMachine(t)
-	in, _ := m.AllocDRAM(32)
-	out, _ := m.AllocDRAM(32)
+	in, out := int64(0), int64(32)
 	if err := m.WriteDRAM(in, f32bytes(1, 2, 3, 4, 5, 6, 7, 8)); err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +86,7 @@ func TestHardwareLoopWithStrides(t *testing.T) {
 	// Process 4 rows of 8 f32: out[r][i] = in[r][i] + 10. Streams advance
 	// by 8 elements per outer iteration.
 	m := newMachine(t)
-	in, _ := m.AllocDRAM(4 * 8 * 4)
-	out, _ := m.AllocDRAM(4 * 8 * 4)
+	in, out := int64(0), int64(4*8*4)
 	vals := make([]float32, 32)
 	for i := range vals {
 		vals[i] = float32(i)
@@ -124,8 +122,7 @@ func TestHardwareLoopWithStrides(t *testing.T) {
 func TestDTypeWideningAndSaturation(t *testing.T) {
 	// u8 in → i8 out with a +100 offset: 200+100=300 saturates to 127.
 	m := newMachine(t)
-	in, _ := m.AllocDRAM(4)
-	out, _ := m.AllocDRAM(4)
+	in, out := int64(0), int64(16)
 	if err := m.WriteDRAM(in, []byte{10, 100, 200, 255}); err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +152,7 @@ func TestDTypeWideningAndSaturation(t *testing.T) {
 
 func TestVectorReduceSum(t *testing.T) {
 	m := newMachine(t)
-	in, _ := m.AllocDRAM(16 * 4)
-	out, _ := m.AllocDRAM(4)
+	in, out := int64(0), int64(16*4)
 	vals := make([]float32, 16)
 	var want float32
 	for i := range vals {
@@ -190,8 +186,7 @@ func TestVectorReduceSum(t *testing.T) {
 func TestTranspositionEngine(t *testing.T) {
 	// Load a 2x3 tile, transpose to 3x2, store.
 	m := newMachine(t)
-	in, _ := m.AllocDRAM(24)
-	out, _ := m.AllocDRAM(24)
+	in, out := int64(0), int64(32)
 	if err := m.WriteDRAM(in, f32bytes(1, 2, 3, 4, 5, 6)); err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +219,7 @@ func TestStridedLoadComplexComponents(t *testing.T) {
 	// complex64 data = interleaved (re, im) f32 pairs; elemStride 2 reads
 	// one component. |z|² for z = (3+4i) must come out 25.
 	m := newMachine(t)
-	in, _ := m.AllocDRAM(8)
-	out, _ := m.AllocDRAM(4)
+	in, out := int64(0), int64(16)
 	if err := m.WriteDRAM(in, f32bytes(3, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +267,6 @@ func TestVMacSAccumulates(t *testing.T) {
 			{Op: isa.Halt},
 		},
 	}
-	m.AllocDRAM(64)
 	if err := m.WriteDRAM(0, f32bytes(1, 2, 3, 4, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +334,6 @@ func TestLaneScalingReducesComputeCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.AllocDRAM(8192)
 		p := &isa.Program{
 			Name: "wide",
 			Instrs: []isa.Instr{
@@ -372,7 +364,6 @@ func TestLaneScalingReducesComputeCycles(t *testing.T) {
 func TestStridedAccessCostsMoreMemCycles(t *testing.T) {
 	run := func(stride int32) int64 {
 		m := newMachine(t)
-		m.AllocDRAM(1 << 20)
 		p := &isa.Program{
 			Name: "stride",
 			Instrs: []isa.Instr{
@@ -451,25 +442,6 @@ func TestICacheLimitEnforced(t *testing.T) {
 	}
 }
 
-func TestAllocDRAMBounds(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DRAMBytes = 1024
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AllocDRAM(512); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AllocDRAM(1024); err == nil {
-		t.Error("over-allocation succeeded")
-	}
-	m.ResetDRAM()
-	if _, err := m.AllocDRAM(1024); err != nil {
-		t.Errorf("alloc after reset: %v", err)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Lanes: 0, ScratchBytes: 65536, ClockHz: 1e9, DRAMBytesPerSec: 25e9, DRAMBytes: 1 << 30},
@@ -494,7 +466,6 @@ func TestConfigValidate(t *testing.T) {
 // operands placed in DRAM.
 func TestVAddMatchesFloat32Property(t *testing.T) {
 	m := newMachine(t)
-	m.AllocDRAM(1 << 12)
 	prop := func(a, b float32) bool {
 		if math.IsNaN(float64(a)) || math.IsNaN(float64(b)) {
 			return true

@@ -12,7 +12,6 @@ import (
 func runBinary(t *testing.T, op isa.Opcode, a, b float32) float32 {
 	t.Helper()
 	m := newMachine(t)
-	m.AllocDRAM(64)
 	if err := m.WriteDRAM(0, f32bytes(a, b)); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +40,6 @@ func runBinary(t *testing.T, op isa.Opcode, a, b float32) float32 {
 func runImm(t *testing.T, op isa.Opcode, a, imm float32) float32 {
 	t.Helper()
 	m := newMachine(t)
-	m.AllocDRAM(64)
 	if err := m.WriteDRAM(0, f32bytes(a)); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +65,6 @@ func runImm(t *testing.T, op isa.Opcode, a, imm float32) float32 {
 func runUnary(t *testing.T, op isa.Opcode, a float32) float32 {
 	t.Helper()
 	m := newMachine(t)
-	m.AllocDRAM(64)
 	if err := m.WriteDRAM(0, f32bytes(a)); err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +155,8 @@ func TestAllUnaryOps(t *testing.T) {
 func TestAllOffChipDTypes(t *testing.T) {
 	// Round-trip every ISA dtype through load (widen) + store (narrow).
 	m := newMachine(t)
-	m.AllocDRAM(256)
 	run := func(dt isa.DT, writeRaw []byte, wantBack []byte) {
 		m.ResetDRAM()
-		m.AllocDRAM(256)
 		if err := m.WriteDRAM(0, writeRaw); err != nil {
 			t.Fatal(err)
 		}

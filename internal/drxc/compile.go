@@ -29,12 +29,6 @@ type Compiled struct {
 	timeErr error
 }
 
-// Kernel returns the source kernel.
-func (c *Compiled) Kernel() *restructure.Kernel { return c.kernel }
-
-// Config returns the hardware configuration compiled against.
-func (c *Compiled) Config() drx.Config { return c.cfg }
-
 // Options disable individual compiler optimizations, for ablation
 // studies of the schedule choices (see bench_ablation_test.go and the
 // DESIGN.md experiment index). The zero value enables everything.

@@ -193,7 +193,7 @@ func TestTimeChecksLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Execute(tiny, m, randKernelInputs(1, c.Kernel())); err == nil {
+	if _, _, err := Execute(tiny, m, randKernelInputs(1, c.kernel)); err == nil {
 		t.Fatal("Execute accepted a layout outside DRAM")
 	}
 }

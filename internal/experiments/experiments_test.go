@@ -132,9 +132,17 @@ func TestFig12BreakdownShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	type cell struct {
+		config string
+		apps   int
+	}
+	share := map[cell]float64{}
+	for _, row := range res.Rows {
+		share[cell{row.Config, row.Apps}] = row.RestructShare
+	}
 	for _, n := range Concurrencies {
-		axl, ok1 := res.Share(dmxsys.MultiAxl.String(), n)
-		dmx, ok2 := res.Share(dmxsys.BumpInTheWire.String(), n)
+		axl, ok1 := share[cell{dmxsys.MultiAxl.String(), n}]
+		dmx, ok2 := share[cell{dmxsys.BumpInTheWire.String(), n}]
 		if !ok1 || !ok2 {
 			t.Fatalf("missing shares for %d apps", n)
 		}

@@ -128,16 +128,6 @@ func Fig12() (*Fig12Result, error) {
 	return &Fig12Result{Rows: rows}, nil
 }
 
-// Share returns the restructure share for a config at a concurrency.
-func (r *Fig12Result) Share(config string, apps int) (float64, bool) {
-	for _, row := range r.Rows {
-		if row.Config == config && row.Apps == apps {
-			return row.RestructShare, true
-		}
-	}
-	return 0, false
-}
-
 // Render implements the experiment result interface.
 func (r *Fig12Result) Render() string {
 	t := newTable("Fig. 12: runtime breakdown, Multi-Axl (a) vs DMX (b)",

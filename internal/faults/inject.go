@@ -143,14 +143,6 @@ func (in *Injector) incident() {
 	}
 }
 
-// Plan returns the injector's plan (zero value when disabled).
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
-
 // lane fetches (or lazily creates) the timeline for one station.
 func (in *Injector) lane(m map[string]*timeline, kind, name string, mtbf, repair sim.Duration) *timeline {
 	tl, ok := m[name]

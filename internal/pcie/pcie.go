@@ -111,7 +111,6 @@ type Fabric struct {
 	eng      *sim.Engine
 	switches map[string]*swtch
 	devices  map[string]*device
-	order    []string // device insertion order, for deterministic reports
 
 	// faults, when set, is consulted on every transfer start. nil (the
 	// default) is the fault-free fabric with zero per-transfer overhead
@@ -162,7 +161,6 @@ func (f *Fabric) AddDevice(name, sw string, link LinkConfig) error {
 	d := &device{name: name, sw: sw}
 	d.link.init(f.eng, name, link)
 	f.devices[name] = d
-	f.order = append(f.order, name)
 	return nil
 }
 
@@ -174,9 +172,6 @@ func (f *Fabric) SwitchOf(name string) (string, bool) {
 	}
 	return d.sw, true
 }
-
-// Devices lists device names in insertion order.
-func (f *Fabric) Devices() []string { return append([]string(nil), f.order...) }
 
 // MaxLinks is the most links a route crosses: device → switch → root
 // complex → switch → device.

@@ -54,7 +54,7 @@ func TestSameSwitchTransferLatency(t *testing.T) {
 	eng.Run()
 	bw := LinkConfig{Gen3, 16}.Bandwidth()
 	want := float64(n)/bw + SwitchPortLatency.Seconds()
-	if got := doneAt.Seconds(); math.Abs(got-want) > 1e-9+want*0.01 {
+	if got := sim.Duration(doneAt).Seconds(); math.Abs(got-want) > 1e-9+want*0.01 {
 		t.Errorf("same-switch 1MiB took %.3fus, want %.3fus", got*1e6, want*1e6)
 	}
 }
@@ -98,7 +98,7 @@ func TestUpstreamContention(t *testing.T) {
 	upBW := LinkConfig{Gen3, 8}.Bandwidth()
 	want := float64(2*n)/upBW + (SwitchPortLatency + RootComplexLatency).Seconds()
 	for _, d := range done {
-		if got := d.Seconds(); math.Abs(got-want) > want*0.02 {
+		if got := sim.Duration(d).Seconds(); math.Abs(got-want) > want*0.02 {
 			t.Errorf("contended upstream transfer took %.1fus, want %.1fus", got*1e6, want*1e6)
 		}
 	}
@@ -158,7 +158,7 @@ func TestGenSweepScalesTransferTime(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Run()
-		times[g] = doneAt.Seconds()
+		times[g] = sim.Duration(doneAt).Seconds()
 	}
 	if !(times[Gen5] < times[Gen4] && times[Gen4] < times[Gen3]) {
 		t.Errorf("transfer times not ordered by generation: %v", times)
@@ -206,8 +206,8 @@ func TestTotalBytesAccounting(t *testing.T) {
 	if got := f.TotalBytes(); got != 4*n {
 		t.Errorf("TotalBytes = %d, want %d", got, 4*n)
 	}
-	if len(f.Devices()) != 4 {
-		t.Errorf("Devices() = %v", f.Devices())
+	if len(f.devices) != 4 {
+		t.Errorf("%d devices, want 4", len(f.devices))
 	}
 	if sw, ok := f.SwitchOf("b1"); !ok || sw != "sw1" {
 		t.Errorf("SwitchOf(b1) = %q, %v", sw, ok)

@@ -1,6 +1,10 @@
 package pcie
 
-import "dmx/internal/sim"
+import (
+	"sort"
+
+	"dmx/internal/sim"
+)
 
 // Links reports every link the route crosses, in path order, as a fresh
 // slice: mutating it never reaches the route.
@@ -23,7 +27,7 @@ type LinkStats struct {
 
 // Stats enumerates all links (device and switch, both directions) in a
 // deterministic order: each switch's uplink when its first device
-// appears, then every device's link, in insertion order.
+// appears, then every device's link, devices in name order.
 func (f *Fabric) Stats() []LinkStats {
 	var out []LinkStats
 	addPair := func(p *linkPair) {
@@ -36,15 +40,20 @@ func (f *Fabric) Stats() []LinkStats {
 			})
 		}
 	}
+	order := make([]string, 0, len(f.devices))
+	for dn := range f.devices {
+		order = append(order, dn)
+	}
+	sort.Strings(order)
 	seen := make(map[string]bool)
-	for _, dn := range f.order {
+	for _, dn := range order {
 		sw := f.devices[dn].sw
 		if !seen[sw] {
 			seen[sw] = true
 			addPair(&f.switches[sw].uplink)
 		}
 	}
-	for _, dn := range f.order {
+	for _, dn := range order {
 		addPair(&f.devices[dn].link)
 	}
 	return out

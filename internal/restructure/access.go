@@ -61,13 +61,6 @@ func RowBroadcast(outRank int) Access {
 	return a
 }
 
-// Map applies the access to an output index.
-func (a Access) Map(out []int) []int {
-	in := make([]int, len(a.Offset))
-	a.MapInto(out, in)
-	return in
-}
-
 // MapInto applies the access writing the result into in (len must match).
 func (a Access) MapInto(out, in []int) {
 	for d := range a.Offset {
@@ -84,28 +77,6 @@ func (a Access) MapInto(out, in []int) {
 
 // InRank reports the rank of the access's input side.
 func (a Access) InRank() int { return len(a.Offset) }
-
-// IsIdentity reports whether the access is the identity of the given rank.
-func (a Access) IsIdentity(rank int) bool {
-	if len(a.Offset) != rank {
-		return false
-	}
-	for d := range a.Offset {
-		if a.Offset[d] != 0 {
-			return false
-		}
-		for j, c := range a.Coef[d] {
-			want := 0
-			if j == d {
-				want = 1
-			}
-			if c != want {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // UnitInnerStride reports whether the innermost output dimension drives
 // the innermost input dimension with coefficient 1 and no other input

@@ -189,25 +189,6 @@ func (k *Kernel) byDir(d Dir) []*Param {
 	return out
 }
 
-// InputBytes sums the payload of all In parameters — the batch size the
-// upstream accelerator hands over.
-func (k *Kernel) InputBytes() int64 {
-	var n int64
-	for _, p := range k.Inputs() {
-		n += int64(p.SizeBytes())
-	}
-	return n
-}
-
-// OutputBytes sums the payload of all Out parameters.
-func (k *Kernel) OutputBytes() int64 {
-	var n int64
-	for _, p := range k.Outputs() {
-		n += int64(p.SizeBytes())
-	}
-	return n
-}
-
 // Stats aggregates stage statistics over the whole kernel.
 func (k *Kernel) Stats() StageStats {
 	var total StageStats

@@ -150,11 +150,17 @@ func TestKernelStatsAggregate(t *testing.T) {
 
 func TestInputOutputBytes(t *testing.T) {
 	k := MelSpectrogram(8, 16, 4)
-	wantIn := int64(8*16*8 + 16*4*4)
-	if got := k.InputBytes(); got != wantIn {
-		t.Errorf("InputBytes = %d, want %d", got, wantIn)
+	sum := func(ps []*Param) int {
+		n := 0
+		for _, p := range ps {
+			n += p.SizeBytes()
+		}
+		return n
 	}
-	if got := k.OutputBytes(); got != int64(8*4*4) {
-		t.Errorf("OutputBytes = %d, want %d", got, 8*4*4)
+	if got, want := sum(k.Inputs()), 8*16*8+16*4*4; got != want {
+		t.Errorf("input bytes = %d, want %d", got, want)
+	}
+	if got, want := sum(k.Outputs()), 8*4*4; got != want {
+		t.Errorf("output bytes = %d, want %d", got, want)
 	}
 }

@@ -13,7 +13,7 @@ func TestChannelSingleTransferRate(t *testing.T) {
 	var doneAt Time
 	ch.Start(1e9, func() { doneAt = e.Now() })
 	e.Run()
-	if got := doneAt.Seconds(); math.Abs(got-1.0) > 1e-9 {
+	if got := Duration(doneAt).Seconds(); math.Abs(got-1.0) > 1e-9 {
 		t.Errorf("1GB at 1GB/s finished at %vs, want 1s", got)
 	}
 }
@@ -27,8 +27,8 @@ func TestChannelFairShareTwoEqualTransfers(t *testing.T) {
 	e.Run()
 	// Two 0.5 GB transfers sharing 1 GB/s each see 0.5 GB/s: both take 1 s.
 	for i, got := range at {
-		if math.Abs(got.Seconds()-1.0) > 1e-6 {
-			t.Errorf("transfer %d finished at %vs, want 1s", i, got.Seconds())
+		if math.Abs(Duration(got).Seconds()-1.0) > 1e-6 {
+			t.Errorf("transfer %d finished at %vs, want 1s", i, Duration(got).Seconds())
 		}
 	}
 }
@@ -45,12 +45,12 @@ func TestChannelLateArrivalSlowsFirst(t *testing.T) {
 	})
 	e.Run()
 	// First: 0.5s alone + 1.0s shared = 1.5s total.
-	if math.Abs(first.Seconds()-1.5) > 1e-6 {
-		t.Errorf("first finished at %vs, want 1.5s", first.Seconds())
+	if math.Abs(Duration(first).Seconds()-1.5) > 1e-6 {
+		t.Errorf("first finished at %vs, want 1.5s", Duration(first).Seconds())
 	}
 	// Second: 1.0 GB = 0.5 GB shared (1.0s) + 0.5 GB alone (0.5s) → at 2.0s.
-	if math.Abs(second.Seconds()-2.0) > 1e-6 {
-		t.Errorf("second finished at %vs, want 2.0s", second.Seconds())
+	if math.Abs(Duration(second).Seconds()-2.0) > 1e-6 {
+		t.Errorf("second finished at %vs, want 2.0s", Duration(second).Seconds())
 	}
 }
 
@@ -122,7 +122,7 @@ func TestChannelWorkConservationProperty(t *testing.T) {
 		}
 		e.Run()
 		want := float64(total) / cap
-		got := lastDone.Seconds()
+		got := Duration(lastDone).Seconds()
 		return math.Abs(got-want) < 1e-3*want+1e-6
 	}
 	if err := quick.Check(prop, nil); err != nil {

@@ -35,8 +35,6 @@ type Job struct {
 // the backlog. Implementations must be deterministic: for equal
 // scheduling keys, jobs leave in Push order.
 type Discipline interface {
-	// Name identifies the discipline in diagnostics.
-	Name() string
 	Push(j Job)
 	Pop() (Job, bool)
 	Len() int
@@ -54,9 +52,6 @@ type FIFO struct {
 
 // NewFIFO returns an empty FIFO discipline.
 func NewFIFO() *FIFO { return &FIFO{} }
-
-// Name implements Discipline.
-func (q *FIFO) Name() string { return "fifo" }
 
 // Len implements Discipline.
 func (q *FIFO) Len() int { return q.n }
@@ -104,29 +99,11 @@ func (q *FIFO) grow() {
 // request's absolute deadline (earliest-deadline-first), or the service
 // demand still ahead of the request (shortest-remaining-service). Jobs
 // without a meaningful key should carry math.MaxInt64 (EDF's "no
-// deadline" convention) so keyed work always overtakes them.
+// deadline" convention) so keyed work always overtakes them. The zero
+// Keyed is an empty queue.
 type Keyed struct {
-	name string
 	heap []Job // binary min-heap on (Key, seq)
 }
-
-// NewPriority returns a keyed discipline for static priority
-// scheduling: submitters set Job.Key to the priority of the job's class
-// (lower is served first).
-func NewPriority() *Keyed { return &Keyed{name: "priority"} }
-
-// NewEDF returns a keyed discipline for earliest-deadline-first
-// scheduling: submitters set Job.Key to the request's absolute
-// deadline (math.MaxInt64 when none).
-func NewEDF() *Keyed { return &Keyed{name: "edf"} }
-
-// NewSRS returns a keyed discipline for shortest-remaining-service
-// scheduling: submitters set Job.Key to the service demand still ahead
-// of the request.
-func NewSRS() *Keyed { return &Keyed{name: "srs"} }
-
-// Name implements Discipline.
-func (q *Keyed) Name() string { return q.name }
 
 // Len implements Discipline.
 func (q *Keyed) Len() int { return len(q.heap) }
@@ -193,9 +170,6 @@ type WRR struct {
 
 // NewWRR returns a round-robin discipline.
 func NewWRR() *WRR { return &WRR{sub: make(map[int]*FIFO)} }
-
-// Name implements Discipline.
-func (q *WRR) Name() string { return "wrr" }
 
 // Len implements Discipline.
 func (q *WRR) Len() int { return q.n }

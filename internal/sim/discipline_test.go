@@ -97,7 +97,7 @@ func TestFIFOSteadyStateDoesNotAllocate(t *testing.T) {
 func TestPriorityServesLowestValueFirstTiesInOrder(t *testing.T) {
 	// Class 0 → prio 2, class 1 → prio 1, class 2 → a default past both.
 	prio := map[int]int64{0: 2, 1: 1, 2: 1 << 20}
-	q := NewPriority()
+	q := new(Keyed)
 	pushes := []int{0, 2, 1, 0, 1, 2}
 	for i, c := range pushes {
 		q.Push(Job{Class: c, Key: prio[c], seq: uint64(i)})
@@ -109,13 +109,10 @@ func TestPriorityServesLowestValueFirstTiesInOrder(t *testing.T) {
 			t.Fatalf("priority order = %v, want %v", got, want)
 		}
 	}
-	if q.Name() != "priority" {
-		t.Fatalf("Name() = %q", q.Name())
-	}
 }
 
 func TestPriorityEqualKeysPreserveSubmissionOrder(t *testing.T) {
-	q := NewPriority()
+	q := new(Keyed)
 	for i := 0; i < 30; i++ {
 		q.Push(Job{Class: i % 3, Key: 5, Service: Duration(i), seq: uint64(i)})
 	}
@@ -133,7 +130,7 @@ func TestPriorityEqualKeysPreserveSubmissionOrder(t *testing.T) {
 }
 
 func TestKeyedServesSmallestKeyFirstTiesInOrder(t *testing.T) {
-	q := NewEDF()
+	q := new(Keyed)
 	keys := []int64{30, 10, 20, 10, 30}
 	for i, k := range keys {
 		q.Push(Job{Class: i, Key: k, seq: uint64(i)})
@@ -147,13 +144,10 @@ func TestKeyedServesSmallestKeyFirstTiesInOrder(t *testing.T) {
 			t.Fatalf("keyed order = %v, want %v", got, want)
 		}
 	}
-	if q.Name() != "edf" || NewSRS().Name() != "srs" {
-		t.Fatalf("constructor names: %q / %q", q.Name(), NewSRS().Name())
-	}
 }
 
 func TestKeyedEqualKeysPreserveSubmissionOrder(t *testing.T) {
-	q := NewSRS()
+	q := new(Keyed)
 	for i := 0; i < 30; i++ {
 		q.Push(Job{Class: i % 3, Key: 7, seq: uint64(i)})
 	}
@@ -171,7 +165,7 @@ func TestKeyedEqualKeysPreserveSubmissionOrder(t *testing.T) {
 }
 
 func TestKeyedPopReleasesClosure(t *testing.T) {
-	q := NewEDF()
+	q := new(Keyed)
 	q.Push(Job{Key: 1, done: func() {}})
 	q.Push(Job{Key: 2, done: func() {}})
 	q.Pop()
@@ -187,7 +181,7 @@ func TestKeyedPopReleasesClosure(t *testing.T) {
 // low bits, so keys tie often, and large keys including MaxInt64 appear)
 // or pops one (odd op byte). Pops, Len and the final drain must agree.
 func keyedVsSort(t *testing.T, data []byte) {
-	q := NewSRS()
+	q := new(Keyed)
 	var ref []Job
 	var seq uint64
 	pop := func() {
@@ -266,7 +260,7 @@ func TestKeyedMatchesSortRandom(t *testing.T) {
 // server under EDF must serve the backlog deadline-first.
 func TestServerSubmitKeyedOrdersByKey(t *testing.T) {
 	e := NewEngine()
-	s := NewServerDisc(e, "srv", 1, NewEDF())
+	s := NewServerDisc(e, "srv", 1, new(Keyed))
 	var order []int64
 	mk := func(key int64) func() {
 		return func() { order = append(order, key) }
@@ -330,17 +324,17 @@ func TestWRRDropsDrainedClassesFromRotation(t *testing.T) {
 // touching the heap.
 func TestServerQueueSteadyStateDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "srv", 1)
+	s := NewServerDisc(e, "srv", 1, nil)
 	nop := func() {}
 	// Warm: fill the queue once so the ring and the engine free lists
 	// are sized.
 	for i := 0; i < 8; i++ {
-		s.Submit(Nanosecond, nop)
+		s.SubmitKeyed(0, 0, Nanosecond, nop)
 	}
 	e.Run()
 	avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 4; i++ {
-			s.Submit(Nanosecond, nop)
+			s.SubmitKeyed(0, 0, Nanosecond, nop)
 		}
 		e.Run()
 	})
@@ -352,7 +346,7 @@ func TestServerQueueSteadyStateDoesNotAllocate(t *testing.T) {
 func TestServerDiscPriorityReordersBacklog(t *testing.T) {
 	e := NewEngine()
 	// Class 1 (priority 0) outranks class 0 (priority 1).
-	s := NewServerDisc(e, "srv", 1, NewPriority())
+	s := NewServerDisc(e, "srv", 1, new(Keyed))
 	var order []int
 	submit := func(class int) {
 		s.SubmitKeyed(class, int64(1-class), Nanosecond, func() { order = append(order, class) })
@@ -374,9 +368,9 @@ func TestServerDiscPriorityReordersBacklog(t *testing.T) {
 
 func TestServerWaitTimeAccountsQueueing(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "srv", 1)
-	s.Submit(10*Nanosecond, nil)
-	s.Submit(10*Nanosecond, nil)
+	s := NewServerDisc(e, "srv", 1, nil)
+	s.SubmitKeyed(0, 0, 10*Nanosecond, nil)
+	s.SubmitKeyed(0, 0, 10*Nanosecond, nil)
 	e.Run()
 	if s.WaitTime != 10*Nanosecond {
 		t.Errorf("WaitTime = %v, want 10ns (second job queued behind the first)", s.WaitTime)

@@ -29,10 +29,9 @@
 // Server's backlog ordering is pluggable (Discipline): FIFO's
 // power-of-two ring is the zero-allocation default, WRR takes classes
 // in turn, and Keyed is a (key, seq) min-heap whose key travels with
-// the job — NewPriority submits the class's static priority, NewEDF
-// absolute deadlines (earliest first, MaxInt64 for none), NewSRS
-// remaining service demand (shortest first). SubmitKeyed attaches the
-// key; Submit delegates with class and key zero. All ties break by
+// the job — the class's static priority, the absolute deadline
+// (earliest first, MaxInt64 for none) or the remaining service demand
+// (shortest first). SubmitKeyed attaches the key. All ties break by
 // submission order, preserving determinism under any policy.
 //
 // The kernel is also the lowest-level producer of the observability

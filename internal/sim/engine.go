@@ -57,12 +57,7 @@ const (
 type EventRef struct {
 	ev  *event
 	gen uint64
-	at  Time
 }
-
-// Time reports when the event will fire (or would have fired, if
-// canceled).
-func (r EventRef) Time() Time { return r.at }
 
 // Cancel prevents the event from firing and immediately returns it to
 // the engine's free list — no tombstone is left behind, so Pending
@@ -147,7 +142,7 @@ func (e *Engine) At(t Time, fn func()) EventRef {
 	e.check(t, fn)
 	ev := e.push(t, e.seq, fn)
 	e.seq++
-	return EventRef{ev: ev, gen: ev.gen, at: t}
+	return EventRef{ev: ev, gen: ev.gen}
 }
 
 // check panics on a callback the engine cannot schedule at t.
@@ -357,8 +352,8 @@ func (e *Engine) remove(i int) {
 }
 
 // fire pops the earliest event (next, else the heap root), advances
-// the clock to it, and runs its callback. It is the single execution
-// path shared by Step, Run and RunUntil; callers ensure an event is
+// the clock to it, and runs its callback. It is Run's execution path
+// (and that of the tests' Step and RunUntil); callers ensure an event is
 // pending. Canceled events never reach it because Cancel removes them
 // at once.
 func (e *Engine) fire() {
@@ -383,38 +378,9 @@ func (e *Engine) fire() {
 	fn()
 }
 
-// Step executes the next pending event, advancing the clock to its time.
-// It reports whether an event was executed.
-func (e *Engine) Step() bool {
-	// Tested here rather than through Pending, which would put Step past
-	// the inliner's budget.
-	if e.next.ev == nil && len(e.heap) == 0 {
-		return false
-	}
-	e.fire()
-	return true
-}
-
 // Run executes events until the queue drains.
 func (e *Engine) Run() {
 	for e.Pending() > 0 {
 		e.fire()
-	}
-}
-
-// RunUntil executes events with time ≤ t, then advances the clock to t.
-func (e *Engine) RunUntil(t Time) {
-	for e.Pending() > 0 {
-		top := e.next
-		if top.ev == nil {
-			top = e.heap[0]
-		}
-		if top.at > t {
-			break
-		}
-		e.fire()
-	}
-	if t > e.now {
-		e.now = t
 	}
 }

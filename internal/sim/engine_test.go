@@ -265,17 +265,6 @@ func TestDurationString(t *testing.T) {
 	}
 }
 
-func TestCycles(t *testing.T) {
-	// 1000 cycles at 1 GHz is 1 us.
-	if got := Cycles(1000, 1e9); got != Microsecond {
-		t.Errorf("Cycles(1000, 1GHz) = %v, want 1us", got)
-	}
-	// 250 cycles at 250 MHz is 1 us.
-	if got := Cycles(250, 250e6); got != Microsecond {
-		t.Errorf("Cycles(250, 250MHz) = %v, want 1us", got)
-	}
-}
-
 func TestBytesAt(t *testing.T) {
 	// 25 GB moved at 25 GB/s takes one second.
 	if got := BytesAt(25e9, 25e9); got != Second {

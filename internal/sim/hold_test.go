@@ -7,7 +7,7 @@ import "testing"
 // segments, never the residency gap.
 func TestHoldResumeOccupiesSlot(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "drx", 1)
+	s := NewServerDisc(e, "drx", 1, nil)
 	var events []string
 	var when []Time
 	note := func(what string) {
@@ -21,7 +21,7 @@ func TestHoldResumeOccupiesSlot(t *testing.T) {
 			h.Resume(7*Nanosecond, func() { note("part2") })
 		})
 	})
-	s.Submit(3*Nanosecond, func() { note("queued") })
+	s.SubmitKeyed(0, 0, 3*Nanosecond, func() { note("queued") })
 	e.Run()
 
 	wantEv := []string{"part1", "part2", "queued"}
@@ -48,12 +48,12 @@ func TestHoldResumeOccupiesSlot(t *testing.T) {
 // work into service immediately.
 func TestHoldReleaseFreesSlot(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "drx", 1)
+	s := NewServerDisc(e, "drx", 1, nil)
 	var queuedAt Time
 	s.SubmitKeyedHold(0, 0, 10*Nanosecond, func(h *Hold) {
 		e.Schedule(4*Nanosecond, func() { h.Release() })
 	})
-	s.Submit(2*Nanosecond, func() { queuedAt = e.Now() })
+	s.SubmitKeyed(0, 0, 2*Nanosecond, func() { queuedAt = e.Now() })
 	e.Run()
 	if queuedAt != Time(16*Nanosecond) {
 		t.Errorf("queued job finished at %v, want 16ns (release at 14 + 2 service)", queuedAt)
@@ -70,8 +70,8 @@ func TestHoldReleaseFreesSlot(t *testing.T) {
 // discipline like any other submission.
 func TestHoldQueuesLikeAnyJob(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "drx", 1)
-	s.Submit(10*Nanosecond, nil)
+	s := NewServerDisc(e, "drx", 1, nil)
+	s.SubmitKeyed(0, 0, 10*Nanosecond, nil)
 	var part1 Time
 	s.SubmitKeyedHold(0, 0, 5*Nanosecond, func(h *Hold) {
 		part1 = e.Now()
@@ -85,7 +85,7 @@ func TestHoldQueuesLikeAnyJob(t *testing.T) {
 
 func TestHoldSpentPanics(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "drx", 1)
+	s := NewServerDisc(e, "drx", 1, nil)
 	var h *Hold
 	s.SubmitKeyedHold(0, 0, Nanosecond, func(got *Hold) {
 		h = got

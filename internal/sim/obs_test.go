@@ -26,9 +26,9 @@ func TestDisabledObsKeepsChannelAllocationFree(t *testing.T) {
 func TestServerEmitsServiceSpans(t *testing.T) {
 	e := NewEngine()
 	e.Obs = obs.New()
-	srv := NewServer(e, "dev0:fft", 1)
-	srv.Submit(3*Microsecond, nil)
-	srv.Submit(2*Microsecond, nil) // queues behind the first
+	srv := NewServerDisc(e, "dev0:fft", 1, nil)
+	srv.SubmitKeyed(0, 0, 3*Microsecond, nil)
+	srv.SubmitKeyed(0, 0, 2*Microsecond, nil) // queues behind the first
 	e.Run()
 	var spans []obs.Event
 	for _, ev := range e.Obs.Events() {
@@ -54,10 +54,10 @@ func TestServerEmitsServiceSpans(t *testing.T) {
 func TestMultiSlotServerSpansUseDistinctTracks(t *testing.T) {
 	e := NewEngine()
 	e.Obs = obs.New()
-	srv := NewServer(e, "drx", 2)
-	srv.Submit(4*Microsecond, nil)
-	srv.Submit(4*Microsecond, nil) // concurrent with the first
-	srv.Submit(1*Microsecond, nil) // queues; reuses the first freed slot
+	srv := NewServerDisc(e, "drx", 2, nil)
+	srv.SubmitKeyed(0, 0, 4*Microsecond, nil)
+	srv.SubmitKeyed(0, 0, 4*Microsecond, nil) // concurrent with the first
+	srv.SubmitKeyed(0, 0, 1*Microsecond, nil) // queues; reuses the first freed slot
 	e.Run()
 	var tracks []string
 	for _, ev := range e.Obs.Events() {
@@ -111,9 +111,9 @@ func TestObsDoesNotPerturbEngineTiming(t *testing.T) {
 		e := NewEngine()
 		e.Obs = rec
 		ch := NewChannel(e, "c", 1e9)
-		srv := NewServer(e, "s", 1)
+		srv := NewServerDisc(e, "s", 1, nil)
 		for i := 0; i < 8; i++ {
-			ch.Start(1e5, func() { srv.Submit(Microsecond, nil) })
+			ch.Start(1e5, func() { srv.SubmitKeyed(0, 0, Microsecond, nil) })
 		}
 		e.Run()
 		return e.Now()

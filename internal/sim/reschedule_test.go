@@ -7,15 +7,16 @@ import "testing"
 func TestRescheduleMovesTimer(t *testing.T) {
 	e := NewEngine()
 	var got []string
+	var newAt Time
 	ref := e.Schedule(5*Nanosecond, func() { got = append(got, "old") })
-	ref = e.Reschedule(ref, 2*Nanosecond, func() { got = append(got, "new") })
+	e.Reschedule(ref, 2*Nanosecond, func() { got, newAt = append(got, "new"), e.Now() })
 	e.Schedule(3*Nanosecond, func() { got = append(got, "mid") })
 	e.Run()
 	if len(got) != 2 || got[0] != "new" || got[1] != "mid" {
 		t.Fatalf("fired %v, want [new mid]", got)
 	}
-	if ref.Time() != Time(2*Nanosecond) {
-		t.Fatalf("ref.Time = %v, want 2ns", ref.Time())
+	if newAt != Time(2*Nanosecond) {
+		t.Fatalf("rescheduled timer fired at %v, want 2ns", newAt)
 	}
 }
 

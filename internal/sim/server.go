@@ -53,12 +53,6 @@ type slotState struct {
 	below int
 }
 
-// NewServer creates a FIFO server with the given number of service
-// slots.
-func NewServer(eng *Engine, name string, slots int) *Server {
-	return NewServerDisc(eng, name, slots, nil)
-}
-
 // NewServerDisc creates a server whose waiting jobs are ordered by the
 // given discipline (nil is FIFO).
 func NewServerDisc(eng *Engine, name string, slots int, d Discipline) *Server {
@@ -91,16 +85,6 @@ func (s *Server) Name() string { return s.name }
 
 // Slots reports the number of service slots.
 func (s *Server) Slots() int { return len(s.slots) }
-
-// Busy reports the number of slots currently serving a job.
-func (s *Server) Busy() int { return s.busy }
-
-// Submit enqueues a class-0 job that needs the given service time and
-// calls done on completion. Service begins immediately if a slot is
-// free.
-func (s *Server) Submit(service Duration, done func()) {
-	s.SubmitKeyed(0, 0, service, done)
-}
 
 // SubmitKeyed enqueues a job under a tenant class (what WRR takes turns
 // by; FIFO ignores it) with a per-job scheduling key (what the Keyed

@@ -8,10 +8,10 @@ import (
 
 func TestServerSingleSlotSerializes(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "core", 1)
+	s := NewServerDisc(e, "core", 1, nil)
 	var done []Time
 	for i := 0; i < 3; i++ {
-		s.Submit(10*Nanosecond, func() { done = append(done, e.Now()) })
+		s.SubmitKeyed(0, 0, 10*Nanosecond, func() { done = append(done, e.Now()) })
 	}
 	e.Run()
 	want := []Time{Time(10 * Nanosecond), Time(20 * Nanosecond), Time(30 * Nanosecond)}
@@ -24,10 +24,10 @@ func TestServerSingleSlotSerializes(t *testing.T) {
 
 func TestServerParallelSlots(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "cores", 4)
+	s := NewServerDisc(e, "cores", 4, nil)
 	var done []Time
 	for i := 0; i < 4; i++ {
-		s.Submit(10*Nanosecond, func() { done = append(done, e.Now()) })
+		s.SubmitKeyed(0, 0, 10*Nanosecond, func() { done = append(done, e.Now()) })
 	}
 	e.Run()
 	for i, d := range done {
@@ -39,11 +39,11 @@ func TestServerParallelSlots(t *testing.T) {
 
 func TestServerFIFOOrder(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "core", 1)
+	s := NewServerDisc(e, "core", 1, nil)
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		s.Submit(Nanosecond, func() { order = append(order, i) })
+		s.SubmitKeyed(0, 0, Nanosecond, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i := range order {
@@ -55,10 +55,10 @@ func TestServerFIFOOrder(t *testing.T) {
 
 func TestServerWaitTimeAccounting(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "core", 1)
-	s.Submit(10*Nanosecond, nil)
-	s.Submit(10*Nanosecond, nil) // waits 10 ns
-	s.Submit(10*Nanosecond, nil) // waits 20 ns
+	s := NewServerDisc(e, "core", 1, nil)
+	s.SubmitKeyed(0, 0, 10*Nanosecond, nil)
+	s.SubmitKeyed(0, 0, 10*Nanosecond, nil) // waits 10 ns
+	s.SubmitKeyed(0, 0, 10*Nanosecond, nil) // waits 20 ns
 	e.Run()
 	if s.WaitTime != 30*Nanosecond {
 		t.Errorf("WaitTime = %v, want 30ns", s.WaitTime)
@@ -73,10 +73,10 @@ func TestServerWaitTimeAccounting(t *testing.T) {
 
 func TestServerChainedSubmission(t *testing.T) {
 	e := NewEngine()
-	s := NewServer(e, "core", 1)
+	s := NewServerDisc(e, "core", 1, nil)
 	var finish Time
-	s.Submit(5*Nanosecond, func() {
-		s.Submit(5*Nanosecond, func() { finish = e.Now() })
+	s.SubmitKeyed(0, 0, 5*Nanosecond, func() {
+		s.SubmitKeyed(0, 0, 5*Nanosecond, func() { finish = e.Now() })
 	})
 	e.Run()
 	if finish != Time(10*Nanosecond) {
@@ -91,11 +91,11 @@ func TestServerMakespanProperty(t *testing.T) {
 		k := int(slots%8) + 1
 		n := int(jobs%32) + 1
 		e := NewEngine()
-		s := NewServer(e, "pool", k)
+		s := NewServerDisc(e, "pool", k, nil)
 		d := 7 * Nanosecond
 		var last Time
 		for i := 0; i < n; i++ {
-			s.Submit(d, func() { last = e.Now() })
+			s.SubmitKeyed(0, 0, d, func() { last = e.Now() })
 		}
 		e.Run()
 		waves := (n + k - 1) / k
@@ -113,12 +113,12 @@ func TestServerWorkConservationProperty(t *testing.T) {
 		k := int(slots%6) + 1
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		s := NewServer(e, "pool", k)
+		s := NewServerDisc(e, "pool", k, nil)
 		var total Duration
 		for i := 0; i < 20; i++ {
 			d := Duration(rng.Int63n(100)+1) * Nanosecond
 			total += d
-			s.Submit(d, nil)
+			s.SubmitKeyed(0, 0, d, nil)
 		}
 		e.Run()
 		return s.BusyTime == total
@@ -134,15 +134,15 @@ func TestServerInvalidConstruction(t *testing.T) {
 			t.Error("no panic on zero slots")
 		}
 	}()
-	NewServer(NewEngine(), "bad", 0)
+	NewServerDisc(NewEngine(), "bad", 0, nil)
 }
 
 func TestServerNegativeServicePanics(t *testing.T) {
-	s := NewServer(NewEngine(), "core", 1)
+	s := NewServerDisc(NewEngine(), "core", 1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic on negative service time")
 		}
 	}()
-	s.Submit(-1, nil)
+	s.SubmitKeyed(0, 0, -1, nil)
 }

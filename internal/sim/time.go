@@ -58,9 +58,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Seconds reports t as seconds since the start of the simulation.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // String formats the time with an adaptive unit for debugging output.
 func (t Time) String() string { return Duration(t).String() }
 
@@ -80,13 +77,6 @@ func (d Duration) String() string {
 	default:
 		return fmt.Sprintf("%.6fs", d.Seconds())
 	}
-}
-
-// Cycles converts a cycle count at the given clock frequency (Hz) to a
-// Duration. It is the bridge between cycle-accurate component models (DRX,
-// accelerators) and the event clock.
-func Cycles(n int64, hz float64) Duration {
-	return Duration(math.Round(float64(n) * float64(Second) / hz))
 }
 
 // BytesAt returns the time to move n bytes at rate bytesPerSec.

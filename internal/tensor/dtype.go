@@ -59,15 +59,3 @@ func (d DType) Size() int {
 
 // IsComplex reports whether the dtype holds complex values.
 func (d DType) IsComplex() bool { return d == Complex64 }
-
-// IsFloat reports whether the dtype holds floating-point values.
-func (d DType) IsFloat() bool { return d == Float32 || d == Float64 }
-
-// IsInteger reports whether the dtype holds integer values.
-func (d DType) IsInteger() bool {
-	switch d {
-	case Uint8, Int8, Int16, Int32, Int64:
-		return true
-	}
-	return false
-}

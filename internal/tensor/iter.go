@@ -50,17 +50,3 @@ func (it *Iter) Next() bool {
 // Index returns the current multi-index. The slice is reused across
 // Next calls; copy it if it must survive.
 func (it *Iter) Index() []int { return it.idx }
-
-// Reset rewinds the iterator to the first index.
-func (it *Iter) Reset() {
-	for i := range it.idx {
-		it.idx[i] = 0
-	}
-	it.first = true
-	it.done = false
-	for _, d := range it.shape {
-		if d == 0 {
-			it.done = true
-		}
-	}
-}

@@ -19,7 +19,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		shape:  append([]int(nil), shape...),
 		stride: rowMajorStrides(shape),
 		data:   t.data,
-		offset: t.offset,
 	}
 }
 
@@ -40,26 +39,7 @@ func (t *Tensor) Transpose(perm ...int) *Tensor {
 		shape[i] = t.shape[p]
 		stride[i] = t.stride[p]
 	}
-	return &Tensor{dtype: t.dtype, shape: shape, stride: stride, data: t.data, offset: t.offset}
-}
-
-// Slice returns a view restricted to [lo, hi) along dimension dim.
-func (t *Tensor) Slice(dim, lo, hi int) *Tensor {
-	if dim < 0 || dim >= len(t.shape) {
-		panic(fmt.Sprintf("tensor: slice dim %d out of range for rank %d", dim, len(t.shape)))
-	}
-	if lo < 0 || hi > t.shape[dim] || lo > hi {
-		panic(fmt.Sprintf("tensor: slice [%d,%d) out of range for dim of length %d", lo, hi, t.shape[dim]))
-	}
-	shape := append([]int(nil), t.shape...)
-	shape[dim] = hi - lo
-	return &Tensor{
-		dtype:  t.dtype,
-		shape:  shape,
-		stride: append([]int(nil), t.stride...),
-		data:   t.data,
-		offset: t.offset + lo*t.stride[dim],
-	}
+	return &Tensor{dtype: t.dtype, shape: shape, stride: stride, data: t.data}
 }
 
 // Contiguous materializes the tensor into fresh row-major storage. A
@@ -71,34 +51,6 @@ func (t *Tensor) Contiguous() *Tensor {
 	out := New(t.dtype, t.shape...)
 	it := NewIter(t.shape)
 	if t.dtype == Complex64 {
-		for it.Next() {
-			out.SetComplex(t.AtComplex(it.Index()...), it.Index()...)
-		}
-		return out
-	}
-	for it.Next() {
-		out.Set(t.At(it.Index()...), it.Index()...)
-	}
-	return out
-}
-
-// Clone deep-copies the tensor into fresh contiguous storage.
-func (t *Tensor) Clone() *Tensor {
-	out := t.Contiguous()
-	if out == t { // Contiguous returned the receiver; force a copy
-		out = New(t.dtype, t.shape...)
-		copy(out.data, t.Bytes())
-	}
-	return out
-}
-
-// AsType converts the tensor to a new dtype, copying and value-converting
-// every element (with integer saturation). Complex→real takes the real
-// part, matching the DRX typecast unit.
-func (t *Tensor) AsType(dtype DType) *Tensor {
-	out := New(dtype, t.shape...)
-	it := NewIter(t.shape)
-	if dtype == Complex64 {
 		for it.Next() {
 			out.SetComplex(t.AtComplex(it.Index()...), it.Index()...)
 		}
@@ -125,14 +77,6 @@ func (t *Tensor) Reinterpret(dtype DType, shape ...int) *Tensor {
 		shape:  append([]int(nil), shape...),
 		stride: rowMajorStrides(shape),
 		data:   t.Bytes(),
-	}
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	it := NewIter(t.shape)
-	for it.Next() {
-		t.Set(v, it.Index()...)
 	}
 }
 

@@ -18,7 +18,6 @@ type Tensor struct {
 	shape  []int
 	stride []int
 	data   []byte
-	offset int // element offset of index (0,0,...) within data
 }
 
 // New allocates a zero-filled tensor in row-major (C) order.
@@ -59,30 +58,6 @@ func FromFloat32(vals []float32, shape ...int) *Tensor {
 	return t
 }
 
-// FromFloat64 builds a Float64 tensor initialized from vals.
-func FromFloat64(vals []float64, shape ...int) *Tensor {
-	t := New(Float64, shape...)
-	if len(vals) != t.NumElems() {
-		panic(fmt.Sprintf("tensor: %d values cannot fill shape %v", len(vals), shape))
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(t.data[i*8:], math.Float64bits(v))
-	}
-	return t
-}
-
-// FromInt32 builds an Int32 tensor initialized from vals.
-func FromInt32(vals []int32, shape ...int) *Tensor {
-	t := New(Int32, shape...)
-	if len(vals) != t.NumElems() {
-		panic(fmt.Sprintf("tensor: %d values cannot fill shape %v", len(vals), shape))
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(t.data[i*4:], uint32(v))
-	}
-	return t
-}
-
 func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
@@ -112,9 +87,6 @@ func (t *Tensor) Rank() int { return len(t.shape) }
 
 // Shape returns a copy of the tensor's dimensions.
 func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
-
-// Strides returns a copy of the element strides.
-func (t *Tensor) Strides() []int { return append([]int(nil), t.stride...) }
 
 // Dim reports the length of dimension i.
 func (t *Tensor) Dim(i int) int { return t.shape[i] }
@@ -151,8 +123,7 @@ func (t *Tensor) Bytes() []byte {
 	if !t.IsContiguous() {
 		panic("tensor: Bytes on non-contiguous view")
 	}
-	es := t.dtype.Size()
-	return t.data[t.offset*es : t.offset*es+t.SizeBytes()]
+	return t.data[:t.SizeBytes()]
 }
 
 // elemIndex converts a multi-index to an element offset in data. idx
@@ -162,7 +133,7 @@ func (t *Tensor) elemIndex(idx []int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index rank %d != tensor rank %d", len(idx), len(t.shape)))
 	}
-	e := t.offset
+	e := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
 			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", append([]int(nil), idx...), t.shape))
