@@ -91,13 +91,24 @@ func (m *Meter) AddTraffic(bytes int64) {
 	m.Add("link", float64(bytes)*m.p.LinkPJPerByte*1e-12)
 }
 
-// Total reports the accumulated energy in joules.
+// Total reports the accumulated energy in joules, summed in component
+// name order so that equal meters give equal bits.
 func (m *Meter) Total() float64 {
 	var t float64
-	for _, j := range m.components {
-		t += j
+	for _, k := range m.names() {
+		t += m.components[k]
 	}
 	return t
+}
+
+// names lists the charged components in sorted order.
+func (m *Meter) names() []string {
+	keys := make([]string, 0, len(m.components))
+	for k := range m.components {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Breakdown returns a copy of the per-component energies.
@@ -111,13 +122,8 @@ func (m *Meter) Breakdown() map[string]float64 {
 
 // String renders the breakdown sorted by component name.
 func (m *Meter) String() string {
-	keys := make([]string, 0, len(m.components))
-	for k := range m.components {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
-	for _, k := range keys {
+	for _, k := range m.names() {
 		fmt.Fprintf(&b, "%s=%.3fJ ", k, m.components[k])
 	}
 	fmt.Fprintf(&b, "total=%.3fJ", m.Total())

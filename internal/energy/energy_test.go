@@ -87,3 +87,18 @@ func TestNegativeChargePanics(t *testing.T) {
 	}()
 	NewMeter(Default()).Add("x", -1)
 }
+
+// Floating-point addition is not associative: 1e16+1 rounds back to
+// 1e16, so these three charges total 1e16 in name order and 1e16+2 when
+// the two ones come first. Total must pick name order every time.
+func TestTotalSumsInNameOrder(t *testing.T) {
+	m := NewMeter(Default())
+	m.Add("a", 1e16)
+	m.Add("b", 1)
+	m.Add("c", 1)
+	for i := 0; i < 100; i++ {
+		if got := m.Total(); got != 1e16 {
+			t.Fatalf("Total = %.0f, want 1e16 (a+b+c in name order)", got)
+		}
+	}
+}
