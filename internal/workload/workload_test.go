@@ -339,3 +339,37 @@ func TestGenAIRAGSimulates(t *testing.T) {
 		t.Errorf("RAG chain: DMX (%v) not faster than baseline (%v)", dr.MeanTotal(), br.MeanTotal())
 	}
 }
+
+// Every app table entry builds the benchmark it is named after, and
+// Suite is the table's Table I prefix.
+func TestAppTable(t *testing.T) {
+	names := Names()
+	if len(names) != 7 {
+		t.Fatalf("%d apps, want 7: %v", len(names), names)
+	}
+	for _, name := range names {
+		build, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("Lookup(%q) failed", name)
+		}
+		b, err := build(TestScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Name != name || b.Pipeline.Name != name {
+			t.Errorf("%s builds %q (pipeline %q)", name, b.Name, b.Pipeline.Name)
+		}
+	}
+	suite, err := Suite(TestScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range suite {
+		if b.Name != names[i] {
+			t.Errorf("Suite[%d] = %s, table has %s", i, b.Name, names[i])
+		}
+	}
+	if _, ok := Lookup("nope"); ok {
+		t.Error("Lookup accepted an unknown name")
+	}
+}

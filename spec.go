@@ -349,44 +349,30 @@ func (s Spec) Simulate() (LoadReport, error) {
 	return SimulateCluster(fc, ts, pipes...)
 }
 
-// specBenchmarks resolves app names at a scale. pir-ner and genai-rag
-// live outside the Table I Suite and are constructed on demand.
+// specBenchmarks resolves app names at a scale, building only the apps
+// named (each once, however often it is named); no names is the Table I
+// Suite.
 func specBenchmarks(names []string, sc workload.Scale) ([]*workload.Benchmark, error) {
-	suite, err := workload.Suite(sc)
-	if err != nil {
-		return nil, err
-	}
 	if len(names) == 0 {
-		return suite, nil
+		return workload.Suite(sc)
 	}
-	byName := make(map[string]*workload.Benchmark, len(suite))
-	for _, b := range suite {
-		byName[b.Name] = b
+	for _, name := range names {
+		if _, ok := workload.Lookup(name); !ok {
+			return nil, fmt.Errorf("dmx: spec app %q (known: %s)", name, strings.Join(workload.Names(), ", "))
+		}
 	}
+	byName := make(map[string]*workload.Benchmark, len(names))
 	out := make([]*workload.Benchmark, 0, len(names))
 	for _, name := range names {
-		if b, ok := byName[name]; ok {
-			out = append(out, b)
-			continue
-		}
-		var b *workload.Benchmark
-		switch name {
-		case "pir-ner":
-			b, err = workload.PIRWithNER(sc)
-		case "genai-rag":
-			b, err = workload.GenAIRAG(sc)
-		default:
-			known := make([]string, 0, len(suite)+2)
-			for _, s := range suite {
-				known = append(known, s.Name)
+		b, ok := byName[name]
+		if !ok {
+			build, _ := workload.Lookup(name)
+			var err error
+			if b, err = build(sc); err != nil {
+				return nil, err
 			}
-			known = append(known, "pir-ner", "genai-rag")
-			return nil, fmt.Errorf("dmx: spec app %q (known: %s)", name, strings.Join(known, ", "))
+			byName[name] = b
 		}
-		if err != nil {
-			return nil, err
-		}
-		byName[name] = b
 		out = append(out, b)
 	}
 	return out, nil
