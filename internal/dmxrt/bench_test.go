@@ -66,16 +66,14 @@ func newBenchFixture(tb testing.TB) *benchFixture {
 	return f
 }
 
-// dispatch enqueues one restructure and forces it, then drops the
-// retired event so the context does not accumulate history across
+// dispatch enqueues one restructure and finishes the context, which
+// retires the event, so the context does not accumulate history across
 // benchmark iterations.
 func (f *benchFixture) dispatch(tb testing.TB) {
-	ev := f.q.EnqueueRestructure(f.kernel, f.inputs, f.outputs)
-	if err := ev.Wait(); err != nil {
+	f.q.EnqueueRestructure(f.kernel, f.inputs, f.outputs)
+	if err := f.ctx.Finish(); err != nil {
 		tb.Fatal(err)
 	}
-	f.ctx.pending = f.ctx.pending[:0]
-	f.q.last = nil
 }
 
 // baselineDispatch reproduces the pre-cache, pre-fast-path dispatch:

@@ -112,24 +112,31 @@ type Event struct {
 
 // Wait executes the command (and, transitively, its dependencies) if it
 // has not run yet, returning its error. Waiting on an event is the
-// blocking-execution mode of the paper's programming model.
+// blocking-execution mode of the paper's programming model. Once the
+// command has run (or been failed by a dependency) the event drops its
+// dependencies and closure: its cached error already carries any
+// failure, so a retired event pins nothing that came before it.
 func (e *Event) Wait() error {
 	if e.done {
 		return e.err
 	}
+	defer e.retire()
 	for _, d := range e.deps {
 		if err := d.Wait(); err != nil {
-			e.done = true
 			e.err = fmt.Errorf("dmxrt: dependency %q failed: %w", d.desc, err)
 			return e.err
 		}
 	}
-	e.done = true
-	e.err = e.run()
-	if e.err != nil {
-		e.err = fmt.Errorf("dmxrt: %s: %w", e.desc, e.err)
+	if err := e.run(); err != nil {
+		e.err = fmt.Errorf("dmxrt: %s: %w", e.desc, err)
 	}
 	return e.err
+}
+
+func (e *Event) retire() {
+	e.done = true
+	e.deps = nil
+	e.run = nil
 }
 
 // CommandQueue is an in-order queue on one device: each enqueued command
@@ -143,7 +150,8 @@ type CommandQueue struct {
 
 func (q *CommandQueue) enqueue(desc string, deps []*Event, run func() error) *Event {
 	all := deps
-	if q.last != nil {
+	// A predecessor that already ran cleanly orders nothing.
+	if q.last != nil && !(q.last.done && q.last.err == nil) {
 		all = append(append([]*Event(nil), deps...), q.last)
 	}
 	ev := &Event{desc: desc, deps: all, run: run}
@@ -203,13 +211,17 @@ func (q *CommandQueue) EnqueueRestructure(k *restructure.Kernel,
 }
 
 // Finish executes every pending command in the context, in submission
-// order, and returns the first error.
+// order, and returns the first error. When every command succeeded the
+// pending list is emptied, so a long-lived context holds only the
+// commands submitted since its last clean Finish.
 func (c *Context) Finish() error {
 	for _, ev := range c.pending {
 		if err := ev.Wait(); err != nil {
 			return err
 		}
 	}
+	clear(c.pending)
+	c.pending = c.pending[:0]
 	return nil
 }
 

@@ -206,6 +206,69 @@ func TestDependencyFailurePropagates(t *testing.T) {
 	}
 }
 
+// TestFinishRetiresEvents runs 10 000 enqueue + Finish cycles on one
+// context: each clean Finish empties the pending list and every retired
+// event drops its dependencies, so nothing accumulates. A failed event
+// keeps failing its dependents with the same error text after it has
+// retired, and a failed Finish keeps its pending list.
+func TestFinishRetiresEvents(t *testing.T) {
+	p := NewPlatform()
+	drxDev, err := p.AddDRX(drx.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fftSpec, _ := accel.NewFFT(2, 64)
+	fftDev := p.AddAccelerator(fftSpec)
+	ctx := p.NewContext()
+	q := ctx.Queue(drxDev)
+	x := ctx.CreateBuffer("x", tensor.FromBytes([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 2, 4))
+	y := ctx.CreateEmptyBuffer("y", tensor.Uint8, 4, 2)
+	var deps []*Event
+	for i := 0; i < 10_000; i++ {
+		// Each command also names the previous one explicitly.
+		ev := q.EnqueueRestructure(transpose24, map[string]*Buffer{"x": x}, map[string]*Buffer{"y": y}, deps...)
+		deps = []*Event{ev}
+		if err := ctx.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if len(ctx.pending) != 0 || cap(ctx.pending) > 1 {
+			t.Fatalf("cycle %d: %d pending events (capacity %d) after a clean Finish", i, len(ctx.pending), cap(ctx.pending))
+		}
+		if ev.deps != nil || ev.run != nil {
+			t.Fatalf("cycle %d: a retired event still holds its dependencies or closure", i)
+		}
+	}
+	if y.Tensor().At(3, 1) != 8 {
+		t.Errorf("transpose output %v", y.Tensor())
+	}
+
+	bad := ctx.Queue(fftDev).EnqueueKernel(nil, nil)
+	dep := func() *Event {
+		return q.EnqueueRestructure(transpose24, map[string]*Buffer{"x": x}, map[string]*Buffer{"y": y}, bad)
+	}
+	first := dep().Wait()
+	if first == nil || !strings.Contains(first.Error(), "dependency") {
+		t.Fatalf("want dependency error, got %v", first)
+	}
+	if bad.deps != nil || bad.run != nil {
+		t.Error("the failed event did not retire")
+	}
+	if err := dep().Wait(); err == nil || err.Error() != first.Error() {
+		t.Errorf("dependent of the retired failure: got %v, want %q", err, first)
+	}
+	// The queue's next command depends on its failed predecessor.
+	next := q.EnqueueRestructure(transpose24, map[string]*Buffer{"x": x}, map[string]*Buffer{"y": y})
+	if err := next.Wait(); err == nil || !strings.Contains(err.Error(), "dependency") {
+		t.Errorf("in-order successor of a failure: got %v, want a dependency error", err)
+	}
+	if err := ctx.Finish(); err == nil {
+		t.Error("Finish swallowed the failure")
+	}
+	if len(ctx.pending) == 0 {
+		t.Error("a failed Finish emptied the pending list")
+	}
+}
+
 func TestPlatformEnumeration(t *testing.T) {
 	p := NewPlatform()
 	fftSpec, _ := accel.NewFFT(2, 64)

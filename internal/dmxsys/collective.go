@@ -106,8 +106,8 @@ func (cs *CollectiveSystem) reduceDelay(onDRX bool, fanIn int, done func()) {
 		s.Eng.Schedule(d, done)
 		return
 	}
-	ops, bytes := s.restructureWork(k)
-	s.cpuJob(ops, bytes, done)
+	w := restructureWork(k)
+	s.cpuJob(w.ops, w.bytes, done)
 }
 
 // switchGroups partitions the accelerators by switch, preserving order;

@@ -192,3 +192,30 @@ func TestStageWatchdogAbandonsStalledRequests(t *testing.T) {
 		t.Errorf("timeouts=%d retries=%d; expected watchdog activity", al.Timeouts, al.Retries)
 	}
 }
+
+// TestDeadlineAloneDegradesToHost sets a stage deadline with no fault
+// plan on a DRX too slow to meet it: every placement with a DRX must
+// time each hop out and restructure it on the host instead, losing no
+// request.
+func TestDeadlineAloneDegradesToHost(t *testing.T) {
+	b := faultBench(t)
+	for _, p := range []dmxsys.Placement{
+		dmxsys.Integrated, dmxsys.Standalone, dmxsys.PCIeIntegrated, dmxsys.BumpInTheWire,
+	} {
+		cfg := dmxsys.DefaultConfig(p)
+		cfg.DRX.DRAMBytesPerSec = 1e6
+		cfg.Retry = faults.RetryPolicy{MaxAttempts: 1, StageDeadline: 50 * sim.Microsecond}
+		s, err := dmxsys.New(cfg, []*dmxsys.Pipeline{b.Pipeline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.RunLoad(traffic.Spec{Arrival: traffic.OpenLoop, Rate: 1000, Requests: 5})
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		al := rep.PerApp[0]
+		if al.Completed != al.Requests || al.Degraded != al.Requests {
+			t.Errorf("%v: %d completed, %d degraded of %d", p, al.Completed, al.Degraded, al.Requests)
+		}
+	}
+}

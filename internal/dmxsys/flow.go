@@ -947,9 +947,7 @@ func (c *carrier) cpuRestructured() {
 func (c *carrier) cpuRestructure(p phase) {
 	s, a := c.s, c.a
 	h := a.pipe.Hops[c.k]
-	ops, bytes := s.restructureWork(h.Kernel)
-	ops *= c.n()
-	bytes *= c.n()
+	ops, bytes := a.hopCPU[c.k].ops*c.n(), a.hopCPU[c.k].bytes*c.n()
 	s.occupyCPU(a, ops, bytes)
 	s.obsInstant(a, obs.TypeHostRestructure, 0, pcie.Root, "", h.Kernel.Name, c.n()*h.InBytes)
 	c.cpuJob(ops, bytes, p)

@@ -187,41 +187,29 @@ func TestServingGoldenAcrossPlacements(t *testing.T) {
 		dmxsys.MultiAxl, dmxsys.Integrated, dmxsys.Standalone,
 		dmxsys.PCIeIntegrated, dmxsys.BumpInTheWire,
 	}
+	// Each placement serves its cells in a parallel subtest of one group;
+	// the group returns once every placement has, and the cross-placement
+	// checks below read the results in placement order.
+	runs := make([][]servedCell, len(placements))
+	t.Run("placements", func(t *testing.T) {
+		for i, p := range placements {
+			t.Run(strings.ReplaceAll(p.String(), " ", "-"), func(t *testing.T) {
+				t.Parallel()
+				runs[i] = servePlacement(t, p, pipes)
+			})
+		}
+	})
 	got := make(map[string]string)
 	var keys []string
 	tally := make(map[string]*servingTally)
-	for _, p := range placements {
-		plan, err := dmxsys.NewPlan(dmxsys.DefaultConfig(p), pipes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cell := range servingCells() {
-			cfg := dmxsys.DefaultConfig(p)
-			if !cell.mut(&cfg, plan) {
-				continue
+	for _, cells := range runs {
+		for _, c := range cells {
+			got[c.key] = c.hash
+			keys = append(keys, c.key)
+			if tally[c.name] == nil {
+				tally[c.name] = &servingTally{}
 			}
-			key := goldenKey(cell.name, p)
-			quietRep := servingRun(t, cfg, pipes, cell.spec)
-			if tally[cell.name] == nil {
-				tally[cell.name] = &servingTally{}
-			}
-			tally[cell.name].add(quietRep)
-			quiet := quietRep.String()
-
-			cfg.Obs = obs.New()
-			rep := servingRun(t, cfg, pipes, cell.spec).String()
-			if rep != quiet {
-				t.Errorf("%s: the recorder perturbed the report:\ntraced:\n%s\nuntraced:\n%s", key, rep, quiet)
-			}
-			var trace bytes.Buffer
-			if err := obs.WriteTrace(&trace, cfg.Obs.Events()); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := obs.ValidateTrace(trace.Bytes()); err != nil {
-				t.Errorf("%s: trace does not validate: %v", key, err)
-			}
-			got[key] = hashDump(rep + trace.String())
-			keys = append(keys, key)
+			tally[c.name].add(c.quiet)
 		}
 	}
 
@@ -280,4 +268,46 @@ func TestServingGoldenAcrossPlacements(t *testing.T) {
 			t.Errorf("%s: serving output changed: hash %s, golden %s", k, got[k], want[k])
 		}
 	}
+}
+
+// servedCell is one golden cell's outcome: its key, the hash of its
+// traced report and trace, and its untraced report.
+type servedCell struct {
+	name, key, hash string
+	quiet           traffic.LoadReport
+}
+
+// servePlacement serves every cell that applies under placement p, in
+// cell order, checking that the recorder leaves each report unchanged
+// and that each trace validates.
+func servePlacement(t *testing.T, p dmxsys.Placement, pipes []*dmxsys.Pipeline) []servedCell {
+	plan, err := dmxsys.NewPlan(dmxsys.DefaultConfig(p), pipes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []servedCell
+	for _, cell := range servingCells() {
+		cfg := dmxsys.DefaultConfig(p)
+		if !cell.mut(&cfg, plan) {
+			continue
+		}
+		key := goldenKey(cell.name, p)
+		quietRep := servingRun(t, cfg, pipes, cell.spec)
+		quiet := quietRep.String()
+
+		cfg.Obs = obs.New()
+		rep := servingRun(t, cfg, pipes, cell.spec).String()
+		if rep != quiet {
+			t.Errorf("%s: the recorder perturbed the report:\ntraced:\n%s\nuntraced:\n%s", key, rep, quiet)
+		}
+		var trace bytes.Buffer
+		if err := obs.WriteTrace(&trace, cfg.Obs.Events()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := obs.ValidateTrace(trace.Bytes()); err != nil {
+			t.Errorf("%s: trace does not validate: %v", key, err)
+		}
+		out = append(out, servedCell{name: cell.name, key: key, hash: hashDump(rep + trace.String()), quiet: quietRep})
+	}
+	return out
 }

@@ -92,9 +92,11 @@ type appInstance struct {
 	// drxServer[k] serves hop k's restructuring (nil when on CPU); its
 	// name is the hop's DRX trace track.
 	drxServer []*sim.Server
-	// hopDRX[k] is hop k's DRX service time (nil without DRX). Plan
-	// state, shared read-only across replicas.
+	// hopDRX[k] is hop k's DRX service time (nil without DRX) and
+	// hopCPU[k] its host-CPU restructuring work. Plan state, shared
+	// read-only across replicas.
 	hopDRX []sim.Duration
+	hopCPU []cpuWork
 
 	// input and output are the host↔accelerator legs of every request;
 	// hops[k] holds hop k's legs and data queues (both empty for AllCPU).
@@ -308,6 +310,10 @@ type pipeTables struct {
 	// hopDRX[k] is hop k's DRX service time under cfg.DRX (nil when the
 	// placement has no DRX), resolved once through drxTimeOf.
 	hopDRX []sim.Duration
+	// hopCPU[k] is hop k's work when the host CPU restructures it:
+	// always under MultiAxl and AllCPU, on degrade under the others (nil
+	// when nothing can degrade: no faults and no retry policy).
+	hopCPU []cpuWork
 
 	remAtKernel []sim.Duration
 	remAtHop    []sim.Duration
@@ -505,6 +511,12 @@ func newPipeTables(cfg Config, pipe *Pipeline) (pipeTables, error) {
 			t.hopDRX[k] = d
 		}
 	}
+	if !cfg.Placement.UsesDRX() || cfg.Faults.Enabled() || cfg.Retry.Enabled() {
+		t.hopCPU = make([]cpuWork, len(pipe.Hops))
+		for k, h := range pipe.Hops {
+			t.hopCPU[k] = restructureWork(h.Kernel)
+		}
+	}
 	t.remAtKernel, t.remAtHop = remainingService(cfg.Placement, pipe, t.hopDRX, nil)
 
 	// Batch-size ceiling: a bump-in-the-wire batch moves n× a hop's
@@ -672,7 +684,7 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 		pa := &p.apps[i]
 		a := &insts[i]
 		s.apps[i] = a
-		a.id, a.pipe, a.hopDRX = i, pipe, pa.hopDRX
+		a.id, a.pipe, a.hopDRX, a.hopCPU = i, pipe, pa.hopDRX, pa.hopCPU
 		a.occ = carve(&occ, pa.slots)[:0]
 		a.occNames = carve(&occNames, pa.slots)[:0]
 		a.slot(s.cpuCompute.Name()) // slotCPUCompute
@@ -973,25 +985,28 @@ func (s *System) cpuJob(ops int64, bytes int64, done func()) {
 	s.cpuMem.Start(bytes, finish)
 }
 
-// restructureWork computes the CPU channel work for one kernel.
-func (s *System) restructureWork(k *restructure.Kernel) (ops, bytes int64) {
+// cpuWork is the host work of restructuring one kernel in software:
+// operations on the compute channel, bytes on the memory channel.
+type cpuWork struct{ ops, bytes int64 }
+
+// restructureWork computes the CPU channel work for one kernel. It
+// depends on the kernel alone, so plans compute it once per hop
+// (pipeTables.hopCPU).
+func restructureWork(k *restructure.Kernel) cpuWork {
 	m := hostCPU
+	var w cpuWork
 	for _, st := range k.Stages {
 		stats := st.Stats(k)
-		ops += stats.Ops
+		w.ops += stats.Ops
 		traffic := float64(stats.BytesIn+stats.BytesOut) * m.ThrashFactor
 		if !stats.VectorFriendly {
 			traffic *= m.NonStreamPenalty
 		}
-		bytes += int64(traffic)
+		w.bytes += int64(traffic)
 	}
-	if ops < 1 {
-		ops = 1
-	}
-	if bytes < 1 {
-		bytes = 1
-	}
-	return ops, bytes
+	w.ops = max(w.ops, 1)
+	w.bytes = max(w.bytes, 1)
+	return w
 }
 
 // FaultCounts reports the incidents the injector observed during the

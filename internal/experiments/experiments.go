@@ -62,11 +62,13 @@ func suite(n int) ([]*workload.Benchmark, error) {
 
 // Warm front-loads the process-wide cache a parallel sweep would
 // otherwise serialize on: the paper-scale benchmark suite, whose first
-// build pays the corpus probes (about a second, nearly all of it
-// deflating the hash-join table; the probes count bytes as they stream
-// and hold no corpus). DRX kernel timings fill on demand: timing walks the
-// compiled program without moving data, so the figures pay a few
-// milliseconds per distinct kernel and configuration. The grid of
+// build pays the corpus probes. workload.Suite runs the five
+// constructors at once, so this takes about as long as deflating the
+// hash-join table (about 0.6 s on one core; the probes count bytes as
+// they stream and hold no corpus). DRX kernel timings fill on demand:
+// timing walks the compiled program without moving data, so the
+// figures pay a few milliseconds per distinct kernel and
+// configuration. The grid of
 // homogeneous runs fills on demand too, in the figures that read it:
 // it is simulation work, not set-up. Calling Warm is optional: every
 // generator computes what it needs on demand.

@@ -102,7 +102,8 @@ func Equal(a, b *Tensor) bool {
 
 // AllClose reports whether two tensors match elementwise within tol
 // (absolute). Shapes and dtypes may differ; values are compared as
-// complex128.
+// complex128. Equal values match (an infinity matches itself); a NaN
+// matches nothing, itself included.
 func AllClose(a, b *Tensor, tol float64) bool {
 	if len(a.shape) != len(b.shape) {
 		return false
@@ -114,8 +115,9 @@ func AllClose(a, b *Tensor, tol float64) bool {
 	}
 	it := NewIter(a.shape)
 	for it.Next() {
-		d := a.AtComplex(it.Index()...) - b.AtComplex(it.Index()...)
-		if abs2(d) > tol*tol {
+		x, y := a.AtComplex(it.Index()...), b.AtComplex(it.Index()...)
+		// Written so that a NaN difference fails the test.
+		if x != y && !(abs2(x-y) <= tol*tol) {
 			return false
 		}
 	}

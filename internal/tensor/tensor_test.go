@@ -163,6 +163,45 @@ func TestEqualAndAllClose(t *testing.T) {
 	}
 }
 
+// TestAllCloseNonFinite pins AllClose on NaN and infinities: a NaN
+// matches nothing, an infinity matches only itself, at any tolerance.
+func TestAllCloseNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		a, b float64
+		want bool
+	}{
+		{nan, 7, false},
+		{7, nan, false},
+		{nan, nan, false},
+		{inf, inf, true},
+		{-inf, -inf, true},
+		{inf, -inf, false},
+		{inf, 1e300, false},
+		{-1e300, -inf, false},
+		{inf, nan, false},
+	} {
+		for _, tol := range []float64{0, 1e-3, 1} {
+			a, b := New(Float64, 2), New(Float64, 2)
+			a.Set(1, 0)
+			b.Set(1, 0)
+			a.Set(c.a, 1)
+			b.Set(c.b, 1)
+			if got := AllClose(a, b, tol); got != c.want {
+				t.Errorf("AllClose([1 %v], [1 %v], %g) = %v, want %v", c.a, c.b, tol, got, c.want)
+			}
+		}
+	}
+	// Complex elements compare on both parts.
+	z := New(Complex64, 1)
+	w := New(Complex64, 1)
+	z.SetComplex(complex(1, nan), 0)
+	w.SetComplex(complex(1, 0), 0)
+	if AllClose(z, w, 1) || AllClose(z, z, 1) {
+		t.Error("AllClose matched a complex element with a NaN part")
+	}
+}
+
 func TestIterCoversShape(t *testing.T) {
 	it := NewIter([]int{2, 3, 2})
 	n := 0

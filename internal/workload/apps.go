@@ -381,29 +381,62 @@ func tableCorpus(g dbGeom) corpus {
 
 // tableChunkRows is how many rows writeTable stages per Write: deflate's
 // output does not depend on how its input is split, so this bounds the
-// staging buffer without moving a byte of the gzip stream.
+// staging buffers without moving a byte of the gzip stream.
 const tableChunkRows = 4096
 
-// writeTable writes the hash-join's seeded raw table to w, row by row
-// in chunks of tableChunkRows.
+// tableRing is how many chunk buffers writeTable's producer and writer
+// pass between them: one being drawn, one being written, one spare to
+// absorb the jitter between the two.
+const tableRing = 3
+
+// writeTable writes the hash-join's seeded raw table to w in chunks of
+// tableChunkRows rows. The rows are drawn on a producer goroutine into a
+// ring of tableRing buffers while the caller's goroutine writes the
+// chunks before them in order, so drawing overlaps the writer's work
+// (deflate, for the corpus). A write error stops the producer, and
+// writeTable returns only after the producer has exited.
 func writeTable(g dbGeom, w io.Writer) error {
 	rowlen := g.keyDigits + g.amtDigits + g.payBytes
-	rng := rand.New(rand.NewSource(55))
-	chunk := make([]byte, 0, min(g.nrows, tableChunkRows)*rowlen)
-	for r := 0; r < g.nrows; r++ {
-		chunk = appendPadded(chunk, int64(rng.Int31n(g.keySpace)), g.keyDigits)
-		chunk = appendPadded(chunk, int64(rng.Int31n(10_000_000)), g.amtDigits)
-		for p := 0; p < g.payBytes; p++ {
-			chunk = append(chunk, byte(rng.Intn(256)))
-		}
-		if (r+1)%tableChunkRows == 0 || r == g.nrows-1 {
-			if _, err := w.Write(chunk); err != nil {
-				return err
-			}
-			chunk = chunk[:0]
-		}
+	free := make(chan []byte, tableRing)
+	full := make(chan []byte, tableRing)
+	stop := make(chan struct{})
+	for range tableRing {
+		free <- make([]byte, 0, min(g.nrows, tableChunkRows)*rowlen)
 	}
-	return nil
+	go func() {
+		// At most tableRing buffers circulate, so the sends to full never
+		// block; the producer waits only on free.
+		defer close(full)
+		rng := rand.New(rand.NewSource(55))
+		for r := 0; r < g.nrows; {
+			var chunk []byte
+			select {
+			case chunk = <-free:
+			case <-stop:
+				return
+			}
+			for end := min(r+tableChunkRows, g.nrows); r < end; r++ {
+				chunk = appendPadded(chunk, int64(rng.Int31n(g.keySpace)), g.keyDigits)
+				chunk = appendPadded(chunk, int64(rng.Int31n(10_000_000)), g.amtDigits)
+				for p := 0; p < g.payBytes; p++ {
+					chunk = append(chunk, byte(rng.Intn(256)))
+				}
+			}
+			full <- chunk
+		}
+	}()
+	var err error
+	for chunk := range full {
+		if err != nil {
+			continue // drain until the producer sees stop
+		}
+		if _, err = w.Write(chunk); err != nil {
+			close(stop)
+			continue
+		}
+		free <- chunk[:0]
+	}
+	return err
 }
 
 // appendPadded appends the decimal digits of v ≥ 0, left-padded with

@@ -5,11 +5,13 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"dmx/internal/dmxsys"
 	"dmx/internal/sweep"
@@ -19,8 +21,8 @@ import (
 // TestProbeFootprint pins what a cold paper-scale probe allocates: the
 // probes stream their corpora into a byte counter, so the heap sees the
 // encoder's own state (deflate's window and hash chains, the table's
-// row chunk), never the 15 MB table, the 12 MB gzip blob or the 12 MB
-// frame. It is declared ahead of every other paper-scale test so that,
+// ring of row chunks), never the 15 MB table, the 12 MB gzip blob or
+// the 12 MB frame. It is declared ahead of every other paper-scale test so that,
 // in a full run, its fills are the ones the rest of the package reuses;
 // a probe some earlier test already filled is dropped and refilled.
 //
@@ -100,6 +102,63 @@ func TestTableGzipIgnoresWriteSplits(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Errorf("%d bytes per Write: gzip stream differs from the corpus (%d vs %d bytes)", split, got.Len(), want.Len())
 		}
+	}
+}
+
+// failingSink accepts limit bytes, then fails every Write.
+type failingSink struct{ limit, n int }
+
+var errSink = errors.New("sink failed")
+
+func (s *failingSink) Write(b []byte) (int, error) {
+	if s.n+len(b) > s.limit {
+		return 0, errSink
+	}
+	s.n += len(b)
+	return len(b), nil
+}
+
+// goroutinesBackTo waits briefly for the goroutine count to fall back to
+// n: a goroutine that has signalled its exit may not have left the
+// scheduler yet.
+func goroutinesBackTo(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlived the call (%d before it)", runtime.NumGoroutine()-n, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTablePipelineStopsOnSinkError fails the table's sink at the start,
+// in the middle and near the end of the stream: the corpus returns the
+// sink's error and leaves no goroutine behind, and a sink that never
+// fails still gets the whole stream.
+func TestTablePipelineStopsOnSinkError(t *testing.T) {
+	g := dbSizes(TestScale)
+	g.nrows = 8*tableChunkRows + 5 // several ring turns and a short last chunk
+	gen := tableCorpus(g)
+	var whole byteCount
+	if err := gen(&whole); err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{0, int(whole) / 2, int(whole) - 1} {
+		before := runtime.NumGoroutine()
+		err := gen(&failingSink{limit: limit})
+		if !errors.Is(err, errSink) {
+			t.Errorf("sink failing after %d of %d bytes: corpus returned %v, want %v", limit, whole, err, errSink)
+		}
+		goroutinesBackTo(t, before)
+	}
+	// The raw table too, failing on its first and on a middle chunk.
+	rowlen := g.keyDigits + g.amtDigits + g.payBytes
+	for _, limit := range []int{0, 3 * tableChunkRows * rowlen} {
+		before := runtime.NumGoroutine()
+		if err := writeTable(g, &failingSink{limit: limit}); !errors.Is(err, errSink) {
+			t.Errorf("raw table sink failing after %d bytes: got %v, want %v", limit, err, errSink)
+		}
+		goroutinesBackTo(t, before)
 	}
 }
 

@@ -17,10 +17,11 @@ type corpus func(w io.Writer) error
 
 // A probe is one data-dependent byte count a constructor needs for its
 // latency model, read off a full run of the app's corpus into a byte
-// counter, so nothing but the encoder's own state is held. The corpus
-// is deterministic, so each (app, scale) probe is computed once per
-// process and only the count is shared: every construction still
-// returns a fresh Benchmark and Pipeline, which callers may mutate.
+// counter, so nothing but the generator's own state (the encoder's, and
+// the table's ring of row chunks) is held. The corpus is deterministic,
+// so each (app, scale) probe is computed once per process and only the
+// count is shared: every construction still returns a fresh Benchmark
+// and Pipeline, which callers may mutate.
 type probe struct {
 	once sync.Once
 	n    int64

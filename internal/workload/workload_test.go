@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -372,4 +374,36 @@ func TestAppTable(t *testing.T) {
 	if _, ok := Lookup("nope"); ok {
 		t.Error("Lookup accepted an unknown name")
 	}
+}
+
+// TestBuild covers the shared build path: apps come back in name order,
+// a repeated name shares one Benchmark, an unknown name is an error, and
+// when several constructors fail the first failure in name order is
+// returned, whichever finishes first, with no goroutine left behind.
+func TestBuild(t *testing.T) {
+	got, err := Build(TestScale, "genai-rag", "sound-detection", "genai-rag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0].Name != "genai-rag" || got[1].Name != "sound-detection" || got[0] != got[2] {
+		t.Errorf("Build returned %v", got)
+	}
+	if _, err := Build(TestScale, "sound-detection", "nope"); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("unknown app: got %v", err)
+	}
+
+	saved := apps
+	defer func() { apps = saved }()
+	release := make(chan struct{})
+	errSlow, errFast := errors.New("slow failure"), errors.New("fast failure")
+	apps = []app{
+		{"ok", SoundDetection},
+		{"slow", func(Scale) (*Benchmark, error) { <-release; return nil, errSlow }},
+		{"fast", func(Scale) (*Benchmark, error) { close(release); return nil, errFast }},
+	}
+	before := runtime.NumGoroutine()
+	if _, err := Build(TestScale, "ok", "slow", "fast"); err != errSlow {
+		t.Errorf("got %v, want the first failure in name order (%v)", err, errSlow)
+	}
+	goroutinesBackTo(t, before)
 }

@@ -350,8 +350,8 @@ func (s Spec) Simulate() (LoadReport, error) {
 }
 
 // specBenchmarks resolves app names at a scale, building only the apps
-// named (each once, however often it is named); no names is the Table I
-// Suite.
+// named (each once, however often it is named, all at once through
+// workload.Build); no names is the Table I Suite.
 func specBenchmarks(names []string, sc workload.Scale) ([]*workload.Benchmark, error) {
 	if len(names) == 0 {
 		return workload.Suite(sc)
@@ -361,19 +361,5 @@ func specBenchmarks(names []string, sc workload.Scale) ([]*workload.Benchmark, e
 			return nil, fmt.Errorf("dmx: spec app %q (known: %s)", name, strings.Join(workload.Names(), ", "))
 		}
 	}
-	byName := make(map[string]*workload.Benchmark, len(names))
-	out := make([]*workload.Benchmark, 0, len(names))
-	for _, name := range names {
-		b, ok := byName[name]
-		if !ok {
-			build, _ := workload.Lookup(name)
-			var err error
-			if b, err = build(sc); err != nil {
-				return nil, err
-			}
-			byName[name] = b
-		}
-		out = append(out, b)
-	}
-	return out, nil
+	return workload.Build(sc, names...)
 }
