@@ -93,8 +93,8 @@ type appInstance struct {
 	// name is the hop's DRX trace track.
 	drxServer []*sim.Server
 	// hopDRX[k] is hop k's DRX service time (nil without DRX) and
-	// hopCPU[k] its host-CPU restructuring work. Plan state, shared
-	// read-only across replicas.
+	// hopCPU[k] its host-CPU restructuring work (see pipeTables). Plan
+	// state, shared read-only across replicas.
 	hopDRX []sim.Duration
 	hopCPU []cpuWork
 
