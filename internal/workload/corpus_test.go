@@ -22,9 +22,10 @@ import (
 // probes stream their corpora into a byte counter, so the heap sees the
 // encoder's own state (deflate's window and hash chains, the table's
 // ring of row chunks), never the 15 MB table, the 12 MB gzip blob or
-// the 12 MB frame. It is declared ahead of every other paper-scale test so that,
-// in a full run, its fills are the ones the rest of the package reuses;
-// a probe some earlier test already filled is dropped and refilled.
+// the 12 MB frame. It is declared ahead of every other paper-scale test
+// so that, in a full run, its fills are the ones the rest of the package
+// reuses; a probe some earlier test already filled is dropped and
+// refilled.
 //
 // Each probe's stream is teed into a SHA-256 on its way to the counter
 // and checked against the size and digest TestCorpusDigests records, so
@@ -132,9 +133,8 @@ func goroutinesBackTo(t *testing.T, n int) {
 }
 
 // TestTablePipelineStopsOnSinkError fails the table's sink at the start,
-// in the middle and near the end of the stream: the corpus returns the
-// sink's error and leaves no goroutine behind, and a sink that never
-// fails still gets the whole stream.
+// in the middle and one byte before the end of the stream: the corpus
+// returns the sink's error and leaves no goroutine behind.
 func TestTablePipelineStopsOnSinkError(t *testing.T) {
 	g := dbSizes(TestScale)
 	g.nrows = 8*tableChunkRows + 5 // several ring turns and a short last chunk
