@@ -211,18 +211,24 @@ func (q *CommandQueue) EnqueueRestructure(k *restructure.Kernel,
 }
 
 // Finish executes every pending command in the context, in submission
-// order, and returns the first error. When every command succeeded the
-// pending list is emptied, so a long-lived context holds only the
-// commands submitted since its last clean Finish.
+// order, and returns the first error in that order. Commands that
+// depend on a failed one still fail, with a dependency error. Every
+// command has then run, so the pending list is emptied and each queue
+// forgets its last command: a failure poisons only what was submitted
+// before this Finish, and a long-lived context recovers from it.
 func (c *Context) Finish() error {
+	var first error
 	for _, ev := range c.pending {
-		if err := ev.Wait(); err != nil {
-			return err
+		if err := ev.Wait(); err != nil && first == nil {
+			first = err
 		}
 	}
 	clear(c.pending)
 	c.pending = c.pending[:0]
-	return nil
+	for _, q := range c.queues {
+		q.last = nil
+	}
+	return first
 }
 
 func bindOutputs(out map[string]*tensor.Tensor, outputs map[string]*Buffer) error {

@@ -1,6 +1,7 @@
 package dmxrt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -210,7 +211,9 @@ func TestDependencyFailurePropagates(t *testing.T) {
 // context: each clean Finish empties the pending list and every retired
 // event drops its dependencies, so nothing accumulates. A failed event
 // keeps failing its dependents with the same error text after it has
-// retired, and a failed Finish keeps its pending list.
+// retired. A failed Finish runs every pending command, returns the
+// first failure, and leaves nothing pending and no queue chained to a
+// failure, so the next command on that queue succeeds.
 func TestFinishRetiresEvents(t *testing.T) {
 	p := NewPlatform()
 	drxDev, err := p.AddDRX(drx.DefaultConfig())
@@ -261,11 +264,28 @@ func TestFinishRetiresEvents(t *testing.T) {
 	if err := next.Wait(); err == nil || !strings.Contains(err.Error(), "dependency") {
 		t.Errorf("in-order successor of a failure: got %v, want a dependency error", err)
 	}
-	if err := ctx.Finish(); err == nil {
-		t.Error("Finish swallowed the failure")
+	// A command enqueued before the failing Finish still fails as a
+	// dependent, with the same text, and Finish returns the first
+	// failure in submission order.
+	queued := q.EnqueueRestructure(transpose24, map[string]*Buffer{"x": x}, map[string]*Buffer{"y": y})
+	if err := ctx.Finish(); err == nil || err.Error() != bad.Wait().Error() {
+		t.Errorf("Finish returned %v, want the first failure %q", err, bad.Wait())
 	}
-	if len(ctx.pending) == 0 {
-		t.Error("a failed Finish emptied the pending list")
+	want := fmt.Sprintf("dmxrt: dependency %q failed: %v", next.desc, next.Wait())
+	if err := queued.Wait(); err == nil || err.Error() != want {
+		t.Errorf("queued dependent of the failure: got %v, want %q", err, want)
+	}
+	// The failing Finish retired everything: nothing is pending, and
+	// the queue no longer chains new commands to its failed last one.
+	if len(ctx.pending) != 0 {
+		t.Errorf("%d pending events after a failed Finish", len(ctx.pending))
+	}
+	fresh := q.EnqueueRestructure(transpose24, map[string]*Buffer{"x": x}, map[string]*Buffer{"y": y})
+	if err := ctx.Finish(); err != nil {
+		t.Errorf("Finish after recovery: %v", err)
+	}
+	if err := fresh.Wait(); err != nil {
+		t.Errorf("a new command on the recovered queue: %v", err)
 	}
 }
 

@@ -5,13 +5,14 @@ package dmxsys_test
 // resolved when the plan and its replicas are built, and every step of
 // the walk resumes the carrier through one callback bound per pooled
 // shell (or a pooled guard ticket under faults), with fabric transfers
-// joining on pooled completion records. Arrivals are fed on demand, so
-// the engine's event heap stays as small as the work in flight and does
-// not grow with the load. A request's steady-state walk allocates only
-// its own request record: each case measures 1.00 allocation per
-// request, and each bound is 1.5, so one extra allocation per request —
-// a closure, lookup or route build creeping back into any step of the
-// walk — trips it.
+// joining on pooled completion records. Request records are pooled per
+// System and an admission reject builds none, so a request's
+// steady-state walk allocates nothing: each case measures 0.00
+// allocations per request against a bound of 0.5, and anything that
+// allocates once per request — a record, closure, lookup or route build
+// creeping back into any step of the walk — trips it. Arrivals are fed
+// on demand, so the engine's event heap stays as small as the work in
+// flight and does not grow with the load.
 
 import (
 	"testing"
@@ -51,34 +52,50 @@ func TestServingAllocsPerRequest(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		mut   func(*dmxsys.Config)
+		rate  float64
 		bound float64
 	}{
-		{"unbatched", nil, 1.5},
+		{"unbatched", nil, 30000, 0.5},
 		{"batched", func(c *dmxsys.Config) {
 			c.BatchWindow = 200 * sim.Microsecond
 			c.BatchMax = 8
-		}, 1.5},
+		}, 30000, 0.5},
 		// 1% transient DRX faults with retries: guard tickets, retry
 		// backoffs and the fabric's fault path stay off the heap too.
 		{"faulted", func(c *dmxsys.Config) {
 			c.Faults = &faults.Plan{Seed: 3, TransientProb: 0.01}
 			c.Retry = faults.RetryPolicy{MaxAttempts: 3, Backoff: 10 * sim.Microsecond}
-		}, 1.5},
+		}, 30000, 0.5},
+		// Ten times the rate against an admission limit of one: most
+		// arrivals are rejected, and a reject builds no record.
+		{"admit-limit", func(c *dmxsys.Config) {
+			c.AdmitLimit = 1
+		}, 300000, 0.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := dmxsys.DefaultConfig(dmxsys.BumpInTheWire)
 			if tc.mut != nil {
 				tc.mut(&cfg)
 			}
-			got := allocsPerRequest(200, func(requests int) {
+			run := func(requests int) traffic.LoadReport {
 				s, err := dmxsys.New(cfg, pipes)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := s.RunLoad(allocSpec(requests)); err != nil {
+				spec := allocSpec(requests)
+				spec.Rate = tc.rate
+				rep, err := s.RunLoad(spec)
+				if err != nil {
 					t.Fatal(err)
 				}
-			})
+				return rep
+			}
+			if cfg.AdmitLimit > 0 {
+				if a := run(200).PerApp[0]; 2*a.Rejected <= a.Requests {
+					t.Fatalf("%d of %d arrivals rejected, want most", a.Rejected, a.Requests)
+				}
+			}
+			got := allocsPerRequest(200, func(requests int) { run(requests) })
 			t.Logf("%.2f allocations per request", got)
 			if got > tc.bound {
 				t.Errorf("%.2f allocations per request, bound %.1f", got, tc.bound)
@@ -134,6 +151,61 @@ func TestBuildAllocsPerApp(t *testing.T) {
 				})
 			}
 			got := (build(15) - build(5)) / 10
+			t.Logf("%.1f allocations per app", got)
+			if got > tc.bound {
+				t.Errorf("%.1f allocations per app, bound %.1f", got, tc.bound)
+			}
+		})
+	}
+}
+
+// TestRunAllocsPerApp pins what a one-shot Run costs per app on top of
+// building the System: New plus Run minus New alone, with 15 copies of
+// one test-scale pipeline minus 5, per extra app, so the fixed cost
+// cancels. The energy components are built once per plan stage, not per
+// Run; what is left is drive's and the feed's per-app funcs, and a
+// carrier shell and request record for each app in flight at once
+// (All-CPU holds them all). Each bound is the measured count plus half
+// an allocation.
+func TestRunAllocsPerApp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	b, err := workload.VideoSurveillance(workload.TestScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		p     dmxsys.Placement
+		bound float64
+	}{
+		{dmxsys.AllCPU, 10.5},
+		{dmxsys.MultiAxl, 5},
+		{dmxsys.Integrated, 5},
+		{dmxsys.Standalone, 5},
+		{dmxsys.PCIeIntegrated, 5},
+		{dmxsys.BumpInTheWire, 5},
+	} {
+		t.Run(tc.p.String(), func(t *testing.T) {
+			cfg := dmxsys.DefaultConfig(tc.p)
+			allocs := func(n int, run bool) float64 {
+				pipes := make([]*dmxsys.Pipeline, n)
+				for i := range pipes {
+					pipes[i] = b.Pipeline
+				}
+				return testing.AllocsPerRun(10, func() {
+					s, err := dmxsys.New(cfg, pipes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if run {
+						if _, err := s.Run(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+			}
+			got := (allocs(15, true) - allocs(15, false) - allocs(5, true) + allocs(5, false)) / 10
 			t.Logf("%.1f allocations per app", got)
 			if got > tc.bound {
 				t.Errorf("%.1f allocations per app, bound %.1f", got, tc.bound)

@@ -184,7 +184,9 @@ func (s *System) obsInstant(a *appInstance, typ obs.Type, step uint8, track, pee
 
 // request is one admitted request: only what belongs to it alone. The
 // walk itself — cursor, phase, fault and queue state — lives on the
-// carrier that moves it.
+// carrier that moves it. Records are pooled per System: newRequest
+// takes one and carrier.retire returns it once hand has returned, so a
+// retired callback that admits again gets a different record.
 type request struct {
 	// start is the admission instant; deadline is the absolute latency
 	// budget (zero = none), the key EDF schedules by.
@@ -573,11 +575,11 @@ func (c *carrier) abandon() {
 func (s *System) admit(a *appInstance, deadline sim.Duration, retired func(traffic.Retired)) {
 	if s.cfg.AdmitLimit > 0 && a.inflight >= s.cfg.AdmitLimit {
 		s.obsInstant(a, obs.TypeReject, 0, a.track, "", "", int64(a.inflight))
-		r := &request{track: a.track, outcome: traffic.OutcomeRejected, retired: retired}
-		// The request never executes: retire it directly so the drive
-		// loop's outstanding count drains, without touching a.requests
-		// (occupancy and report totals cover executed requests only).
-		r.hand()
+		// The request never executes: retire it directly, with no
+		// record, so the drive loop's outstanding count drains, without
+		// touching a.requests (occupancy and report totals cover
+		// executed requests only).
+		retired(traffic.Retired{Outcome: traffic.OutcomeRejected})
 		return
 	}
 	r := s.newRequest(a, deadline, retired)
@@ -601,7 +603,14 @@ func (s *System) newRequest(a *appInstance, deadline sim.Duration, retired func(
 	}
 	a.requests++
 	a.inflight++
-	r := &request{track: track, start: now, retired: retired}
+	var r *request
+	if n := len(s.requestPool); n > 0 {
+		r = s.requestPool[n-1]
+		s.requestPool = s.requestPool[:n-1]
+	} else {
+		r = new(request)
+	}
+	*r = request{track: track, start: now, retired: retired}
 	if deadline > 0 {
 		r.deadline = now.Add(deadline)
 	}
@@ -719,6 +728,8 @@ func (c *carrier) fail(err error) {
 // retire completes member m: per-member latency runs from its own
 // arrival, and its outcome and recovery counters are whatever it
 // accumulated (carrier-level events are charged to the first member).
+// m's record goes back to the pool after hand returns, never before: a
+// retired callback that admits again must not be handed m.
 func (c *carrier) retire(m *request) {
 	a := c.a
 	a.inflight--
@@ -732,6 +743,7 @@ func (c *carrier) retire(m *request) {
 		a.rep.Abandoned++
 	}
 	m.hand()
+	c.s.requestPool = append(c.s.requestPool, m)
 }
 
 // finish retires every member and returns the shell to the pool.

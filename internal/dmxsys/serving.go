@@ -38,9 +38,9 @@ func (s *System) RunLoad(spec traffic.Spec) (traffic.LoadReport, error) {
 // control, batching, scheduling, and fault recovery behave exactly as
 // under RunLoad; this is the cluster front door, and with an empty host
 // prefix a fleet of one driving Admit per arrival reproduces RunLoad's
-// engine timeline event for event. The request carries done itself, so
-// a caller that passes one bound func per arrival record allocates
-// nothing here beyond the request.
+// engine timeline event for event. The request's pooled record carries
+// done itself, so a caller that passes one bound func per arrival
+// record allocates nothing here in the steady state.
 func (s *System) Admit(app int, deadline sim.Duration, done func(traffic.Retired)) {
 	s.admit(s.apps[app], deadline, done)
 }

@@ -19,12 +19,11 @@ func TestRunLoadRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
-// Every admitted request allocates one request record, so its size is
-// paid per request. At 72 bytes it fell into Go's 80-byte size class; at
-// 64 it is one class lower, which saves 16 B × 125 000 requests, about
-// 2 MB, on the perfbench serve load. TestServingAllocsPerRequest counts
-// allocations, not bytes, so only this pin catches a field that pushes
-// the record back over.
+// Request records are pooled per System, so a record's size is paid
+// once per request in flight rather than per request. At 72 bytes it
+// fell into Go's 80-byte size class; at 64 it is one class lower.
+// TestServingAllocsPerRequest counts allocations, not bytes, so only
+// this pin catches a field that pushes the record back over.
 func TestRequestFitsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(request{}); n > 64 {
 		t.Errorf("request is %d bytes, want ≤ 64 (one 64-byte size class)", n)

@@ -49,11 +49,13 @@ type System struct {
 	rec *obs.Recorder
 
 	// carrierPool recycles retired carrier shells (members slice and
-	// bound step callback included), so a steady-state walk — solo or
-	// batched — allocates only its requests. carriers lists every shell
-	// ever made, live or pooled: the drain diagnosis names the live
-	// ones. tickets pools the guard tickets of hazardous runs.
+	// bound step callback included), and requestPool retired request
+	// records, so a steady-state walk — solo or batched — allocates
+	// nothing. carriers lists every shell ever made, live or pooled: the
+	// drain diagnosis names the live ones. tickets pools the guard
+	// tickets of hazardous runs.
 	carrierPool []*carrier
+	requestPool []*request
 	carriers    []*carrier
 	tickets     []*ticket
 
@@ -92,11 +94,13 @@ type appInstance struct {
 	// drxServer[k] serves hop k's restructuring (nil when on CPU); its
 	// name is the hop's DRX trace track.
 	drxServer []*sim.Server
-	// hopDRX[k] is hop k's DRX service time (nil without DRX) and
-	// hopCPU[k] its host-CPU restructuring work (see pipeTables). Plan
-	// state, shared read-only across replicas.
-	hopDRX []sim.Duration
-	hopCPU []cpuWork
+	// hopDRX[k] is hop k's DRX service time (nil without DRX),
+	// hopCPU[k] its host-CPU restructuring work and accelKey[k] stage
+	// k's energy component (see pipeTables). Plan state, shared
+	// read-only across replicas.
+	hopDRX   []sim.Duration
+	hopCPU   []cpuWork
+	accelKey []string
 
 	// input and output are the host↔accelerator legs of every request;
 	// hops[k] holds hop k's legs and data queues (both empty for AllCPU).
@@ -298,9 +302,9 @@ type planApp struct {
 	newCard bool
 
 	// pipeTables is shared by every app running the same *Pipeline,
-	// except that an app with a fused pair gets remaining-service tables
-	// of its own, built from its fusion table.
-	pipeTables
+	// except that an app with a fused pair gets a copy with
+	// remaining-service tables of its own, built from its fusion table.
+	*pipeTables
 	fusion []hopFusion
 }
 
@@ -314,6 +318,9 @@ type pipeTables struct {
 	// always under MultiAxl and AllCPU, on degrade under the others (nil
 	// when nothing can degrade: no faults and no retry policy).
 	hopCPU []cpuWork
+	// accelKey[k] is stage k's energy breakdown component (nil under
+	// AllCPU, which runs no accelerator).
+	accelKey []string
 
 	remAtKernel []sim.Duration
 	remAtHop    []sim.Duration
@@ -385,14 +392,15 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 	// the same switch.
 	cardDev := ""
 	cardAppsLeft := 0
-	tables := make(map[*Pipeline]pipeTables)
+	tables := make(map[*Pipeline]*pipeTables)
 	for i, pipe := range pipelines {
 		t, ok := tables[pipe]
 		if !ok {
-			var err error
-			if t, err = newPipeTables(cfg, pipe); err != nil {
+			tv, err := newPipeTables(cfg, pipe)
+			if err != nil {
 				return nil, err
 			}
+			t = &tv
 			tables[pipe] = t
 		}
 		pa := &p.apps[i]
@@ -475,7 +483,9 @@ func NewPlan(cfg Config, pipelines []*Pipeline) (*Plan, error) {
 			pa.fusion[fp.Hop+1] = hopFusion{role: fuseFollower, part: ft - part1}
 		}
 		if pa.fusion != nil {
-			pa.remAtKernel, pa.remAtHop = remainingService(cfg.Placement, pipe, pa.hopDRX, pa.fusion)
+			own := *pa.pipeTables
+			own.remAtKernel, own.remAtHop = remainingService(cfg.Placement, pipe, own.hopDRX, pa.fusion)
+			pa.pipeTables = &own
 		}
 		p.slots += pa.slots
 	}
@@ -515,6 +525,12 @@ func newPipeTables(cfg Config, pipe *Pipeline) (pipeTables, error) {
 		t.hopCPU = make([]cpuWork, len(pipe.Hops))
 		for k, h := range pipe.Hops {
 			t.hopCPU[k] = restructureWork(h.Kernel)
+		}
+	}
+	if cfg.Placement != AllCPU {
+		t.accelKey = make([]string, len(pipe.Stages))
+		for k, st := range pipe.Stages {
+			t.accelKey[k] = energy.AccelKey(st.Accel.Name)
 		}
 	}
 	t.remAtKernel, t.remAtHop = remainingService(cfg.Placement, pipe, t.hopDRX, nil)
@@ -684,7 +700,7 @@ func (p *Plan) Instantiate(eng *sim.Engine, opts HostOpts) (*System, error) {
 		pa := &p.apps[i]
 		a := &insts[i]
 		s.apps[i] = a
-		a.id, a.pipe, a.hopDRX, a.hopCPU = i, pipe, pa.hopDRX, pa.hopCPU
+		a.id, a.pipe, a.hopDRX, a.hopCPU, a.accelKey = i, pipe, pa.hopDRX, pa.hopCPU, pa.accelKey
 		a.occ = carve(&occ, pa.slots)[:0]
 		a.occNames = carve(&occNames, pa.slots)[:0]
 		a.slot(s.cpuCompute.Name()) // slotCPUCompute
@@ -1037,11 +1053,8 @@ func (s *System) energyReport(makespan sim.Duration) (float64, map[string]float6
 	}
 	meter.AddCPU(cpuBusy, makespan)
 	for _, a := range s.apps {
-		for k, st := range a.pipe.Stages {
-			if len(a.accelDev) == 0 {
-				continue
-			}
-			meter.AddAccelerator(st.Accel.Name, st.Accel.PowerW, a.accelSrv[k].BusyTime)
+		for k, key := range a.accelKey {
+			meter.AddAccelerator(key, a.pipe.Stages[k].Accel.PowerW, a.accelSrv[k].BusyTime)
 		}
 	}
 	if s.nDRX > 0 {

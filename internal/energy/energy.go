@@ -66,9 +66,14 @@ func (m *Meter) AddCPU(busy, makespan sim.Duration) {
 	m.Add("cpu", m.p.CPUActiveW*busy.Seconds()+m.p.CPUIdleW*(makespan-busy).Seconds())
 }
 
-// AddAccelerator charges one accelerator's power over its busy time.
-func (m *Meter) AddAccelerator(name string, powerW float64, busy sim.Duration) {
-	m.Add("accel:"+name, powerW*busy.Seconds())
+// AccelKey is the breakdown component of the accelerator named name.
+func AccelKey(name string) string { return "accel:" + name }
+
+// AddAccelerator charges one accelerator's power over its busy time to
+// component key, which AccelKey builds once per accelerator so that a
+// meter per run does not build it again.
+func (m *Meter) AddAccelerator(key string, powerW float64, busy sim.Duration) {
+	m.Add(key, powerW*busy.Seconds())
 }
 
 // AddDRX charges n DRX instances, each busy for busyEach of the

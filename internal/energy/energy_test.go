@@ -47,7 +47,7 @@ func TestTrafficEnergyPerByte(t *testing.T) {
 func TestBreakdownAndString(t *testing.T) {
 	m := NewMeter(Default())
 	m.AddCPU(sim.Second, sim.Second)
-	m.AddAccelerator("fft", 18, sim.Second)
+	m.AddAccelerator(AccelKey("fft"), 18, sim.Second)
 	m.AddSwitches(2, sim.Second)
 	m.AddDRX(1, 0, sim.Second)
 	m.AddTraffic(1 << 30)

@@ -190,9 +190,21 @@ func (c *Channel) complete() {
 	}
 	c.reschedule()
 	// Callbacks run after bookkeeping so they may start new transfers on
-	// this same channel re-entrantly. Each is scheduled now, in Start
-	// order, so several transfers retiring at one instant fire in Start
-	// order.
+	// this same channel re-entrantly. Several transfers retiring at one
+	// instant are each scheduled now, in Start order, so they fire in
+	// Start order. A lone one is delivered through runNow as the last
+	// statement: in place when nothing else is due now, which is exactly
+	// when its queued event would have fired.
+	if len(finished) == 1 {
+		t := finished[0]
+		done := t.done
+		c.recycle(t)
+		c.finished = finished[:0]
+		if done != nil {
+			c.eng.runNow(done)
+		}
+		return
+	}
 	now := c.eng.Now()
 	for _, t := range finished {
 		if t.done != nil {

@@ -160,3 +160,22 @@ func TestChannelSimultaneousCompletionBatch(t *testing.T) {
 		}
 	}
 }
+
+// A lone completion with nothing else due runs its done in place, under
+// the key its queued event would have had: now and the newest seq. Only
+// the completion event counts as fired.
+func TestChannelDoneInPlaceTakesItsKey(t *testing.T) {
+	e := NewEngine()
+	ch := NewChannel(e, "c", 1e9)
+	ran := false
+	ch.Start(4096, func() {
+		ran = true
+		if want := (entry{at: e.Now(), seq: e.seq - 1}); e.last != want {
+			t.Errorf("done ran after key %+v, want %+v", e.last, want)
+		}
+	})
+	e.Run()
+	if !ran || e.Fired() != 1 {
+		t.Errorf("done ran %v, %d events fired; want true and 1", ran, e.Fired())
+	}
+}

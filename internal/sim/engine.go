@@ -112,8 +112,9 @@ func NewEngine() *Engine { return &Engine{} }
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired reports how many events have been executed; useful as a cheap
-// progress metric and in tests.
+// Fired reports how many queued events have been executed; useful as a
+// cheap progress metric and in tests. A channel completion delivered in
+// place (Engine.runNow) runs no queued event and is not counted.
 func (e *Engine) Fired() uint64 { return e.nfired }
 
 // Pending reports the number of live scheduled events: events that will
@@ -181,6 +182,28 @@ func (e *Engine) Reschedule(ref EventRef, delay Duration, fn func()) EventRef {
 	}
 	ref.Cancel()
 	return e.At(t, fn)
+}
+
+// runNow runs fn at the current instant as the event At(now, fn)
+// would. When no other event is due now, that event would fire next,
+// right after the running callback returns, so fn runs in place
+// instead: it takes the seq the event would have been issued and sets
+// last as fire would, so every later (at, seq) key and every
+// Reservation.At check come out as if it had been queued. Otherwise fn
+// is queued. The caller must be a fired event's callback and call
+// runNow as its last statement; Fired does not count an in-place run.
+func (e *Engine) runNow(fn func()) {
+	top := e.next
+	if top.ev == nil && len(e.heap) > 0 {
+		top = e.heap[0]
+	}
+	if top.ev != nil && top.at == e.now {
+		e.At(e.now, fn)
+		return
+	}
+	e.last = entry{at: e.now, seq: e.seq}
+	e.seq++
+	fn()
 }
 
 // Reservation is a block of seqs claimed ahead of use by Reserve. A

@@ -50,6 +50,11 @@ type refEngine struct {
 	queue refHeap
 	seq   uint64
 	live  int // scheduled events neither fired nor canceled
+	// lastAt, lastSeq are the key of the event fired last; fired counts
+	// the events fired.
+	lastAt  Time
+	lastSeq uint64
+	fired   int
 }
 
 func (e *refEngine) at(t Time, fn func()) *refEvent {
@@ -77,6 +82,8 @@ func (e *refEngine) step() bool {
 		ev.done = true
 		e.live--
 		e.now = ev.at
+		e.lastAt, e.lastSeq = ev.at, ev.seq
+		e.fired++
 		ev.fn()
 		return true
 	}

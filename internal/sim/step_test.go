@@ -4,7 +4,8 @@ package sim
 // one instant, at a time and look at its state in between. The
 // simulator itself only calls Run.
 
-// Step executes the next pending event, advancing the clock to its time.
+// Step executes the next pending event, advancing the clock to its time,
+// with any channel done that event delivers in place (Engine.runNow).
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
 	// Tested here rather than through Pending, which would put Step past
