@@ -36,7 +36,7 @@ func tuneSpec() TuneSpec {
 }
 
 // scoreReport recomputes the tuner's objective from a replayed report —
-// the same arithmetic tune.scoreOf applies, duplicated here so the
+// the same arithmetic score applies, duplicated here so the
 // replay-identity test cannot pass vacuously.
 func scoreReport(rep LoadReport) (goodput float64, p99 Duration) {
 	completed, missed := 0, 0
@@ -89,6 +89,11 @@ func TestTuneWinnerReplayExact(t *testing.T) {
 	if goodput != res.Goodput || p99 != res.P99 {
 		t.Fatalf("replay diverges: goodput %v vs %v, p99 %v vs %v",
 			goodput, res.Goodput, p99, res.P99)
+	}
+	// The ranked list leads with the winner.
+	if top := res.Candidates[0]; !top.OK || !reflect.DeepEqual(top.Spec, res.Winner) ||
+		top.Goodput != res.Goodput || top.P99 != res.P99 {
+		t.Errorf("Candidates[0] %s is not the winner %s", specAxesLine(top.Spec), specAxesLine(res.Winner))
 	}
 	// The winner document itself must round-trip.
 	b, err := MarshalSpec(res.Winner)
@@ -182,6 +187,21 @@ func TestTuneRejectsBadSpecs(t *testing.T) {
 	if _, err := Tune(ts); err == nil || !strings.Contains(err.Error(), "placement") {
 		t.Errorf("bad base placement: %v", err)
 	}
+	ts = tuneSpec()
+	ts.MaxRounds = -1
+	if _, err := Tune(ts); err == nil || !strings.Contains(err.Error(), "max rounds -1") {
+		t.Errorf("negative max rounds: %v", err)
+	}
+	// A fusion pair past the app's last hop resolves (Resolve does not
+	// build plans) but leaves the only placement without a plan to seed.
+	ts = TuneSpec{
+		Base: Spec{Apps: []string{"pir-ner"}, Scale: "test", Arrival: "poisson",
+			Rate: 120000, Requests: 24, Seed: 3, FuseHops: []FusePair{{App: 0, Hop: 5}}},
+		Placements: []string{"integrated"},
+	}
+	if _, err := Tune(ts); err == nil || !strings.Contains(err.Error(), "tune: no placement produced a feasible plan") {
+		t.Errorf("infeasible seed: %v", err)
+	}
 }
 
 // TestTuneGolden pins the whole search, seed included, for three
@@ -246,6 +266,64 @@ func TestTuneGolden(t *testing.T) {
 	for i := 0; i < len(got) && i < len(wantLines); i++ {
 		if got[i] != wantLines[i] {
 			t.Errorf("line %d:\n got %s\nwant %s", i+1, got[i], wantLines[i])
+		}
+	}
+}
+
+func TestAxesKeyCanonicalizesFuse(t *testing.T) {
+	a := tuneAxes{Fuse: []FusePair{{App: 1, Hop: 2}, {App: 0, Hop: 0}}}
+	b := tuneAxes{Fuse: []FusePair{{App: 0, Hop: 0}, {App: 1, Hop: 2}}}
+	if a.key() != b.key() {
+		t.Errorf("permuted fusion sets got distinct keys:\n%s\n%s", a.key(), b.key())
+	}
+	if a.key() == (tuneAxes{}).key() {
+		t.Error("fused and unfused axes share a key")
+	}
+}
+
+func TestNeighborsRepairConflicts(t *testing.T) {
+	fusible := map[Placement][]FusePair{Integrated: {{App: 0, Hop: 0}}}
+	cur := tuneAxes{Placement: Integrated, Fuse: []FusePair{{App: 0, Hop: 0}}}
+	unfused := false
+	for _, n := range neighbors(cur, tunePlacements, fusible) {
+		if n.BatchWindow > 0 && len(n.Fuse) > 0 {
+			t.Errorf("neighbor %s mixes batching and fusion", n.key())
+		}
+		if !fusionLegal(n.Placement) && len(n.Fuse) > 0 {
+			t.Errorf("neighbor %s fuses on a placement without a shared DRX", n.key())
+		}
+		if n.BatchWindow == 0 && n.BatchMax != 0 {
+			t.Errorf("neighbor %s caps a closed window", n.key())
+		}
+		if n.Placement == Integrated && len(n.Fuse) == 0 && n.BatchWindow == 0 {
+			unfused = true
+		}
+	}
+	if !unfused {
+		t.Error("no neighbor unfuses the current fusion pair")
+	}
+}
+
+func TestNeighborsDeterministic(t *testing.T) {
+	fusible := map[Placement][]FusePair{Standalone: {{App: 0, Hop: 1}}}
+	cur := tuneAxes{Placement: Standalone, BatchWindow: 100 * Microsecond, BatchMax: 4}
+	a, b := neighbors(cur, tunePlacements, fusible), neighbors(cur, tunePlacements, fusible)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("neighbor generation is not deterministic")
+	}
+}
+
+func TestRankOrdersFeasibleFirst(t *testing.T) {
+	points := []tunePoint{
+		{axes: tuneAxes{Admit: 1}, TuneCandidate: TuneCandidate{Err: "boom"}},
+		{axes: tuneAxes{Admit: 2}, TuneCandidate: TuneCandidate{OK: true, Goodput: 10, P99: 5}},
+		{axes: tuneAxes{Admit: 3}, TuneCandidate: TuneCandidate{OK: true, Goodput: 20, P99: 9}},
+		{axes: tuneAxes{Admit: 4}, TuneCandidate: TuneCandidate{OK: true, Goodput: 10, P99: 3}},
+	}
+	rank(points)
+	for i, admit := range []int{3, 4, 2, 1} {
+		if points[i].axes.Admit != admit {
+			t.Fatalf("rank[%d].Admit = %d, want %d (order %+v)", i, points[i].axes.Admit, admit, points)
 		}
 	}
 }
